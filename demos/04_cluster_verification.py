@@ -8,27 +8,20 @@ cluster-state property (variances -> 0 with increasing squeezing).
 
 import numpy as np
 
-from combcluster import (EvolutionParams, best_phase_convention, bicoloring,
-                         build_torus_supergraph, evolve, expand,
-                         nullifier_variances, rotate_color_class)
+from combcluster import build_torus_supergraph, cluster_state, expand
 
 A = expand(build_torus_supergraph(6))
-colors = bicoloring(A)
-dense = A.dense()
 
 print("M=6 lattice, 144 qumodes")
 print(f"{'r':>5} {'max variance':>14} {'exp(-4r)':>12} {'spread':>10} "
       f"{'purity defect':>14}")
 for r in (0.5, 1.0, 1.5, 2.0):
-    state = evolve(EvolutionParams(dense, r))
-    conv = best_phase_convention(state, colors, dense)
-    rotated = rotate_color_class(state, colors, conv.quarter_turns)
-    rep = nullifier_variances(rotated, conv.signed_target, squeeze_r=r)
+    rotated, conv = cluster_state(A, r)
+    rep = conv.nullifiers
     print(f"{r:5.2f} {rep.max_variance:14.6e} {np.exp(-4 * r):12.4e} "
           f"{np.ptp(rep.variances):10.1e} {rotated.purity_defect():14.2e}")
 
-state = evolve(EvolutionParams(dense, 1.0))
-conv = best_phase_convention(state, colors, dense)
+_, conv = cluster_state(A, 1.0)
 print(f"\nchosen convention: quarter_turns={conv.quarter_turns:+d}, "
       f"target sign {conv.target_sign:+d}")
 print("survey of all four (turns, sign) candidates:")

@@ -8,26 +8,16 @@ that opens the torus into a planar patch.
 
 import numpy as np
 
-from combcluster import (EvolutionParams, best_phase_convention, bicoloring,
-                         build_ring_supergraph, build_torus_supergraph,
-                         effective_graph, evolve, expand, ideal_graph_delete,
-                         measure_q, nullifier_variances, reduce_and_cut,
-                         rotate_color_class)
-
-
-def rotated(A, r):
-    colors = bicoloring(A)
-    dense = A.dense()
-    state = evolve(EvolutionParams(dense, r))
-    conv = best_phase_convention(state, colors, dense)
-    return rotate_color_class(state, colors, conv.quarter_turns), conv
-
+from combcluster import (build_ring_supergraph, build_torus_supergraph,
+                         cluster_state, effective_graph, expand,
+                         ideal_graph_delete, measure_q, nullifier_variances,
+                         reduce_and_cut)
 
 print("== crown -> ring ==")
 crown = expand(build_ring_supergraph(4))
 top = [0, 2, 4, 6]
 for r in (1.0, 2.0, 3.0):
-    state, conv = rotated(crown, r)
+    state, conv = cluster_state(crown, r)
     reduced = measure_q(state, top)
     target = ideal_graph_delete(conv.signed_target, top)
     rep = nullifier_variances(reduced, target)
@@ -41,7 +31,7 @@ print("\n== lattice -> single layer ==")
 A = expand(build_torus_supergraph(6))
 measured = [i for i in range(144) if i % 4 != 0]
 for r in (1.0, 2.0):
-    state, conv = rotated(A, r)
+    state, conv = cluster_state(A, r)
     reduced = measure_q(state, measured)
     target = ideal_graph_delete(conv.signed_target, measured)
     rep = nullifier_variances(reduced, target)
@@ -56,7 +46,7 @@ print(f"ideal cut: {st.n_nodes} nodes (expected "
       f"{report.expected_patch_macronodes}), connected={st.is_connected}, "
       f"max degree {st.max_degree}, cycle rank {st.cycle_rank}")
 for r in (1.0, 2.0):
-    state, conv = rotated(A, r)
+    state, conv = cluster_state(A, r)
     _, rep = reduce_and_cut(state, 6, 0, (0, 0),
                             target=conv.signed_target, squeeze_r=r)
     print(f"gaussian path r={r}: max residual {rep.max_residual:.3e}")

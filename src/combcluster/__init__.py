@@ -40,6 +40,7 @@ from .gaussian import (
     GaussianState, vacuum, omega,
     EvolutionParams, evolve, evolution_symplectic,
     rotate_color_class, best_phase_convention, PhaseConvention,
+    cluster_state,
     NullifierReport, nullifier_variances,
     measure_q, ideal_graph_delete,
     EffectiveGraph, effective_graph,

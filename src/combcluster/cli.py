@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gaussian, hankel, lattice, verify
+from .verify import _fmt
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,10 +47,6 @@ def _write(outdir, name, content, emitted):
     target = path / name
     target.write_text(content)
     emitted.append(str(target))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 # ============================================================
@@ -142,22 +139,12 @@ def cmd_pump(args) -> int:
     return EXIT_OK
 
 
-def _convention_for(A: lattice.PhysAdjacency, r: float):
-    colors = lattice.bicoloring(A)
-    dense = A.dense()
-    state = gaussian.evolve(gaussian.EvolutionParams(dense, r))
-    conv = gaussian.best_phase_convention(state, colors, dense)
-    rotated = gaussian.rotate_color_class(state, colors, conv.quarter_turns)
-    return colors, conv, rotated
-
-
 def cmd_simulate(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     emitted = []
     for r in args.squeeze_r:
-        _, conv, rotated = _convention_for(A, r)
-        rep = gaussian.nullifier_variances(rotated, conv.signed_target,
-                                           squeeze_r=r)
+        _, conv = gaussian.cluster_state(A, r)
+        rep = conv.nullifiers
         tag = f"M{args.M}_r{_fmt(r)}"
         _write(args.output_dir, f"nullifiers_{tag}.txt",
                gaussian.nullifier_table(rep), emitted)
@@ -180,7 +167,7 @@ def cmd_reduce(args) -> int:
     print(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
           f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}")
     for r in args.squeeze_r:
-        _, conv, rotated = _convention_for(A, r)
+        rotated, conv = gaussian.cluster_state(A, r)
         reduced, rep = gaussian.reduce_and_cut(
             rotated, args.M, args.keep_layer, meridians,
             target=conv.signed_target, squeeze_r=r)
@@ -284,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_scaling)
 
-    for name in ("verify-all", "verify_all"):
-        p = sub.add_parser(name, help="run the full verification suite")
-        p.add_argument("--M", type=int, default=6)
-        add_common(p)
-        p.set_defaults(func=cmd_verify_all)
+    p = sub.add_parser("verify-all", aliases=["verify_all"],
+                       help="run the full verification suite")
+    p.add_argument("--M", type=int, default=6)
+    add_common(p)
+    p.set_defaults(func=cmd_verify_all)
     return parser
 
 

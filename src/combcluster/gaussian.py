@@ -34,6 +34,8 @@ class GaussianError(ValueError):
 
 
 _ORTHOGONAL_TOL = 1e-12
+# Largest r whose cosh(2r) is a finite float64.
+_MAX_SQUEEZE_R = 0.5 * math.acosh(np.finfo(float).max)
 
 
 def omega(n: int) -> np.ndarray:
@@ -139,6 +141,10 @@ class EvolutionParams:
             raise GaussianError("adjacency must be symmetric")
         if not (self.squeeze_r >= 0):
             raise GaussianError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
+        if not (self.squeeze_r <= _MAX_SQUEEZE_R):
+            raise GaussianError(
+                f"squeeze_r={self.squeeze_r} overflows cosh(2r) in float64 "
+                f"(largest allowed r is {_MAX_SQUEEZE_R:.12g})")
         object.__setattr__(self, "adjacency", A)
 
 
@@ -228,13 +234,18 @@ def nullifier_variances(state: GaussianState, target,
 
 @dataclass
 class PhaseConvention:
-    """Chosen rotation direction and signed target, with the survey behind it."""
+    """Chosen rotation direction and signed target, with the survey behind it.
+
+    ``nullifiers`` is the winning candidate's report: the nullifier
+    variances of the rotated state against ``signed_target``.
+    """
 
     quarter_turns: int
     target_sign: int
     signed_target: np.ndarray
     max_variance: float
     survey: dict
+    nullifiers: NullifierReport
 
 
 def best_phase_convention(state: GaussianState, coloring: Bicoloring,
@@ -251,14 +262,31 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
     for turns in (+1, -1):
         rotated = rotate_color_class(state, coloring, turns)
         for sign in (+1, -1):
-            mv = nullifier_variances(rotated, sign * At).max_variance
-            survey[(turns, sign)] = mv
-            if best is None or mv < best[0]:
-                best = (mv, turns, sign)
-    mv, turns, sign = best
+            rep = nullifier_variances(rotated, sign * At)
+            survey[(turns, sign)] = rep.max_variance
+            if best is None or rep.max_variance < best[0].max_variance:
+                best = (rep, turns, sign)
+    rep, turns, sign = best
     return PhaseConvention(quarter_turns=turns, target_sign=sign,
-                           signed_target=sign * At, max_variance=mv,
-                           survey=survey)
+                           signed_target=rep.target_adjacency,
+                           max_variance=rep.max_variance, survey=survey,
+                           nullifiers=rep)
+
+
+def cluster_state(A: PhysAdjacency, r: float):
+    """The cluster state of A at squeezing r, in its best phase convention.
+
+    Evolves vacuum under A, picks the convention with
+    `best_phase_convention` and rotates the color-1 modes accordingly.
+    Returns (rotated state, PhaseConvention); the convention's
+    ``nullifiers`` report carries squeeze_r = r.
+    """
+    colors = lattice.bicoloring(A)
+    dense = A.dense()
+    state = evolve(EvolutionParams(dense, r))
+    conv = best_phase_convention(state, colors, dense)
+    conv.nullifiers.squeeze_r = r
+    return rotate_color_class(state, colors, conv.quarter_turns), conv
 
 
 # ============================================================

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (PhysAdjacency, build_torus_supergraph, expand,
-                      renumber_to_block_hankel)
+from .lattice import (BLOCK_LABELS, PhysAdjacency, build_torus_supergraph,
+                      expand, renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -180,12 +180,18 @@ class PumpSpectrum:
         return [(m, d - m) for m in range(max(0, d - n + 1), d // 2 + 1)]
 
 
+def is_pi_block(b: np.ndarray) -> bool:
+    """True for a nonzero 2x2 block proportional to pi+ or pi-."""
+    return bool(b[0, 0] == b[1, 1] and b[0, 1] == b[1, 0]
+                and abs(b[0, 0]) == abs(b[0, 1]) != 0)
+
+
 def _classify_pi(block: np.ndarray):
     """Return (pattern, sign, magnitude_quarters) for c * pi+/- blocks."""
     b = np.asarray(block, dtype=np.int64)
     if b.shape != (2, 2):
         raise PumpCompileError("pump blocks must be 2x2")
-    if b[0, 0] == b[1, 1] and b[0, 1] == b[1, 0] and abs(b[0, 0]) == abs(b[0, 1]) != 0:
+    if is_pi_block(b):
         sign = 1 if b[0, 0] > 0 else -1
         pattern = "+" if b[0, 0] == b[0, 1] else "-"
         return pattern, sign, abs(int(b[0, 0]))
@@ -295,7 +301,6 @@ def pump_file(spectrum: PumpSpectrum, block_side: int = 2) -> str:
 
 def _payload(entry: np.ndarray) -> str:
     """Spell a block: named label, a half-scaled named label, or raw entries."""
-    from .lattice import BLOCK_LABELS
     for name, ref in BLOCK_LABELS.items():
         if np.array_equal(entry, ref.quarters):
             return name

@@ -135,12 +135,7 @@ def criterion_block_hankel_structure(M: int = 6) -> CriterionResult:
     short = hankel.shorthand_of(result.renumbered, block_side=2)
     nonzero = short.nonzero_indices()
     roundtrip = np.array_equal(result.restore().quarters, A.quarters)
-    all_pi = True
-    for d in nonzero:
-        b = short.entries[d]
-        pi_like = (b[0, 0] == b[1, 1] and b[0, 1] == b[1, 0]
-                   and abs(b[0, 0]) == abs(b[0, 1]) != 0)
-        all_pi &= bool(pi_like)
+    all_pi = all(hankel.is_pi_block(short.entries[d]) for d in nonzero)
     s_ref, t_ref = claimed_run_lengths(M)
     ref_positions = positions_from_run_lengths(M, s_ref, t_ref)
     positions_match = nonzero == ref_positions
@@ -250,10 +245,10 @@ def criterion_evolution_oracle(seed: int = 20240915) -> CriterionResult:
 
 
 def _convention_cases(M: int):
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    X = lattice.PhysAdjacency(np.array([[0, 4], [4, 0]]))
     ring = lattice.expand(lattice.build_ring_supergraph(4))
     lat = lattice.expand(lattice.build_torus_supergraph(M))
-    return [("two-mode", X), ("ring-4", ring.dense()), (f"lattice-M{M}", lat.dense())]
+    return [("two-mode", X), ("ring-4", ring), (f"lattice-M{M}", lat)]
 
 
 def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
@@ -262,16 +257,10 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
     value_ok = True
     monotone_ok = True
     for name, A in _convention_cases(M):
-        colors = lattice.bicoloring(lattice.PhysAdjacency(
-            np.asarray(A * 4, dtype=np.int64)))
         maxima = []
         for r in (0.5, 1.0, 2.0):
-            state = gaussian.evolve(gaussian.EvolutionParams(A, r))
-            conv = gaussian.best_phase_convention(state, colors, A)
-            rotated = gaussian.rotate_color_class(state, colors,
-                                                  conv.quarter_turns)
-            rep = gaussian.nullifier_variances(rotated, conv.signed_target,
-                                               squeeze_r=r)
+            _, conv = gaussian.cluster_state(A, r)
+            rep = conv.nullifiers
             claimed = np.exp(-2.0 * r) / 2.0
             err = float(np.abs(rep.variances - claimed).max())
             spread = float(np.ptp(rep.variances))
@@ -293,31 +282,29 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
                            details)
 
 
-def _crown_pipeline(r: float):
-    ring = lattice.build_ring_supergraph(4)
-    A = lattice.expand(ring)
-    colors = lattice.bicoloring(A)
-    dense = A.dense()
-    state = gaussian.evolve(gaussian.EvolutionParams(dense, r))
-    conv = gaussian.best_phase_convention(state, colors, dense)
-    rotated = gaussian.rotate_color_class(state, colors, conv.quarter_turns)
-    top = [2 * k for k in range(4)]       # layer-0 node of each macronode
-    bottom = [2 * k + 1 for k in range(4)]
-    reduced = gaussian.measure_q(rotated, top)
-    target = gaussian.ideal_graph_delete(conv.signed_target, top)
+def _measure_and_delete(A: lattice.PhysAdjacency, r: float, measured):
+    """q-measure nodes of A's cluster state and delete them from its target.
+
+    Returns (reduced state, reduced signed target, its nullifier report).
+    """
+    rotated, conv = gaussian.cluster_state(A, r)
+    reduced = gaussian.measure_q(rotated, measured)
+    target = gaussian.ideal_graph_delete(conv.signed_target, measured)
     rep = gaussian.nullifier_variances(reduced, target, squeeze_r=r)
-    return reduced, target, rep, bottom
+    return reduced, target, rep
 
 
 def criterion_crown_to_ring() -> CriterionResult:
     """Measuring the crown's top layer leaves the bottom ring, better with r."""
     details = []
     residuals = []
+    crown = lattice.expand(lattice.build_ring_supergraph(4))
+    top = [2 * k for k in range(4)]       # layer-0 node of each macronode
     for r in (1.0, 2.0, 3.0):
-        _, target, rep, _ = _crown_pipeline(r)
+        _, target, rep = _measure_and_delete(crown, r, top)
         residuals.append(rep.max_variance)
         details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)}")
-    _, target, _, _ = _crown_pipeline(1.0)
+    # |weights| and support of the signed target do not depend on r
     weights = np.abs(target[target != 0])
     uniform_half = bool(weights.size) and bool(np.all(weights == 0.5))
     stats = gaussian.support_graph_stats(target)
@@ -331,27 +318,14 @@ def criterion_crown_to_ring() -> CriterionResult:
     return CriterionResult(6, "crown-to-ring", ok, details)
 
 
-def _lattice_layer_pipeline(M: int, r: float, keep_layer: int = 0):
-    A = lattice.expand(lattice.build_torus_supergraph(M))
-    colors = lattice.bicoloring(A)
-    dense = A.dense()
-    state = gaussian.evolve(gaussian.EvolutionParams(dense, r))
-    conv = gaussian.best_phase_convention(state, colors, dense)
-    rotated = gaussian.rotate_color_class(state, colors, conv.quarter_turns)
-    measured = [i for i in range(A.n) if i % 4 != keep_layer]
-    reduced = gaussian.measure_q(rotated, measured)
-    target = gaussian.ideal_graph_delete(conv.signed_target, measured)
-    rep = gaussian.nullifier_variances(reduced, target, squeeze_r=r)
-    return reduced, target, rep
-
-
 def criterion_layer_reduction(M: int = 6) -> CriterionResult:
     """Measuring three of four layers leaves the uniform-|1/4| lattice."""
     details = []
     residuals, eg_errors = [], []
-    target = None
+    A = lattice.expand(lattice.build_torus_supergraph(M))
+    measured = [i for i in range(A.n) if i % 4 != 0]
     for r in (1.0, 2.0):
-        reduced, target, rep = _lattice_layer_pipeline(M, r)
+        reduced, target, rep = _measure_and_delete(A, r, measured)
         eg = gaussian.effective_graph(reduced)
         eg_err = float(np.abs(eg.V - target).max())
         residuals.append(rep.max_variance)
@@ -375,14 +349,9 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
     """Meridian cut: connected remaining patch, degree <= 4, residual improves."""
     details = []
     A = lattice.expand(lattice.build_torus_supergraph(M))
-    colors = lattice.bicoloring(A)
-    dense = A.dense()
     meridians = (0, 0)
-    # ideal path
-    state1 = gaussian.evolve(gaussian.EvolutionParams(dense, 1.0))
-    conv = gaussian.best_phase_convention(state1, colors, dense)
-    _, ideal_report = gaussian.reduce_and_cut(conv.signed_target, M, 0,
-                                              meridians)
+    # ideal path: the cut's graph statistics depend only on the support
+    _, ideal_report = gaussian.reduce_and_cut(A, M, 0, meridians)
     st = ideal_report.graph_stats
     details.append(
         f"ideal nodes={st.n_nodes} expected_patch="
@@ -392,9 +361,7 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
         f"degree_histogram={sorted(st.degree_histogram.items())}")
     residuals = []
     for r in (1.0, 2.0):
-        state = gaussian.evolve(gaussian.EvolutionParams(dense, r))
-        rotated = gaussian.rotate_color_class(state, colors,
-                                              conv.quarter_turns)
+        rotated, conv = gaussian.cluster_state(A, r)
         _, rep = gaussian.reduce_and_cut(rotated, M, 0, meridians,
                                          target=conv.signed_target,
                                          squeeze_r=r)

@@ -75,6 +75,17 @@ def test_simulate_command(capsys, tmp_path):
     assert kv.splitlines()[0].startswith("node=0 variance=")
 
 
+@pytest.mark.parametrize("r", ["inf", "1e308", "355.3"])
+def test_simulate_rejects_overflowing_r(capsys, r):
+    # cosh(2r) leaves float64 range just above r = 355.2379
+    code, out, err = run_cli(capsys, "simulate", "--M", "4", "--r", r)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=2 cause=GaussianError ")
+    assert "overflows cosh(2r)" in err
+    assert err.count("\n") == 1
+
+
 def test_reduce_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reduce", "--M", "6", "--r", "1,2",
                            "--output-dir", str(tmp_path))
@@ -116,6 +127,12 @@ def test_outputs_byte_deterministic(capsys, tmp_path):
 
 def test_verify_all_odd_m_config_error(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--M", "5")
+    assert code == 2
+    assert err.startswith("error: code=2")
+
+
+def test_verify_all_underscore_alias(capsys):
+    code, _, err = run_cli(capsys, "verify_all", "--M", "5")
     assert code == 2
     assert err.startswith("error: code=2")
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from combcluster import (EvolutionParams, GaussianError, PhysAdjacency,
-                         best_phase_convention, bicoloring, effective_graph,
+                         best_phase_convention, bicoloring, cluster_state,
+                         effective_graph,
                          evolution_symplectic, evolve, ideal_graph_delete,
                          measure_q, nullifier_records, nullifier_table,
                          nullifier_variances, omega, rotate_color_class,
@@ -155,6 +156,25 @@ def test_best_phase_convention_survey_structure(two_mode):
     assert conv.survey[(-1, 1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
     assert conv.survey[(1, 1)] == pytest.approx(np.exp(4.0), rel=1e-10)
     assert conv.max_variance == conv.survey[(1, -1)]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
+    # cluster_state is evolve -> best_phase_convention -> rotate_color_class,
+    # and its report equals a fresh nullifier pass, bit for bit
+    for A in (PhysAdjacency(np.round(4 * two_mode)), crown8, lattice6):
+        rotated, conv = cluster_state(A, r)
+        ref_state, ref_conv = optimal_rotation(A.dense(), r)
+        ref = nullifier_variances(ref_state, ref_conv.signed_target)
+        assert np.array_equal(rotated.cov, ref_state.cov)
+        assert np.array_equal(rotated.mean, ref_state.mean)
+        assert (conv.quarter_turns, conv.target_sign) == \
+            (ref_conv.quarter_turns, ref_conv.target_sign)
+        assert np.array_equal(conv.nullifiers.variances, ref.variances)
+        assert np.array_equal(conv.nullifiers.target_adjacency,
+                              ref.target_adjacency)
+        assert conv.nullifiers.max_variance == ref.max_variance
+        assert conv.nullifiers.squeeze_r == r
 
 
 def test_lattice_variance_shrinks_with_r(lattice6):
