@@ -8,12 +8,12 @@ bandwidth grow (linearly in the macronode count).
 
 from combcluster import (build_torus_supergraph, compile_pump, expand,
                          pump_file, renumber_to_block_hankel, scaling_report,
-                         scaling_table, shorthand_of)
+                         scaling_table)
 
 M = 6
 A = expand(build_torus_supergraph(M))
 renum = renumber_to_block_hankel(A, M)
-short = shorthand_of(renum.renumbered, block_side=2)
+short = renum.shorthand
 
 print(f"shorthand length {short.length}, corner at {short.corner_index}, "
       f"{len(short.nonzero_indices())} nonzero blocks at:")

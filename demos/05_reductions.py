@@ -19,7 +19,7 @@ top = [0, 2, 4, 6]
 for r in (1.0, 2.0, 3.0):
     state, conv = cluster_state(crown, r)
     reduced = measure_q(state, top)
-    target = ideal_graph_delete(conv.signed_target, top)
+    target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
     rep = nullifier_variances(reduced, target)
     eg = effective_graph(reduced)
     print(f"r={r}: residual {rep.max_variance:.3e}, "
@@ -33,7 +33,7 @@ measured = [i for i in range(144) if i % 4 != 0]
 for r in (1.0, 2.0):
     state, conv = cluster_state(A, r)
     reduced = measure_q(state, measured)
-    target = ideal_graph_delete(conv.signed_target, measured)
+    target = ideal_graph_delete(conv.nullifiers.target_adjacency, measured)
     rep = nullifier_variances(reduced, target)
     print(f"r={r}: 36 remaining modes, residual {rep.max_variance:.3e}")
 ideal = ideal_graph_delete(A.dense(), measured)
@@ -48,5 +48,6 @@ print(f"ideal cut: {st.n_nodes} nodes (expected "
 for r in (1.0, 2.0):
     state, conv = cluster_state(A, r)
     _, rep = reduce_and_cut(state, 6, 0, (0, 0),
-                            target=conv.signed_target, squeeze_r=r)
+                            target=conv.nullifiers.target_adjacency,
+                            squeeze_r=r)
     print(f"gaussian path r={r}: max residual {rep.max_residual:.3e}")

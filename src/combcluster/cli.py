@@ -124,8 +124,7 @@ def cmd_pump(args) -> int:
             f"t = M^2-4M-3 = {M * M - 4 * M - 3} of the 2x2 layout is "
             f"negative at M={M}")
     A = lattice.expand(lattice.build_torus_supergraph(M))
-    renum = lattice.renumber_to_block_hankel(A, M)
-    short = hankel.shorthand_of(renum.renumbered, block_side=2)
+    short = lattice.renumber_to_block_hankel(A, M).shorthand
     spectrum = hankel.compile_pump(short)
     emitted = []
     _write(args.output_dir, f"shorthand_M{M}.txt",
@@ -168,11 +167,12 @@ def cmd_reduce(args) -> int:
           f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}")
     for r in args.squeeze_r:
         rotated, conv = gaussian.cluster_state(A, r)
+        target = conv.nullifiers.target_adjacency
         reduced, rep = gaussian.reduce_and_cut(
             rotated, args.M, args.keep_layer, meridians,
-            target=conv.signed_target, squeeze_r=r)
+            target=target, squeeze_r=r)
         eg = gaussian.effective_graph(reduced)
-        target_kept = conv.signed_target[np.ix_(rep.kept_nodes, rep.kept_nodes)]
+        target_kept = target[np.ix_(rep.kept_nodes, rep.kept_nodes)]
         eg_err = float(np.abs(eg.V - target_kept).max())
         tag = f"M{args.M}_r{_fmt(r)}"
         _write(args.output_dir, f"reduction_{tag}.txt",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from . import lattice
 from .lattice import Bicoloring, PhysAdjacency
@@ -34,8 +35,9 @@ class GaussianError(ValueError):
 
 
 _ORTHOGONAL_TOL = 1e-12
-# Largest r whose cosh(2r) is a finite float64.
-_MAX_SQUEEZE_R = 0.5 * math.acosh(np.finfo(float).max)
+# Largest r whose cosh(4r) is a finite float64: the evolved covariance
+# holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
+_MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
 
 
 def omega(n: int) -> np.ndarray:
@@ -143,7 +145,7 @@ class EvolutionParams:
             raise GaussianError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
         if not (self.squeeze_r <= _MAX_SQUEEZE_R):
             raise GaussianError(
-                f"squeeze_r={self.squeeze_r} overflows cosh(2r) in float64 "
+                f"squeeze_r={self.squeeze_r} overflows cosh(4r) in float64 "
                 f"(largest allowed r is {_MAX_SQUEEZE_R:.12g})")
         object.__setattr__(self, "adjacency", A)
 
@@ -234,16 +236,15 @@ def nullifier_variances(state: GaussianState, target,
 
 @dataclass
 class PhaseConvention:
-    """Chosen rotation direction and signed target, with the survey behind it.
+    """Chosen rotation direction and target sign, with the survey behind it.
 
-    ``nullifiers`` is the winning candidate's report: the nullifier
-    variances of the rotated state against ``signed_target``.
+    ``nullifiers`` is the winning candidate's report: the signed target
+    (``target_adjacency``) and the nullifier variances of the rotated
+    state against it.
     """
 
     quarter_turns: int
     target_sign: int
-    signed_target: np.ndarray
-    max_variance: float
     survey: dict
     nullifiers: NullifierReport
 
@@ -268,9 +269,7 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
                 best = (rep, turns, sign)
     rep, turns, sign = best
     return PhaseConvention(quarter_turns=turns, target_sign=sign,
-                           signed_target=rep.target_adjacency,
-                           max_variance=rep.max_variance, survey=survey,
-                           nullifiers=rep)
+                           survey=survey, nullifiers=rep)
 
 
 def cluster_state(A: PhysAdjacency, r: float):
@@ -432,20 +431,7 @@ def support_graph_stats(A) -> GraphStats:
     n = adj.shape[0]
     deg = adj.sum(axis=1)
     edges = int(adj.sum()) // 2
-    seen = np.zeros(n, dtype=bool)
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
+    comps = connected_components(adj, directed=False)[0]
     hist = {int(k): int(c) for k, c in
             zip(*np.unique(deg, return_counts=True))}
     return GraphStats(n_nodes=n, n_edges=edges,

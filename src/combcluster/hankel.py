@@ -232,8 +232,7 @@ def compile_pump(short: HankelShorthand) -> PumpSpectrum:
 def lattice_pump_spectrum(M: int) -> PumpSpectrum:
     """Full pipeline for the M-lattice: build, expand, renumber, compile."""
     A = expand(build_torus_supergraph(M))
-    renum = renumber_to_block_hankel(A, M)
-    return compile_pump(shorthand_of(renum.renumbered, block_side=2))
+    return compile_pump(renumber_to_block_hankel(A, M).shorthand)
 
 
 # ============================================================
@@ -262,7 +261,7 @@ def scaling_report(M_list) -> list:
     for M in M_list:
         S = build_torus_supergraph(M)
         A = expand(S)
-        spectrum = lattice_pump_spectrum(M)
+        spectrum = compile_pump(renumber_to_block_hankel(A, M).shorthand)
         rows.append(ScalingRow(
             M=M,
             N=M * M,

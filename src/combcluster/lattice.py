@@ -24,9 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .hankel import HankelShorthand
 
 
 class LatticeError(ValueError):
@@ -427,11 +431,13 @@ class RenumberResult:
     """Outcome of the 2x2 block-Hankel renumbering.
 
     ``permutation`` maps new physical index -> old physical index, i.e.
-    renumbered[a, b] = A[permutation[a], permutation[b]].
+    renumbered[a, b] = A[permutation[a], permutation[b]].  ``shorthand``
+    is the 2x2 block shorthand of ``renumbered``.
     """
 
     permutation: np.ndarray
     renumbered: PhysAdjacency
+    shorthand: HankelShorthand
 
     def restore(self) -> PhysAdjacency:
         inverse = np.argsort(self.permutation)
@@ -463,8 +469,10 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     """Renumber the expanded M-lattice so it is 2x2 block-Hankel.
 
     Requires even M >= 6 and A = expand(build_torus_supergraph(M)).
-    The result is validated: constant 2x2 block skew-diagonals with
-    exactly 15 nonzero blocks, and an exact permutation round trip.
+    The result is validated: the permutation is a bijection onto
+    range(A.n), so ``restore()`` gives back A exactly, and the renumbered
+    matrix has constant 2x2 block skew-diagonals with exactly 15 nonzero
+    blocks.
     """
     _check_even_size("M", M, 6)
     if A.n != 4 * M * M:
@@ -472,17 +480,15 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
             f"adjacency size {A.n} does not match an M={M} lattice "
             f"(expected {4 * M * M})")
     perm = renumber_permutation(M)
-    B = PhysAdjacency(A.quarters[np.ix_(perm, perm)])
-    result = RenumberResult(permutation=perm, renumbered=B)
     # Internal invariants; failure here is a construction bug, not bad input.
+    if not np.array_equal(np.sort(perm), np.arange(A.n)):
+        raise RuntimeError("renumbering round trip failed")
+    B = PhysAdjacency(A.quarters[np.ix_(perm, perm)])
     from .hankel import shorthand_of  # local import to avoid a module cycle
     short = shorthand_of(B, block_side=2)
-    nonzero = short.nonzero_indices()
-    if len(nonzero) != 15:
+    if len(short.nonzero_indices()) != 15:
         raise RuntimeError("renumbering lost the 15-diagonal structure")
-    if not np.array_equal(result.restore().quarters, A.quarters):
-        raise RuntimeError("renumbering round trip failed")
-    return result
+    return RenumberResult(permutation=perm, renumbered=B, shorthand=short)
 
 
 def renumbered_diagonal_positions(M: int):

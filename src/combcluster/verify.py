@@ -132,7 +132,7 @@ def criterion_block_hankel_structure(M: int = 6) -> CriterionResult:
     details = []
     A = lattice.expand(lattice.build_torus_supergraph(M))
     result = lattice.renumber_to_block_hankel(A, M)
-    short = hankel.shorthand_of(result.renumbered, block_side=2)
+    short = result.shorthand
     nonzero = short.nonzero_indices()
     roundtrip = np.array_equal(result.restore().quarters, A.quarters)
     all_pi = all(hankel.is_pi_block(short.entries[d]) for d in nonzero)
@@ -289,7 +289,8 @@ def _measure_and_delete(A: lattice.PhysAdjacency, r: float, measured):
     """
     rotated, conv = gaussian.cluster_state(A, r)
     reduced = gaussian.measure_q(rotated, measured)
-    target = gaussian.ideal_graph_delete(conv.signed_target, measured)
+    target = gaussian.ideal_graph_delete(conv.nullifiers.target_adjacency,
+                                          measured)
     rep = gaussian.nullifier_variances(reduced, target, squeeze_r=r)
     return reduced, target, rep
 
@@ -362,9 +363,9 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
     residuals = []
     for r in (1.0, 2.0):
         rotated, conv = gaussian.cluster_state(A, r)
-        _, rep = gaussian.reduce_and_cut(rotated, M, 0, meridians,
-                                         target=conv.signed_target,
-                                         squeeze_r=r)
+        _, rep = gaussian.reduce_and_cut(
+            rotated, M, 0, meridians,
+            target=conv.nullifiers.target_adjacency, squeeze_r=r)
         residuals.append(rep.max_residual)
         details.append(f"gaussian r={_fmt(r)} max_residual={_fmt(rep.max_residual)}")
     ok = (st.is_connected and st.max_degree <= 4

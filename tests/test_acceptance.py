@@ -161,7 +161,7 @@ def test_engine_uniform_decay_is_exp_minus_4r(lattice6, crown8, two_mode):
             state = evolve(EvolutionParams(A, r))
             conv = best_phase_convention(state, colors, A)
             rotated = rotate_color_class(state, colors, conv.quarter_turns)
-            rep = nullifier_variances(rotated, conv.signed_target)
+            rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
             assert np.allclose(rep.variances, np.exp(-4 * r), atol=1e-9)
 
 

@@ -75,14 +75,15 @@ def test_simulate_command(capsys, tmp_path):
     assert kv.splitlines()[0].startswith("node=0 variance=")
 
 
-@pytest.mark.parametrize("r", ["inf", "1e308", "355.3"])
+@pytest.mark.parametrize("r", ["inf", "1e308", "355.3", "200", "177.62"])
 def test_simulate_rejects_overflowing_r(capsys, r):
-    # cosh(2r) leaves float64 range just above r = 355.2379
+    # the covariance holds cosh(4r)/2, which leaves float64 range just
+    # above r = 177.6190
     code, out, err = run_cli(capsys, "simulate", "--M", "4", "--r", r)
     assert code == 2
     assert out == ""
     assert err.startswith("error: code=2 cause=GaussianError ")
-    assert "overflows cosh(2r)" in err
+    assert "overflows cosh(4r)" in err
     assert err.count("\n") == 1
 
 
@@ -155,10 +156,19 @@ def test_effective_graph_dump_precision(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import combcluster
+    # the child imports the same package as this test, installed or not
+    src = str(Path(combcluster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "combcluster", "scaling", "--M", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "15" in proc.stdout

@@ -124,7 +124,7 @@ def test_two_mode_nullifier_decay_from_validated_transform(two_mode):
     # decay computed from the transform cosh(2r)1 + sinh(2r)A: the optimal
     # convention gives uniform variance exp(-4r); frozen at r = 1
     rotated, conv = optimal_rotation(two_mode, 1.0)
-    rep = nullifier_variances(rotated, conv.signed_target)
+    rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
     assert np.allclose(rep.variances, np.exp(-4.0), atol=1e-12)
     assert rep.max_variance == pytest.approx(0.018315638888734, abs=1e-12)
     assert (conv.quarter_turns, conv.target_sign) == (+1, -1)
@@ -134,7 +134,7 @@ def test_two_mode_nullifier_decay_from_validated_transform(two_mode):
 def test_uniform_decay_two_mode_ring_lattice(r, two_mode, crown8, lattice6):
     for A in (two_mode, crown8.dense(), lattice6.dense()):
         rotated, conv = optimal_rotation(A, r)
-        rep = nullifier_variances(rotated, conv.signed_target)
+        rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
         assert np.allclose(rep.variances, np.exp(-4 * r), atol=1e-9)
 
 
@@ -155,7 +155,7 @@ def test_best_phase_convention_survey_structure(two_mode):
     assert conv.survey[(1, -1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
     assert conv.survey[(-1, 1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
     assert conv.survey[(1, 1)] == pytest.approx(np.exp(4.0), rel=1e-10)
-    assert conv.max_variance == conv.survey[(1, -1)]
+    assert conv.nullifiers.max_variance == conv.survey[(1, -1)]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -165,7 +165,7 @@ def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
     for A in (PhysAdjacency(np.round(4 * two_mode)), crown8, lattice6):
         rotated, conv = cluster_state(A, r)
         ref_state, ref_conv = optimal_rotation(A.dense(), r)
-        ref = nullifier_variances(ref_state, ref_conv.signed_target)
+        ref = nullifier_variances(ref_state, ref_conv.nullifiers.target_adjacency)
         assert np.array_equal(rotated.cov, ref_state.cov)
         assert np.array_equal(rotated.mean, ref_state.mean)
         assert (conv.quarter_turns, conv.target_sign) == \
@@ -181,8 +181,8 @@ def test_lattice_variance_shrinks_with_r(lattice6):
     dense = lattice6.dense()
     m1 = optimal_rotation(dense, 1.0)
     m2 = optimal_rotation(dense, 2.0)
-    v1 = nullifier_variances(m1[0], m1[1].signed_target).max_variance
-    v2 = nullifier_variances(m2[0], m2[1].signed_target).max_variance
+    v1 = nullifier_variances(m1[0], m1[1].nullifiers.target_adjacency).max_variance
+    v2 = nullifier_variances(m2[0], m2[1].nullifiers.target_adjacency).max_variance
     assert v2 < v1 < 0.5
 
 
@@ -198,20 +198,22 @@ def test_nullifier_dimension_mismatch():
 def test_nullifier_permutation_invariance(crown8):
     A = crown8.dense()
     rotated, conv = optimal_rotation(A, 0.7)
-    rep = nullifier_variances(rotated, conv.signed_target)
+    target = conv.nullifiers.target_adjacency
+    rep = nullifier_variances(rotated, target)
     rng = np.random.default_rng(3)
     perm = rng.permutation(8)
     P2 = np.concatenate([perm, 8 + perm])
     permuted = rotated.cov[np.ix_(P2, P2)]
     from combcluster import GaussianState
     st_p = GaussianState(rotated.mean[P2], permuted)
-    rep_p = nullifier_variances(st_p, conv.signed_target[np.ix_(perm, perm)])
+    rep_p = nullifier_variances(st_p, target[np.ix_(perm, perm)])
     assert np.allclose(rep_p.variances, rep.variances[perm], atol=1e-12)
 
 
 def test_nullifier_report_exports(two_mode):
     rotated, conv = optimal_rotation(two_mode, 1.0)
-    rep = nullifier_variances(rotated, conv.signed_target, squeeze_r=1.0)
+    rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency,
+                              squeeze_r=1.0)
     table = nullifier_table(rep)
     records = nullifier_records(rep)
     assert table.splitlines()[-1].startswith("r=1 max=")
@@ -289,7 +291,7 @@ def test_crown_reduction_residual_decreases(crown8):
     for r in (1.0, 2.0, 3.0):
         rotated, conv = optimal_rotation(A, r)
         red = measure_q(rotated, top)
-        target = ideal_graph_delete(conv.signed_target, top)
+        target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
         residuals.append(nullifier_variances(red, target).max_variance)
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -318,6 +320,20 @@ def test_ideal_delete_lattice_leaves_quarter_lattice(lattice6):
     assert stats.degree_histogram == {4: 36}
 
 
+def test_support_graph_stats_counts_components():
+    # a 4-cycle, a triangle and an isolated node: three components,
+    # cycle rank 7 edges - 8 nodes + 3 components = 2
+    A = np.zeros((8, 8))
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)):
+        A[i, j] = A[j, i] = 1.0
+    stats = support_graph_stats(A)
+    assert (stats.n_nodes, stats.n_edges, stats.max_degree) == (8, 7, 2)
+    assert stats.n_components == 3
+    assert not stats.is_connected
+    assert stats.cycle_rank == 2
+    assert stats.degree_histogram == {0: 1, 2: 7}
+
+
 def test_ideal_delete_nothing_is_identity(crown8):
     out = ideal_graph_delete(crown8.dense(), [])
     assert np.array_equal(out, crown8.dense())
@@ -336,7 +352,7 @@ def test_effective_graph_of_vacuum():
 def test_effective_graph_converges_to_signed_target(two_mode):
     rotated, conv = optimal_rotation(two_mode, 5.0)
     eg = effective_graph(rotated)
-    assert np.abs(eg.V - conv.signed_target).max() < 1e-3
+    assert np.abs(eg.V - conv.nullifiers.target_adjacency).max() < 1e-3
     assert np.abs(eg.U).max() < 1e-3
 
 
@@ -362,7 +378,7 @@ def test_reduced_effective_graph_converges(crown8):
     for r in (1.0, 2.0, 3.0):
         rotated, conv = optimal_rotation(A, r)
         red = measure_q(rotated, top)
-        target = ideal_graph_delete(conv.signed_target, top)
+        target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
         eg = effective_graph(red)
         errors.append(np.abs(eg.V - target).max())
     assert errors[0] > errors[1] > errors[2]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from combcluster import (HankelShorthand, NotHankelError, PumpCompileError,
-                         compile_pump, lattice_pump_spectrum, matrix_of,
+                         build_torus_supergraph, compile_pump,
+                         lattice_pump_spectrum, matrix_of,
                          pump_file, renumber_to_block_hankel, scaling_report,
                          scaling_table, shorthand_file, shorthand_of)
 
@@ -176,6 +177,19 @@ def test_scaling_rows_m6_to_m10():
     # edges per macronode constant across sizes
     ratios = {r.physical_edges / r.N for r in rows}
     assert ratios == {32.0}
+
+
+def test_scaling_report_builds_each_size_once(monkeypatch):
+    import combcluster.hankel as hk
+    built = []
+
+    def counting_build(M):
+        built.append(M)
+        return build_torus_supergraph(M)
+
+    monkeypatch.setattr(hk, "build_torus_supergraph", counting_build)
+    scaling_report([6, 8])
+    assert built == [6, 8]
 
 
 def test_scaling_table_format():

@@ -224,6 +224,26 @@ def test_renumber_round_trip_bit_exact(lattice6):
     assert sorted(result.permutation.tolist()) == list(range(lattice6.n))
 
 
+@pytest.mark.parametrize("M", [6, 8, 10])
+def test_renumber_returns_its_shorthand(M):
+    from combcluster import shorthand_of
+    result = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
+    ref = shorthand_of(result.renumbered, block_side=2)
+    assert result.shorthand.block_side == ref.block_side == 2
+    assert result.shorthand.length == ref.length
+    for got, want in zip(result.shorthand.entries, ref.entries):
+        assert np.array_equal(got, want)
+
+
+def test_renumber_rejects_non_bijective_permutation(lattice6, monkeypatch):
+    import combcluster.lattice as lat
+    perm = renumber_permutation(6)
+    perm[-1] = perm[0]                       # repeated index, one lost
+    monkeypatch.setattr(lat, "renumber_permutation", lambda M: perm)
+    with pytest.raises(RuntimeError, match="round trip"):
+        renumber_to_block_hankel(lattice6, 6)
+
+
 def test_renumber_produces_block_hankel(lattice6):
     from combcluster import shorthand_of
     result = renumber_to_block_hankel(lattice6, 6)

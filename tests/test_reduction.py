@@ -57,7 +57,7 @@ def test_gaussian_cut_residual_improves_with_r(lattice6):
     for r in (1.0, 2.0):
         rotated, conv = rotated_lattice_state(lattice6, r)
         reduced, report = reduce_and_cut(rotated, 6, 0, (0, 0),
-                                         target=conv.signed_target,
+                                         target=conv.nullifiers.target_adjacency,
                                          squeeze_r=r)
         assert reduced.n == 25
         assert reduced.purity_defect() < 1e-9
