@@ -24,7 +24,6 @@ from .lattice import (
     expand, check_orthogonal, two_path_weight,
     Bicoloring, bicoloring,
     RenumberResult, renumber_to_block_hankel, renumber_permutation,
-    renumbered_diagonal_positions,
     MacronodeCoords, coordinates, label_census,
     export_triplets, export_dot, export_super_triplets,
     LatticeError, NonBipartiteError,
@@ -47,7 +46,7 @@ from .gaussian import (
     GraphStats, support_graph_stats,
     ReductionReport, reduce_and_cut, lattice_cut_nodes,
     nullifier_table, nullifier_records, effective_graph_dump,
-    GaussianError,
+    GaussianError, PrecisionLossError,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,10 @@ Command-line pipeline driver.
 Subcommands build the lattices, compile pump spectra, run the Gaussian
 simulations and write deterministic text outputs suitable for regression
 diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
-failure, 4 internal invariant breach.  Errors print exactly one
-machine-parsable line on stderr: error: code=<n> cause=<type> detail="...".
+failure, 4 internal invariant breach or lost precision (PrecisionLossError:
+a nullifier variance that is not positive and finite, seen at large r).
+Errors print one machine-parsable stderr line:
+error: code=<n> cause=<type> detail="...".
 """
 
 from __future__ import annotations

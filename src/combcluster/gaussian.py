@@ -34,6 +34,10 @@ class GaussianError(ValueError):
     """Invalid state, parameters, or mode selection."""
 
 
+class PrecisionLossError(RuntimeError):
+    """A computed value no physical state can have: float64 lost precision."""
+
+
 _ORTHOGONAL_TOL = 1e-12
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
@@ -220,7 +224,10 @@ class NullifierReport:
 
 def nullifier_variances(state: GaussianState, target,
                         squeeze_r: float = float("nan")) -> NullifierReport:
-    """Var(p_i - sum_j A_ij q_j) for each i, from the covariance."""
+    """Var(p_i - sum_j A_ij q_j) for each i, from the covariance.
+
+    Each is positive for a physical state ([q_i, p_i - (A q)_i] = i), so
+    one that is not positive and finite raises PrecisionLossError."""
     At = _as_dense_adjacency(target)
     n = state.n
     if At.shape != (n, n):
@@ -228,6 +235,12 @@ def nullifier_variances(state: GaussianState, target,
             f"target is {At.shape}, state has {n} modes")
     N = np.hstack([-At, np.eye(n)])
     variances = np.einsum("ij,jk,ik->i", N, state.cov, N)
+    physical = np.isfinite(variances) & (variances > 0)
+    if not physical.all():
+        i = int(np.argmin(physical))
+        raise PrecisionLossError(
+            f"nullifier variance of mode {i} is {variances[i]:.12g}, which "
+            f"no physical state has: the covariance lost precision")
     return NullifierReport(target_adjacency=At,
                            variances=variances,
                            max_variance=float(variances.max()),
@@ -251,25 +264,27 @@ class PhaseConvention:
 
 def best_phase_convention(state: GaussianState, coloring: Bicoloring,
                           target) -> PhaseConvention:
-    """Search turns in {+1, -1} and signed targets {+A, -A}.
+    """Turn in {+1, -1} and target in {+A, -A} minimizing the max variance.
 
-    Returns the combination minimizing the maximum nullifier variance.
-    Deterministic tie-break: candidates are tried in the order
-    (+1, +A), (+1, -A), (-1, +A), (-1, -A) and the first minimum wins.
+    The first minimum in the order (+1, +A), (+1, -A), (-1, +A), (-1, -A)
+    wins.  The -1 turn is the +1 turn followed by (q, p) -> (-q, -p) on
+    the color-1 modes, which maps the nullifiers of -+A to those of +-A
+    when every edge of A joins two colors; so only the +1 turn is
+    computed, the survey copies its values to (-1, -+A), and the winner is
+    a +1 turn.  A target with an edge inside a color class raises
+    GaussianError.
     """
     At = _as_dense_adjacency(target)
-    survey = {}
-    best = None
-    for turns in (+1, -1):
-        rotated = rotate_color_class(state, coloring, turns)
-        for sign in (+1, -1):
-            rep = nullifier_variances(rotated, sign * At)
-            survey[(turns, sign)] = rep.max_variance
-            if best is None or rep.max_variance < best[0].max_variance:
-                best = (rep, turns, sign)
-    rep, turns, sign = best
-    return PhaseConvention(quarter_turns=turns, target_sign=sign,
-                           survey=survey, nullifiers=rep)
+    rotated = rotate_color_class(state, coloring, +1)
+    colors = np.asarray(getattr(coloring, "colors", coloring))
+    if At.shape == (state.n, state.n) and np.any(At[np.equal.outer(colors, colors)]):
+        raise GaussianError("target has an edge inside a color class")
+    reports = {sign: nullifier_variances(rotated, sign * At) for sign in (+1, -1)}
+    survey = {(turns, sign): reports[turns * sign].max_variance
+              for turns in (+1, -1) for sign in (+1, -1)}
+    sign = -1 if reports[-1].max_variance < reports[+1].max_variance else +1
+    return PhaseConvention(quarter_turns=+1, target_sign=sign,
+                           survey=survey, nullifiers=reports[sign])
 
 
 def cluster_state(A: PhysAdjacency, r: float):

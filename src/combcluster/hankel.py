@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (BLOCK_LABELS, PhysAdjacency, build_torus_supergraph,
-                      expand, renumber_to_block_hankel)
+from .lattice import (BlockWeight, LatticeError, PhysAdjacency, block_label,
+                      build_torus_supergraph, expand, renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -54,18 +54,25 @@ SIGN_CONVENTION = "pol:+45=pi+,-45=pi-;yphase:180=negated-block"
 class HankelShorthand:
     """Shorthand vector of a (block-)Hankel matrix.
 
-    entries[k] is the int64 quarters block on skew-diagonal k.  The number
-    of block rows of the encoded matrix is (len(entries) + 1) // 2 and the
-    corner (top-right block) sits at index n_blocks - 1.
+    ``entries`` is one int64 array of shape (2N-1, s, s), validated at
+    construction (NotHankelError otherwise): block (i, j) of the encoded
+    N x N block matrix is entries[i + j], the quarters block on
+    skew-diagonal i + j.  The corner (top-right block) is entry N - 1.
     """
 
-    entries: list
+    entries: np.ndarray
     block_side: int
 
     def __post_init__(self):
-        if len(self.entries) % 2 == 0:
-            raise NotHankelError(
-                f"shorthand length must be odd (2N-1), got {len(self.entries)}")
+        s = self.block_side
+        try:
+            e = np.asarray(self.entries, dtype=np.int64)
+        except ValueError as exc:           # a ragged list of blocks
+            raise NotHankelError(f"shorthand blocks differ in shape: {exc}")
+        if e.shape[1:] != (s, s) or len(e) % 2 == 0:
+            raise NotHankelError(f"shorthand must be 2N-1 blocks of side {s}, "
+                                 f"got entries of shape {e.shape}")
+        self.entries = e
 
     @property
     def length(self) -> int:
@@ -80,7 +87,7 @@ class HankelShorthand:
         return self.n_blocks - 1
 
     def nonzero_indices(self) -> list:
-        return [k for k, e in enumerate(self.entries) if np.any(e)]
+        return np.flatnonzero(self.entries.any(axis=(1, 2))).tolist()
 
 
 def _as_quarters(A) -> np.ndarray:
@@ -92,6 +99,9 @@ def _as_quarters(A) -> np.ndarray:
 def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     """Extract the shorthand of A, verifying constant block skew-diagonals.
 
+    The entries are read from the first block row and the last block
+    column, then each block row i is compared with entries[i:i + N].
+
     Parameters
     ----------
     A : PhysAdjacency or int ndarray
@@ -102,32 +112,33 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     Raises
     ------
     NotHankelError
-        If some block skew-diagonal is not constant; the first offending
-        pair of block positions is attached for diagnosis.
+        If some block skew-diagonal is not constant.  ``first_violation``
+        pairs the block its diagonal's entry was read from with the first
+        offending block in row-major order.
     """
     Q = _as_quarters(A)
     n = Q.shape[0]
-    if Q.shape[0] != Q.shape[1]:
-        raise NotHankelError("matrix must be square")
+    if Q.shape[0] != Q.shape[1] or n == 0:
+        raise NotHankelError(f"matrix must be square and nonempty, got {Q.shape}")
     if n % block_side:
         raise NotHankelError(
             f"side {n} not divisible by block_side {block_side}")
     nb = n // block_side
     s = block_side
-    # (nb, nb, s, s) view: R[i, j] is the (i, j) block
-    R = Q.reshape(nb, s, nb, s).swapaxes(1, 2)
-    entries = []
-    for d in range(2 * nb - 1):
-        i = np.arange(max(0, d - nb + 1), min(nb - 1, d) + 1)
-        blocks = R[i, d - i]
-        mismatch = np.flatnonzero((blocks != blocks[0]).any(axis=(1, 2)))
-        if mismatch.size:
-            i0, ibad = int(i[0]), int(i[mismatch[0]])
+    # V[i, a, j, b] is entry (a, b) of block (i, j), a view of Q; block
+    # row i must equal E[:, i:i + nb], where E[a, k, b] = entries[k, a, b]
+    V = Q.reshape(nb, s, nb, s)
+    entries = np.concatenate([V[0].transpose(1, 0, 2), V[1:, :, -1]])
+    E = np.ascontiguousarray(entries.transpose(1, 0, 2))
+    for i in range(1, nb):
+        if not np.array_equal(V[i], E[:, i:i + nb]):
+            j = int(np.flatnonzero((V[i] != E[:, i:i + nb]).any(axis=(0, 2)))[0])
+            d = i + j
+            i0 = max(0, d - nb + 1)
             raise NotHankelError(
                 f"block skew-diagonal {d} is not constant: "
-                f"block ({i0}, {d - i0}) != block ({ibad}, {d - ibad})",
-                first_violation=((i0, d - i0), (ibad, d - ibad)))
-        entries.append(blocks[0].copy())
+                f"block ({i0}, {d - i0}) != block ({i}, {j})",
+                first_violation=((i0, d - i0), (i, j)))
     return HankelShorthand(entries=entries, block_side=s)
 
 
@@ -135,15 +146,11 @@ def matrix_of(short: HankelShorthand) -> np.ndarray:
     """Rebuild the full matrix from a shorthand (exact inverse of shorthand_of)."""
     nb = short.n_blocks
     s = short.block_side
-    Q = np.zeros((nb * s, nb * s), dtype=np.int64)
-    for d, entry in enumerate(short.entries):
-        e = np.asarray(entry, dtype=np.int64)
-        if e.shape != (s, s):
-            raise NotHankelError(
-                f"entry {d} has shape {e.shape}, expected {(s, s)}")
-        for i in range(max(0, d - nb + 1), min(nb - 1, d) + 1):
-            Q[s * i:s * i + s, s * (d - i):s * (d - i) + s] = e
-    return Q
+    # W[i, a, b, j] = entries[i + j, a, b], a read-only view
+    W = np.lib.stride_tricks.sliding_window_view(short.entries, nb, axis=0)
+    Q = np.empty((nb, s, nb, s), dtype=np.int64)
+    Q[...] = W.transpose(0, 1, 3, 2)
+    return Q.reshape(nb * s, nb * s)
 
 
 # ============================================================
@@ -299,14 +306,13 @@ def pump_file(spectrum: PumpSpectrum, block_side: int = 2) -> str:
 
 
 def _payload(entry: np.ndarray) -> str:
-    """Spell a block: named label, a half-scaled named label, or raw entries."""
-    for name, ref in BLOCK_LABELS.items():
-        if np.array_equal(entry, ref.quarters):
-            return name
-        if np.array_equal(2 * entry, ref.quarters):
-            return name + "/2"
-        if np.array_equal(-2 * entry, ref.quarters):
-            return "-" + name + "/2"
+    """Spell a block as `block_label` of itself, of twice it (label/2), of
+    minus twice it (-label/2), or else as its raw entries."""
+    for scale, spelling in ((1, "{}"), (2, "{}/2"), (-2, "-{}/2")):
+        try:
+            return spelling.format(block_label(BlockWeight(scale * entry)))
+        except LatticeError:
+            pass
     return ";".join(",".join(f"{v}/4" for v in row) for row in entry.tolist())
 
 
@@ -316,5 +322,5 @@ def shorthand_file(short: HankelShorthand) -> str:
     lines = [f"length={short.length} corner_index={short.corner_index} "
              f"block_side={short.block_side} nonzero={len(nz)}"]
     for k in nz:
-        lines.append(f"{k} {_payload(np.asarray(short.entries[k], dtype=np.int64))}")
+        lines.append(f"{k} {_payload(short.entries[k])}")
     return "\n".join(lines) + "\n"

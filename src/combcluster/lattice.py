@@ -259,21 +259,6 @@ def torus_block_diagonals(M: int):
     ]
 
 
-def torus_shorthand_entries(M: int):
-    """Block-Hankel shorthand of the M-lattice supergraph, length 2*M**2-1.
-
-    Entry k is the BlockWeight on block skew-diagonal k (zero block where
-    no superedge lives).  The corner (top-right) entry sits at index M**2-1.
-    """
-    N = M * M
-    zero = BlockWeight(np.zeros((4, 4), dtype=np.int64))
-    entries = [zero] * (2 * N - 1)
-    for d, lab, sg in torus_block_diagonals(M):
-        blk = PI4[lab] if sg > 0 else -PI4[lab]
-        entries[d] = blk
-    return entries
-
-
 def build_torus_supergraph(M: int) -> SuperAdjacency:
     """Toroidal lattice supergraph on M**2 macronodes, 4x4 block weights.
 
@@ -294,14 +279,10 @@ def build_torus_supergraph(M: int) -> SuperAdjacency:
     _check_even_size("M", M, 4)
     N = M * M
     S = SuperAdjacency(n_macro=N, block_side=4)
-    entries = torus_shorthand_entries(M)
-    for d, entry in enumerate(entries):
-        if entry.is_zero:
-            continue
-        for i in range(max(0, d - N + 1), min(N - 1, d) + 1):
-            j = d - i
-            if i < j:
-                S.set_block(i, j, entry)
+    for d, lab, sg in torus_block_diagonals(M):
+        block = PI4[lab] if sg > 0 else -PI4[lab]
+        for i in range(max(0, d - N + 1), (d + 1) // 2):     # i < j = d - i
+            S.set_block(i, d - i, block)
     return S
 
 
@@ -491,30 +472,11 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     return RenumberResult(permutation=perm, renumbered=B, shorthand=short)
 
 
-def renumbered_diagonal_positions(M: int):
-    """Skew-diagonal indices of the 15 nonzero 2x2 blocks after renumbering.
-
-    Four positions per M**2-span at offsets {M-1, -M-3, -3, -1}, truncated
-    at the ends: run lengths (M-1, M**2-2*M-3) in the shorthand skeleton.
-    """
-    N = M * M
-    offsets = (M - 1, N - M - 3, N - 3, N - 1)
-    return sorted(k * N + o for k in range(4) for o in offsets
-                  if k * N + o <= 4 * N - 2)
-
-
 # ============================================================
 # Torus geometry
 # ============================================================
 
 AXIS_LABELS = {"x": ("P2", "P3"), "y": ("P1", "P0")}
-
-
-def _partner(M, m, label):
-    """Macronode paired with m by the given projector label (reflection)."""
-    N = M * M
-    consts = {"P1": M - 1, "P0": -M - 3, "P3": -3, "P2": -1}
-    return (consts[label] - m) % N
 
 
 @dataclass
@@ -550,12 +512,15 @@ def coordinates(M: int) -> MacronodeCoords:
     """
     _check_even_size("M", M, 4)
     N = M * M
+    # Every block of a label has i + j = d (mod N), so the macronode the
+    # label pairs with m is the reflection (d - m) mod N.
+    diagonal = {f"P{lab}": d % N for d, lab, _ in torus_block_diagonals(M)}
 
     def walk(first, second):
         order = [0]
         cur, use_first = 0, True
         for _ in range(N - 1):
-            cur = _partner(M, cur, first if use_first else second)
+            cur = (diagonal[first if use_first else second] - cur) % N
             use_first = not use_first
             order.append(cur)
         return order

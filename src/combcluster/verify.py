@@ -97,12 +97,9 @@ def outer_support(B_quarters: np.ndarray) -> np.ndarray:
 
 def layout_outer_support(M: int, positions) -> np.ndarray:
     """0/1 occupancy of a 2x2 block-Hankel layout with the given diagonals."""
-    nb = 2 * M * M
-    S = np.zeros((nb, nb), dtype=np.int64)
-    for d in positions:
-        for i in range(max(0, d - nb + 1), min(nb - 1, d) + 1):
-            S[i, d - i] = 1
-    return S
+    entries = np.zeros((4 * M * M - 1, 1, 1), dtype=np.int64)
+    entries[list(positions)] = 1
+    return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
 
 
 def walk_refutation(Sa: np.ndarray, Sb: np.ndarray, k_max: int):

@@ -139,11 +139,12 @@ def test_no_renumbering_reaches_pinned_layout():
 
 def test_constructed_layout_has_same_skeleton():
     """The achieved layout uses the pinned skeleton with run lengths (M-1, M**2-2M-3)."""
+    from combcluster import renumber_to_block_hankel
     for M in (6, 8):
         s_alt, t_alt = verify.constructed_run_lengths(M)
         positions = verify.positions_from_run_lengths(M, s_alt, t_alt)
-        from combcluster import renumbered_diagonal_positions
-        assert positions == renumbered_diagonal_positions(M)
+        renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
+        assert positions == renum.shorthand.nonzero_indices()
         # both run-length choices satisfy the skeleton length identity
         s_ref, t_ref = verify.claimed_run_lengths(M)
         assert 4 * s_alt + 2 * t_alt == 4 * s_ref + 2 * t_ref

@@ -87,6 +87,17 @@ def test_simulate_rejects_overflowing_r(capsys, r):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r", ["177.6", "10"])
+def test_simulate_refuses_impossible_variances(capsys, r):
+    # below the overflow bound the dense covariance cancels e^{+-4r} terms
+    # into negative nullifier variances, which no physical state has
+    code, out, err = run_cli(capsys, "simulate", "--M", "4", "--r", r)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: code=4 cause=PrecisionLossError ")
+    assert err.count("\n") == 1
+
+
 def test_reduce_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reduce", "--M", "6", "--r", "1,2",
                            "--output-dir", str(tmp_path))

@@ -158,6 +158,33 @@ def test_best_phase_convention_survey_structure(two_mode):
     assert conv.nullifiers.max_variance == conv.survey[(1, -1)]
 
 
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0, 3.3])
+def test_best_phase_convention_survey_matches_all_four_candidates(r, crown8,
+                                                                  lattice6):
+    # the search rotates once; the -1 turn's entries must equal what the
+    # brute-force rotation and nullifier passes give, bit for bit
+    for A in (crown8, lattice6):
+        dense = A.dense()
+        colors = bicoloring(A)
+        state = evolve(EvolutionParams(dense, r))
+        conv = best_phase_convention(state, colors, dense)
+        brute = {}
+        for turns in (+1, -1):
+            rotated = rotate_color_class(state, colors, turns)
+            for sign in (+1, -1):
+                brute[(turns, sign)] = nullifier_variances(rotated, sign * dense)
+        assert conv.survey == {k: rep.max_variance for k, rep in brute.items()}
+        assert np.array_equal(
+            conv.nullifiers.variances,
+            brute[(conv.quarter_turns, conv.target_sign)].variances)
+
+
+def test_best_phase_convention_refuses_edge_inside_color_class(two_mode):
+    st = evolve(EvolutionParams(two_mode, 1.0))
+    with pytest.raises(GaussianError, match="inside a color class"):
+        best_phase_convention(st, np.array([0, 0]), two_mode)
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
     # cluster_state is evolve -> best_phase_convention -> rotate_color_class,
@@ -350,9 +377,13 @@ def test_effective_graph_of_vacuum():
 
 
 def test_effective_graph_converges_to_signed_target(two_mode):
-    rotated, conv = optimal_rotation(two_mode, 5.0)
+    # At r = 5 the dense nullifier variances have lost their precision, so
+    # the convention search refuses; the +1 turn pairs with -A at every
+    # r > 0 (pinned at r = 1 by the decay test above).
+    state = evolve(EvolutionParams(two_mode, 5.0))
+    rotated = rotate_color_class(state, colors_of(two_mode), +1)
     eg = effective_graph(rotated)
-    assert np.abs(eg.V - conv.nullifiers.target_adjacency).max() < 1e-3
+    assert np.abs(eg.V - -two_mode).max() < 1e-3
     assert np.abs(eg.U).max() < 1e-3
 
 

@@ -1,7 +1,10 @@
 """Shorthand encoding, pump compilation, scaling."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from combcluster import (HankelShorthand, NotHankelError, PumpCompileError,
                          build_torus_supergraph, compile_pump,
@@ -60,11 +63,36 @@ def test_even_length_shorthand_rejected():
         HankelShorthand(entries=[np.zeros((1, 1))] * 4, block_side=1)
 
 
-def test_matrix_of_rejects_bad_entry_shape():
-    short = HankelShorthand(entries=[np.zeros((1, 1))] * 3, block_side=1)
-    short.entries[1] = np.zeros((2, 2))
+def test_shorthand_rejects_bad_entry_shape():
+    entries = [np.zeros((1, 1))] * 3
+    entries[1] = np.zeros((2, 2))
     with pytest.raises(NotHankelError):
-        matrix_of(short)
+        HankelShorthand(entries=entries, block_side=1)
+    with pytest.raises(NotHankelError):
+        HankelShorthand(entries=np.zeros((3, 2, 2)), block_side=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb=st.integers(1, 12), s=st.sampled_from([1, 2, 3, 4]), data=st.data())
+def test_codec_round_trip_and_first_violation(nb, s, data):
+    entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
+                                   elements=st.integers(-3, 3)))
+    Q = matrix_of(HankelShorthand(entries=entries, block_side=s))
+    assert np.array_equal(shorthand_of(Q, block_side=s).entries, entries)
+    # one perturbed entry breaks its block's skew-diagonal, unless that
+    # diagonal holds a single block
+    r = data.draw(st.integers(0, nb * s - 1))
+    c = data.draw(st.integers(0, nb * s - 1))
+    Q[r, c] += 1
+    d = r // s + c // s
+    if d in (0, 2 * nb - 2):
+        back = shorthand_of(Q, block_side=s)
+        assert back.entries[d, r % s, c % s] == entries[d, r % s, c % s] + 1
+        return
+    with pytest.raises(NotHankelError) as err:
+        shorthand_of(Q, block_side=s)
+    (i1, j1), (i2, j2) = err.value.first_violation
+    assert i1 + j1 == i2 + j2 == d
 
 
 def test_unrenumbered_lattice_not_2x2_hankel(lattice6):

@@ -9,8 +9,8 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          expand, export_dot, export_super_triplets,
                          export_triplets, label_census,
                          renumber_permutation, renumber_to_block_hankel,
-                         renumbered_diagonal_positions, torus_block_diagonals,
-                         two_path_weight)
+                         torus_block_diagonals, two_path_weight)
+from combcluster import verify
 from combcluster.lattice import block_label
 
 
@@ -20,13 +20,11 @@ from combcluster.lattice import block_label
 
 def test_torus_m4_shorthand_segments():
     # u=3, v=5: [0^3 P1 0^5 P0 0^3 P3 0 / P2 / 0^3 P1 0^5 P0 0^3 -P3 0]
-    from combcluster.lattice import torus_shorthand_entries
-    entries = torus_shorthand_entries(4)
-    assert len(entries) == 2 * 16 - 1 == 31
-    labels = {}
-    for k, e in enumerate(entries):
-        if not e.is_zero:
-            labels[k] = block_label(e)
+    from combcluster import BlockWeight, shorthand_of
+    short = shorthand_of(expand(build_torus_supergraph(4)), block_side=4)
+    assert short.length == 2 * 16 - 1 == 31
+    labels = {k: block_label(BlockWeight(short.entries[k]))
+              for k in short.nonzero_indices()}
     assert labels == {3: "P1", 9: "P0", 13: "P3", 15: "P2",
                       19: "P1", 25: "P0", 29: "-P3"}
 
@@ -250,7 +248,8 @@ def test_renumber_produces_block_hankel(lattice6):
     short = shorthand_of(result.renumbered, block_side=2)
     nonzero = short.nonzero_indices()
     assert len(nonzero) == 15
-    assert nonzero == renumbered_diagonal_positions(6)
+    assert nonzero == verify.positions_from_run_lengths(
+        6, *verify.constructed_run_lengths(6))
     assert nonzero == [5, 27, 33, 35, 41, 63, 69, 71,
                        77, 99, 105, 107, 113, 135, 141]
 
