@@ -5,7 +5,7 @@ Subcommands build the lattices, compile pump spectra, run the Gaussian
 simulations and write deterministic text outputs suitable for regression
 diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
 failure, 4 internal invariant breach or lost precision (PrecisionLossError:
-a nullifier variance that is not positive and finite, seen at large r).
+a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5).
 Errors print one machine-parsable stderr line:
 error: code=<n> cause=<type> detail="...".
 """

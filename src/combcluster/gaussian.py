@@ -8,12 +8,11 @@ parameter r, the Heisenberg equations give q(t) = exp(2 r A) q(0) and
 p(t) = exp(-2 r A) p(0); for orthogonal A the exponential collapses to
 cosh(2r) 1 + sinh(2r) A.
 
-States carry, next to the covariance matrix, an optional factor L with
-cov = L @ L.T that is propagated through every symplectic map and through
-ideal q measurements.  Purity and uncertainty checks go through the factor
-(singular values of L.T @ Omega @ L are the symplectic spectrum), which
-stays numerically accurate even when the covariance itself is stiff with
-e^{+-4r} eigenvalue pairs.
+A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
+evolved state L = S).  Purity checks (svd of L.T @ Omega @ L), nullifier
+variances (row norms of L_p - T L_q) and q measurements (a projection of
+L) all read the factor, which stays accurate where the derived covariance
+is stiff with e^{+-4r} eigenvalue pairs.
 """
 
 from __future__ import annotations
@@ -35,10 +34,14 @@ class GaussianError(ValueError):
 
 
 class PrecisionLossError(RuntimeError):
-    """A computed value no physical state can have: float64 lost precision."""
+    """A nullifier variance float64 cannot resolve to _PRECISION_TOL: its
+    rounding bound is too large (e^{+-2r} rows cancel at large r) or it is
+    not finite."""
 
 
 _ORTHOGONAL_TOL = 1e-12
+# Relative precision of nullifier variances; purity defect of effective graphs.
+_PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
@@ -57,44 +60,41 @@ def omega(n: int) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """Mean vector and covariance over 2n quadratures (q.., p..).
+    """Mean vector and factor L (cov = L @ L.T / 2) over 2n quadratures.
 
-    ``factor`` (optional) satisfies cov = factor @ factor.T and enables
-    well-conditioned purity checks; it is maintained by every operation in
-    this module.  States are immutable values: operations return new ones.
+    States are immutable values: operations return new ones.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise GaussianError("covariance shape does not match mean length")
+        self.factor = np.asarray(self.factor, dtype=float)
+        if self.factor.ndim != 2 or self.factor.shape[0] != self.mean.size:
+            raise GaussianError("factor rows do not match mean length")
         if self.mean.size % 2:
             raise GaussianError("state must have an even number of quadratures")
         self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
-        if self.factor is not None:
-            self.factor = np.asarray(self.factor, dtype=float)
-            self.factor.setflags(write=False)
+        self.factor.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.mean.size // 2
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Covariance L @ L.T / 2, derived on each access."""
+        return 0.5 * (self.factor @ self.factor.T)
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Symplectic spectrum (n values, 1/2 each for a pure state)."""
         if self.n == 0:
             return np.zeros(0)
         L = self.factor
-        if L is None:
-            L = np.linalg.cholesky(self.cov)
         K = L.T @ omega(self.n) @ L
         s = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
-        return s[:2 * self.n:2]
+        return 0.5 * s[:2 * self.n:2]
 
     def purity_defect(self) -> float:
         """|det(2 cov) - 1| computed through the symplectic spectrum."""
@@ -110,16 +110,14 @@ class GaussianState:
         return max(0.0, 0.5 - float(self.symplectic_eigenvalues().min()))
 
     def apply_symplectic(self, S: np.ndarray) -> "GaussianState":
-        new_factor = None if self.factor is None else S @ self.factor
-        return GaussianState(S @ self.mean, S @ self.cov @ S.T, new_factor)
+        return GaussianState(S @ self.mean, S @ self.factor)
 
 
 def vacuum(n: int) -> GaussianState:
-    """n-mode vacuum: zero mean, covariance identity/2."""
+    """n-mode vacuum: zero mean, factor identity (covariance identity/2)."""
     if n < 1:
         raise GaussianError(f"mode count must be >= 1, got {n}")
-    return GaussianState(np.zeros(2 * n), 0.5 * np.eye(2 * n),
-                         np.eye(2 * n) / math.sqrt(2.0))
+    return GaussianState(np.zeros(2 * n), np.eye(2 * n))
 
 
 # ============================================================
@@ -177,9 +175,9 @@ def evolution_symplectic(A, r: float) -> np.ndarray:
 
 
 def evolve(params: EvolutionParams) -> GaussianState:
-    """Evolve vacuum under the pair-coupling Hamiltonian for parameter r."""
+    """Evolve vacuum (factor 1) under the coupling: the factor becomes S."""
     S = evolution_symplectic(params.adjacency, params.squeeze_r)
-    return vacuum(params.adjacency.shape[0]).apply_symplectic(S)
+    return GaussianState(np.zeros(S.shape[0]), S)
 
 
 def rotate_color_class(state: GaussianState, coloring: Bicoloring,
@@ -224,23 +222,31 @@ class NullifierReport:
 
 def nullifier_variances(state: GaussianState, target,
                         squeeze_r: float = float("nan")) -> NullifierReport:
-    """Var(p_i - sum_j A_ij q_j) for each i, from the covariance.
+    """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i.
 
-    Each is positive for a physical state ([q_i, p_i - (A q)_i] = i), so
-    one that is not positive and finite raises PrecisionLossError."""
+    PrecisionLossError when a variance is not finite, or when the rounding
+    bound (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k = largest row
+    count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|."""
     At = _as_dense_adjacency(target)
     n = state.n
     if At.shape != (n, n):
         raise GaussianError(
             f"target is {At.shape}, state has {n} modes")
-    N = np.hstack([-At, np.eye(n)])
-    variances = np.einsum("ij,jk,ik->i", N, state.cov, N)
-    physical = np.isfinite(variances) & (variances > 0)
-    if not physical.all():
-        i = int(np.argmin(physical))
+    Lq, Lp = state.factor[:n], state.factor[n:]
+    k = int(np.count_nonzero(At, axis=1).max(initial=0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms = np.linalg.norm(Lp - At @ Lq, axis=1)
+        bound = (k + 1) * np.finfo(float).eps * np.linalg.norm(
+            np.abs(Lp) + np.abs(At) @ np.abs(Lq), axis=1)
+        variances = 0.5 * norms ** 2
+        relative = bound / norms
+    resolved = np.isfinite(variances) & (relative <= _PRECISION_TOL)
+    if not resolved.all():
+        i = int(np.argmin(resolved))
         raise PrecisionLossError(
-            f"nullifier variance of mode {i} is {variances[i]:.12g}, which "
-            f"no physical state has: the covariance lost precision")
+            f"nullifier variance of mode {i} is {variances[i]:.12g} with "
+            f"relative rounding bound {relative[i]:.3g} > {_PRECISION_TOL:g}: "
+            f"float64 cannot resolve it")
     return NullifierReport(target_adjacency=At,
                            variances=variances,
                            max_variance=float(variances.max()),
@@ -251,15 +257,16 @@ def nullifier_variances(state: GaussianState, target,
 class PhaseConvention:
     """Chosen rotation direction and target sign, with the survey behind it.
 
-    ``nullifiers`` is the winning candidate's report: the signed target
-    (``target_adjacency``) and the nullifier variances of the rotated
-    state against it.
+    ``state`` is the rotated state, and ``nullifiers`` the winning
+    candidate's report: the signed target (``target_adjacency``) and the
+    nullifier variances of ``state`` against it.
     """
 
     quarter_turns: int
     target_sign: int
     survey: dict
     nullifiers: NullifierReport
+    state: GaussianState
 
 
 def best_phase_convention(state: GaussianState, coloring: Bicoloring,
@@ -284,14 +291,15 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
               for turns in (+1, -1) for sign in (+1, -1)}
     sign = -1 if reports[-1].max_variance < reports[+1].max_variance else +1
     return PhaseConvention(quarter_turns=+1, target_sign=sign,
-                           survey=survey, nullifiers=reports[sign])
+                           survey=survey, nullifiers=reports[sign],
+                           state=rotated)
 
 
 def cluster_state(A: PhysAdjacency, r: float):
     """The cluster state of A at squeezing r, in its best phase convention.
 
-    Evolves vacuum under A, picks the convention with
-    `best_phase_convention` and rotates the color-1 modes accordingly.
+    Evolves vacuum under A and picks the convention with
+    `best_phase_convention`, whose color-1 rotation is the returned state.
     Returns (rotated state, PhaseConvention); the convention's
     ``nullifiers`` report carries squeeze_r = r.
     """
@@ -300,7 +308,7 @@ def cluster_state(A: PhysAdjacency, r: float):
     state = evolve(EvolutionParams(dense, r))
     conv = best_phase_convention(state, colors, dense)
     conv.nullifiers.squeeze_r = r
-    return rotate_color_class(state, colors, conv.quarter_turns), conv
+    return conv.state, conv
 
 
 # ============================================================
@@ -321,10 +329,10 @@ def _validate_nodes(n, nodes):
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
-    The remaining covariance is the Gaussian conditioning of the kept
-    quadratures on the measured q values and is outcome independent; means
-    are updated for the given outcomes (default all zero).  Measuring every
-    mode returns the empty state.
+    Conditioning projects the factor onto the null space of the measured
+    q rows L_y, so the kept covariance is outcome independent; means move
+    by the gain L_r L_y^T (L_y L_y^T)^-1 for the given outcomes (default
+    all zero).  Measuring every mode returns the empty state.
     """
     given = [int(v) for v in nodes]
     nodes = _validate_nodes(state.n, given)
@@ -339,28 +347,16 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
         # reorder outcomes to follow the internally sorted node order
         outcomes = outcomes[np.argsort(given, kind="stable")]
     if not keep:
-        return GaussianState(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+        return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
     rest = keep + [n + i for i in keep]      # kept q then kept p rows
-    V = state.cov
-    Vyy = V[np.ix_(nodes, nodes)]
-    Vry = V[np.ix_(rest, nodes)]
-    gain = np.linalg.solve(Vyy, Vry.T).T     # Vry @ Vyy^-1
-    cov_c = V[np.ix_(rest, rest)] - gain @ Vry.T
-    cov_c = 0.5 * (cov_c + cov_c.T)
+    Ly = state.factor[nodes]
+    Lr = state.factor[rest]
+    gain = np.linalg.solve(Ly @ Ly.T, Ly @ Lr.T).T
     mean_c = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
-
-    factor_c = None
-    if state.factor is not None:
-        Ly = state.factor[nodes, :]
-        # Conditioning projects the factor onto the null space of the
-        # measured q rows; this keeps cov = L L^T exactly in sync.
-        _, _, vt = np.linalg.svd(Ly, full_matrices=True)
-        null = vt[len(nodes):, :].T
-        Lc = state.factor[rest, :] @ null
-        u, s, _ = np.linalg.svd(Lc, full_matrices=False)
-        factor_c = u * s
-    return GaussianState(mean_c, cov_c, factor_c)
+    _, _, vt = np.linalg.svd(Ly, full_matrices=True)
+    u, s, _ = np.linalg.svd(Lr @ vt[len(nodes):].T, full_matrices=False)
+    return GaussianState(mean_c, u * s)
 
 
 def ideal_graph_delete(A, nodes) -> np.ndarray:
@@ -401,18 +397,19 @@ class EffectiveGraph:
         return np.block([[qq, qp], [qp.T, pp]])
 
 
-def effective_graph(state: GaussianState, purity_tol: float = 1e-6) -> EffectiveGraph:
+def effective_graph(state: GaussianState) -> EffectiveGraph:
     """Extract (V, U) with cov_qq = U^-1/2, cov_qp = U^-1 V / 2.
 
-    Requires a pure state (purity defect within purity_tol).
+    Requires a pure state (purity defect within _PRECISION_TOL).
     """
     defect = state.purity_defect()
-    if not (defect <= purity_tol):
+    if not (defect <= _PRECISION_TOL):
         raise GaussianError(
             f"effective graph needs a pure state; purity defect {defect:.3e}")
     n = state.n
-    qq = state.cov[:n, :n]
-    qp = state.cov[:n, n:]
+    Lq, Lp = state.factor[:n], state.factor[n:]
+    qq = 0.5 * (Lq @ Lq.T)
+    qp = 0.5 * (Lq @ Lp.T)
     V = np.linalg.solve(qq, qp)
     V = 0.5 * (V + V.T)
     U = 0.5 * np.linalg.inv(qq)

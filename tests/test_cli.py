@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from combcluster.cli import main
@@ -89,13 +90,33 @@ def test_simulate_rejects_overflowing_r(capsys, r):
 
 @pytest.mark.parametrize("r", ["177.6", "10"])
 def test_simulate_refuses_impossible_variances(capsys, r):
-    # below the overflow bound the dense covariance cancels e^{+-4r} terms
-    # into negative nullifier variances, which no physical state has
+    # below the overflow bound the factor's e^{+-2r} rows cancel in
+    # L_p - T L_q, and the rounding bound of that product refuses the answer
     code, out, err = run_cli(capsys, "simulate", "--M", "4", "--r", r)
     assert code == 4
     assert out == ""
     assert err.startswith("error: code=4 cause=PrecisionLossError ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r", ["3", "4", "4.5", "5", "6", "7", "8", "10",
+                               "50", "177.6"])
+def test_simulate_is_right_or_refused(capsys, tmp_path, r):
+    # every variance within 1e-6 relative of exp(-4r), or exit 4 and one line
+    code, out, err = run_cli(capsys, "simulate", "--M", "4", "--r", r,
+                             "--output-dir", str(tmp_path))
+    if code == 4:
+        assert out == ""
+        assert err.startswith("error: code=4 cause=PrecisionLossError ")
+        assert err.count("\n") == 1
+        return
+    assert code == 0
+    assert err == ""
+    (table,) = tmp_path.glob("nullifiers_M4_r*.txt")
+    variances = np.array([float(line.split()[1])
+                          for line in table.read_text().splitlines()[:-1]])
+    assert variances.size == 64
+    assert np.abs(variances / np.exp(-4 * float(r)) - 1).max() <= 1e-6
 
 
 def test_reduce_command(capsys, tmp_path):

@@ -204,6 +204,24 @@ def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
         assert conv.nullifiers.squeeze_r == r
 
 
+def test_cluster_state_rotates_once(monkeypatch, lattice6):
+    # the convention search's rotated state is the one cluster_state returns
+    import combcluster.gaussian as gaussian
+    calls = []
+    rotate = gaussian.rotate_color_class
+
+    def counting_rotate(*args, **kwargs):
+        calls.append(args)
+        return rotate(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "rotate_color_class", counting_rotate)
+    for r in (0.0, 1.0):
+        calls.clear()
+        rotated, conv = cluster_state(lattice6, r)
+        assert len(calls) == 1
+        assert rotated is conv.state
+
+
 def test_lattice_variance_shrinks_with_r(lattice6):
     dense = lattice6.dense()
     m1 = optimal_rotation(dense, 1.0)
@@ -230,9 +248,8 @@ def test_nullifier_permutation_invariance(crown8):
     rng = np.random.default_rng(3)
     perm = rng.permutation(8)
     P2 = np.concatenate([perm, 8 + perm])
-    permuted = rotated.cov[np.ix_(P2, P2)]
     from combcluster import GaussianState
-    st_p = GaussianState(rotated.mean[P2], permuted)
+    st_p = GaussianState(rotated.mean[P2], rotated.factor[P2])
     rep_p = nullifier_variances(st_p, target[np.ix_(perm, perm)])
     assert np.allclose(rep_p.variances, rep.variances[perm], atol=1e-12)
 
@@ -311,6 +328,35 @@ def test_measure_validates_nodes(two_mode):
             measure_q(st, bad)
 
 
+def schur_conditioning(state, nodes, outcomes):
+    """Covariance conditioning V_rr - V_ry V_yy^-1 V_yr on measured q rows y."""
+    n = state.n
+    keep = [i for i in range(n) if i not in set(nodes)]
+    rest = keep + [n + i for i in keep]
+    V = state.cov
+    Vyr = V[np.ix_(nodes, rest)]
+    gain = np.linalg.solve(V[np.ix_(nodes, nodes)], Vyr).T
+    cov = V[np.ix_(rest, rest)] - gain @ Vyr
+    return cov, state.mean[rest] + gain @ (outcomes - state.mean[nodes])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+def test_measure_matches_covariance_schur_complement(r, crown8, lattice6):
+    # the factor projection agrees with the covariance Schur complement
+    rng = np.random.default_rng(int(100 * r))
+    for A in (crown8, lattice6):
+        rotated, _ = cluster_state(A, r)
+        for _ in range(3):
+            k = int(rng.integers(1, A.n))
+            nodes = sorted(int(v) for v in rng.choice(A.n, size=k, replace=False))
+            outcomes = rng.normal(size=k)
+            red = measure_q(rotated, nodes, outcomes=outcomes)
+            cov, mean = schur_conditioning(rotated, nodes, outcomes)
+            assert np.abs(red.cov - cov).max() / np.abs(cov).max() <= 1e-12
+            assert np.abs(red.mean - mean).max() / np.abs(mean).max() <= 1e-12
+            assert red.purity_defect() <= 1e-9
+
+
 def test_crown_reduction_residual_decreases(crown8):
     A = crown8.dense()
     top = [0, 2, 4, 6]
@@ -377,7 +423,7 @@ def test_effective_graph_of_vacuum():
 
 
 def test_effective_graph_converges_to_signed_target(two_mode):
-    # At r = 5 the dense nullifier variances have lost their precision, so
+    # At r = 5 float64 cannot resolve the nullifier variances to 1e-6, so
     # the convention search refuses; the +1 turn pairs with -A at every
     # r > 0 (pinned at r = 1 by the decay test above).
     state = evolve(EvolutionParams(two_mode, 5.0))
