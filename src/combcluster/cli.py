@@ -6,6 +6,8 @@ simulations and write deterministic text outputs suitable for regression
 diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
 failure, 4 internal invariant breach or lost precision (PrecisionLossError:
 a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5).
+`simulate` and `reduce` exit 2 before building any dense matrix when the
+dense Gaussian engine's estimated peak memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
 error: code=<n> cause=<type> detail="...".
 """
@@ -60,7 +62,7 @@ def _lattice_pipeline(M: int):
     A = lattice.expand(S)
     ortho = lattice.check_orthogonal(A)
     colors = lattice.bicoloring(A)
-    degrees = {S.degree(i) for i in range(S.n_macro)}
+    degrees = set(S.degrees().tolist())
     return S, A, ortho, colors, degrees
 
 
@@ -142,6 +144,7 @@ def cmd_pump(args) -> int:
 
 def cmd_simulate(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
+    gaussian.require_dense_fit(A.n)
     emitted = []
     for r in args.squeeze_r:
         _, conv = gaussian.cluster_state(A, r)
@@ -160,6 +163,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reduce(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
+    gaussian.require_dense_fit(A.n)
     meridians = tuple(args.meridians)
     emitted = []
     _, ideal_report = gaussian.reduce_and_cut(

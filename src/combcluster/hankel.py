@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .lattice import (BlockWeight, LatticeError, PhysAdjacency, block_label,
-                      build_torus_supergraph, expand, renumber_to_block_hankel)
+from .lattice import (BlockWeight, LatticeError, PhysAdjacency, _coo_of,
+                      block_label, build_torus_supergraph, expand,
+                      renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -90,17 +92,16 @@ class HankelShorthand:
         return np.flatnonzero(self.entries.any(axis=(1, 2))).tolist()
 
 
-def _as_quarters(A) -> np.ndarray:
-    if isinstance(A, PhysAdjacency):
-        return A.quarters
-    return np.asarray(A, dtype=np.int64)
-
-
 def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     """Extract the shorthand of A, verifying constant block skew-diagonals.
 
-    The entries are read from the first block row and the last block
-    column, then each block row i is compared with entries[i:i + N].
+    Only the stored nonzeros are read, grouped by slot (d, a, b): entry
+    (a, b) of the blocks on skew-diagonal d = i + j.  Each entry is read
+    from its diagonal's first block (i0, d - i0), i0 = max(0, d - N + 1),
+    which lies in the first block row or the last block column.
+    A is block-Hankel iff every stored value equals its slot's entry and
+    every nonzero slot is stored in all N - |d - N + 1| blocks of its
+    diagonal, so a block left empty on a nonzero diagonal is caught.
 
     Parameters
     ----------
@@ -116,30 +117,69 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
         pairs the block its diagonal's entry was read from with the first
         offending block in row-major order.
     """
-    Q = _as_quarters(A)
+    Q = (A.csr if isinstance(A, PhysAdjacency)
+         else sp.csr_matrix(np.asarray(A, dtype=np.int64)))
     n = Q.shape[0]
     if Q.shape[0] != Q.shape[1] or n == 0:
         raise NotHankelError(f"matrix must be square and nonempty, got {Q.shape}")
     if n % block_side:
         raise NotHankelError(
             f"side {n} not divisible by block_side {block_side}")
-    nb = n // block_side
     s = block_side
-    # V[i, a, j, b] is entry (a, b) of block (i, j), a view of Q; block
-    # row i must equal E[:, i:i + nb], where E[a, k, b] = entries[k, a, b]
-    V = Q.reshape(nb, s, nb, s)
-    entries = np.concatenate([V[0].transpose(1, 0, 2), V[1:, :, -1]])
-    E = np.ascontiguousarray(entries.transpose(1, 0, 2))
-    for i in range(1, nb):
-        if not np.array_equal(V[i], E[:, i:i + nb]):
-            j = int(np.flatnonzero((V[i] != E[:, i:i + nb]).any(axis=(0, 2)))[0])
-            d = i + j
-            i0 = max(0, d - nb + 1)
-            raise NotHankelError(
-                f"block skew-diagonal {d} is not constant: "
-                f"block ({i0}, {d - i0}) != block ({i}, {j})",
-                first_violation=((i0, d - i0), (i, j)))
-    return HankelShorthand(entries=entries, block_side=s)
+    nb = n // s
+    rows, cols, vals = _coo_of(Q)
+    if 2 * n * s >= np.iinfo(rows.dtype).max:
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    # entry (a, b) of block (i, j), at row i*s + a and column j*s + b,
+    # fills slot (d, a, b) of d = i + j, flattened to (d*s + a)*s + b; the
+    # entries are read from block row 0 and block column N - 1, the first
+    # block (i0, d - i0) of each skew-diagonal
+    first = (rows < s) | (cols >= n - s)
+    b = cols % s
+    slot = rows + cols
+    slot -= b                              # d*s + a
+    slot *= s
+    slot += b
+    del rows, b
+    entries = np.zeros((2 * nb - 1) * s * s, dtype=np.int64)
+    entries[slot[first]] = vals[first]
+    ok = vals == entries[slot]
+    nonzero = np.flatnonzero(entries)
+    # skew-diagonal d holds N - |d - N + 1| blocks
+    expected = nb - np.abs(nonzero // (s * s) - (nb - 1))
+    if ok.all() and np.array_equal(
+            np.bincount(slot, minlength=entries.size)[nonzero], expected):
+        return HankelShorthand(entries=entries.reshape(-1, s, s), block_side=s)
+    # Offending blocks: those holding a value other than their slot's
+    # entry, and per short slot the first block (in i) not holding it,
+    # i.e. the first gap in its sorted blocks or the one after its last.
+    # Later gaps of a slot may name good blocks, but never before its first.
+    rows = _coo_of(Q)[0].astype(np.int64)
+    i, j = rows // s, cols.astype(np.int64) // s
+    stored = np.bincount(slot[ok], minlength=entries.size)
+    candidates = [i[~ok] * nb + j[~ok]]
+    short = np.zeros(entries.size, dtype=bool)
+    short[nonzero] = stored[nonzero] < expected
+    sel = ok & short[slot]
+    ks, ki = slot[sel].astype(np.int64), i[sel]
+    order = np.lexsort((ki, ks))
+    ks, ki = ks[order], ki[order]
+    kd = ks // (s * s)
+    want = (np.maximum(kd - (nb - 1), 0) + np.arange(ks.size)
+            - np.searchsorted(ks, ks))
+    gap = ki != want
+    candidates.append(want[gap] * nb + kd[gap] - want[gap])
+    short = np.flatnonzero(short)
+    sd = short // (s * s)
+    after = np.maximum(sd - (nb - 1), 0) + stored[short]
+    candidates.append(after * nb + sd - after)
+    bi, bj = divmod(int(np.concatenate(candidates).min()), nb)
+    d = bi + bj
+    i0 = max(0, d - nb + 1)
+    raise NotHankelError(
+        f"block skew-diagonal {d} is not constant: "
+        f"block ({i0}, {d - i0}) != block ({bi}, {bj})",
+        first_violation=((i0, d - i0), (bi, bj)))
 
 
 def matrix_of(short: HankelShorthand) -> np.ndarray:

@@ -3,8 +3,10 @@ Matrix-weighted graph construction for frequency-comb cluster states.
 
 All edge weights in this module are quarter-integers.  A weight w is stored
 as the integer numerator of w = numerator/4 ("quarters"), so every matrix
-here is an int64 ndarray and all structural checks (symmetry, row norms,
+here holds int64 and all structural checks (symmetry, row norms,
 orthogonality A @ A = 1) are exact integer arithmetic, never floating point.
+The physical adjacency is one sparse CSR matrix: the torus has 32 M**2
+edges over 4 M**2 modes, and every exact check costs O(edges).
 
 Two graph levels appear throughout:
 
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 if TYPE_CHECKING:
     from .hankel import HankelShorthand
@@ -162,12 +165,15 @@ class SuperAdjacency:
 
     ``blocks`` maps canonical pairs (i, j) with i < j to the BlockWeight of
     that superedge; block(j, i) is the transpose.  Diagonal blocks are
-    always absent (no self-loops).
+    always absent (no self-loops).  Add blocks with `set_block`, which
+    keeps the degree count current.
     """
 
     n_macro: int
     block_side: int
     blocks: dict = field(default_factory=dict)
+    _degrees: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def set_block(self, i: int, j: int, w: BlockWeight):
         if i == j:
@@ -177,6 +183,7 @@ class SuperAdjacency:
         if i > j:
             i, j, w = j, i, w.transpose()
         self.blocks[(i, j)] = w
+        self._degrees = None
 
     def block(self, i, j):
         """BlockWeight between macronodes i and j, or None."""
@@ -185,8 +192,16 @@ class SuperAdjacency:
         w = self.blocks.get((j, i))
         return w.transpose() if w is not None else None
 
+    def degrees(self) -> np.ndarray:
+        """Incident-block count of every macronode, from one pass over blocks."""
+        if self._degrees is None:
+            ends = np.fromiter((v for pair in self.blocks for v in pair),
+                               dtype=np.int64, count=2 * len(self.blocks))
+            self._degrees = np.bincount(ends, minlength=self.n_macro)
+        return self._degrees
+
     def degree(self, i: int) -> int:
-        return sum(1 for (a, b) in self.blocks if a == i or b == i)
+        return int(self.degrees()[i])
 
     @property
     def n_superedges(self) -> int:
@@ -197,38 +212,60 @@ class SuperAdjacency:
         return self.n_macro * self.block_side
 
 
-@dataclass
+@dataclass(eq=False)
 class PhysAdjacency:
-    """Physical-node adjacency; entries are quarters/4, exact int64."""
+    """Physical-node adjacency: one CSR matrix of int64 quarters (entry/4).
 
-    quarters: np.ndarray
+    ``csr`` is canonical (sorted indices, no duplicates, no explicit
+    zeros), so ``nnz`` counts the nonzero entries and two adjacencies are
+    equal iff their matrices are.  Any square integer matrix, dense or
+    sparse, is accepted and converted.
+    """
+
+    csr: sp.csr_matrix
 
     def __post_init__(self):
-        q = np.asarray(self.quarters, dtype=np.int64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        q = self.csr
+        if not sp.issparse(q):
+            q = np.asarray(q, dtype=np.int64)
+            if q.ndim != 2:
+                raise LatticeError("adjacency must be square")
+        q = sp.csr_matrix(q, dtype=np.int64)
+        if q.shape[0] != q.shape[1]:
             raise LatticeError("adjacency must be square")
-        self.quarters = q
+        if not (q.has_canonical_format and q.data.all()):
+            q = q.copy()
+            q.sum_duplicates()
+            q.eliminate_zeros()
+        self.csr = q
+
+    @property
+    def quarters(self) -> np.ndarray:
+        """Dense int64 copy of ``csr``, built on each access (small sizes)."""
+        return self.csr.toarray()
 
     @property
     def n(self) -> int:
-        return self.quarters.shape[0]
+        return self.csr.shape[0]
 
     def dense(self) -> np.ndarray:
         """Float adjacency (exact: quarter-integers are binary fractions)."""
-        return self.quarters / 4.0
+        return self.csr.toarray() / 4
 
     def weight(self, i, j) -> Fraction:
-        return Fraction(int(self.quarters[i, j]), 4)
+        return Fraction(int(self.csr[i, j]), 4)
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.quarters))
+        return self.csr.nnz
 
     def is_symmetric(self) -> bool:
-        return np.array_equal(self.quarters, self.quarters.T)
+        return (self.csr != self.csr.T).nnz == 0
 
-    def support(self) -> np.ndarray:
-        return (self.quarters != 0).astype(np.int64)
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PhysAdjacency)
+                and self.csr.shape == other.csr.shape
+                and (self.csr != other.csr).nnz == 0)
 
 
 def _check_even_size(name, value, minimum):
@@ -304,15 +341,26 @@ def expand(S: SuperAdjacency) -> PhysAdjacency:
     """Expand a supergraph to its physical-node adjacency.
 
     Physical node index = macronode * block_side + layer; the entry between
-    (i, layer a) and (j, layer b) is block(i, j)[a, b].
+    (i, layer a) and (j, layer b) is block(i, j)[a, b].  The CSR matrix is
+    converted from block-sparse-row storage of the blocks; no dense matrix
+    is built.
     """
     s = S.block_side
     n = S.n_physical
-    A = np.zeros((n, n), dtype=np.int64)
-    for (i, j), w in S.blocks.items():
-        A[s * i:s * i + s, s * j:s * j + s] = w.quarters
-        A[s * j:s * j + s, s * i:s * i + s] = w.quarters.T
-    return PhysAdjacency(A)
+    pairs = np.array(list(S.blocks), dtype=np.int64).reshape(-1, 2)
+    W = np.array([w.quarters for w in S.blocks.values()],
+                 dtype=np.int64).reshape(-1, s, s)
+    # block (i, j) and its mirror (j, i) = block.T, ordered by block row
+    # then block column as block-sparse-row storage needs
+    brow = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    bcol = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((bcol, brow))
+    data = W[order % len(W)]
+    mirror = order >= len(W)
+    data[mirror] = data[mirror].transpose(0, 2, 1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(brow, minlength=S.n_macro))])
+    bsr = sp.bsr_matrix((data, bcol[order], indptr), shape=(n, n))
+    return PhysAdjacency(bsr.tocsr())
 
 
 # ============================================================
@@ -330,25 +378,26 @@ class OrthogonalityReport:
 def check_orthogonal(A: PhysAdjacency) -> OrthogonalityReport:
     """Exact check of A @ A == identity.
 
-    The square is computed in integer arithmetic on the quarter numerators
-    (sparse, since rows are short), so the verdict carries zero floating
-    point tolerance.  When the check fails, ``witness_pair`` is the first
-    (row-major) entry of A @ A that differs from the identity and
-    ``worst_deviation`` the largest absolute deviation, in exact fractions.
+    The square is the sparse integer product of the quarter numerators, so
+    the verdict carries zero floating point tolerance.  When the check
+    fails, ``witness_pair`` is the first (row-major) entry of A @ A that
+    differs from the identity and ``worst_deviation`` the largest absolute
+    deviation, in exact fractions.
     """
     if not A.is_symmetric():
         raise LatticeError("adjacency must be symmetric")
-    Q = sp.csr_matrix(A.quarters)
-    D = (Q @ Q).toarray()
-    D[np.diag_indices(A.n)] -= 16          # A@A in sixteenths, identity = 16
-    if not D.any():
-        return OrthogonalityReport(True, Fraction(0), None,
-                                   bool(np.any(np.diag(A.quarters))))
-    bad = np.argwhere(D != 0)
-    j, k = map(int, bad[0])
-    worst = Fraction(int(np.abs(D).max()), 16)
-    return OrthogonalityReport(False, worst, (j, k),
-                               bool(np.any(np.diag(A.quarters))))
+    Q = A.csr
+    # A @ A in sixteenths, minus the identity (16 sixteenths)
+    D = Q @ Q - sp.identity(A.n, dtype=np.int64, format="csr") * 16
+    D.sum_duplicates()
+    D.eliminate_zeros()
+    loops = bool(Q.diagonal().any())
+    if not D.nnz:
+        return OrthogonalityReport(True, Fraction(0), None, loops)
+    j = int(np.flatnonzero(np.diff(D.indptr))[0])
+    k = int(D.indices[D.indptr[j]])
+    worst = Fraction(int(np.abs(D.data).max()), 16)
+    return OrthogonalityReport(False, worst, (j, k), loops)
 
 
 def two_path_weight(A: PhysAdjacency, j: int, k: int) -> Fraction:
@@ -356,7 +405,7 @@ def two_path_weight(A: PhysAdjacency, j: int, k: int) -> Fraction:
     n = A.n
     if not (0 <= j < n and 0 <= k < n):
         raise LatticeError(f"node index out of range: ({j}, {k}) for n={n}")
-    return Fraction(int(A.quarters[j] @ A.quarters[:, k]), 16)
+    return Fraction(int((A.csr[j] @ A.csr[:, k]).sum()), 16)
 
 
 @dataclass
@@ -373,33 +422,39 @@ class Bicoloring:
         return np.flatnonzero(self.colors == c)
 
 
+def _coo_of(Q: sp.csr_matrix):
+    """Row, column and value arrays of a canonical CSR matrix, row-major."""
+    rows = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
+    return rows, Q.indices, Q.data
+
+
 def bicoloring(A: PhysAdjacency) -> Bicoloring:
     """Two-color the support graph by BFS; NonBipartiteError on odd cycles.
 
-    Deterministic: BFS starts from the lowest-index node of each component
-    and visits neighbors in ascending order, so color 0 always contains
-    node 0 of its component.
+    Deterministic: node v gets the parity of its BFS depth from the
+    lowest-index node of its component, so color 0 always contains node 0
+    of its component.  One search from a root joined to each of those
+    nodes finds every depth.  Every edge is then checked; the witness is
+    the first same-color edge in row-major order, which lies on an odd
+    cycle (its two BFS paths meet above it).
     """
     if not A.is_symmetric():
         raise LatticeError("adjacency must be symmetric")
     n = A.n
-    colors = np.full(n, -1, dtype=np.int8)
-    for start in range(n):
-        if colors[start] >= 0:
-            continue
-        colors[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in np.flatnonzero(A.quarters[u]):
-                v = int(v)
-                if colors[v] < 0:
-                    colors[v] = 1 - colors[u]
-                    queue.append(v)
-                elif colors[v] == colors[u]:
-                    raise NonBipartiteError(
-                        f"support graph has an odd cycle through edge ({u}, {v})",
-                        odd_cycle_witness=(u, v))
+    rows, cols, _ = _coo_of(A.csr)
+    _, component = connected_components(A.csr, directed=False)
+    _, starts = np.unique(component, return_index=True)
+    rooted = sp.coo_matrix((np.ones(rows.size + starts.size),
+                            (np.concatenate([rows, np.full(starts.size, n)]),
+                             np.concatenate([cols, starts]))), shape=(n + 1, n + 1))
+    depth = dijkstra(rooted, directed=False, indices=n, unweighted=True)[:n]
+    colors = ((depth.astype(np.int64) + 1) % 2).astype(np.int8)
+    clash = np.flatnonzero(colors[rows] == colors[cols])
+    if clash.size:
+        u, v = int(rows[clash[0]]), int(cols[clash[0]])
+        raise NonBipartiteError(
+            f"support graph has an odd cycle through edge ({u}, {v})",
+            odd_cycle_witness=(u, v))
     return Bicoloring(colors)
 
 
@@ -421,9 +476,19 @@ class RenumberResult:
     shorthand: HankelShorthand
 
     def restore(self) -> PhysAdjacency:
-        inverse = np.argsort(self.permutation)
-        q = self.renumbered.quarters
-        return PhysAdjacency(q[np.ix_(inverse, inverse)])
+        return PhysAdjacency(_permuted(self.renumbered.csr,
+                                       np.argsort(self.permutation)))
+
+
+def _permuted(Q: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
+    """B with B[a, b] = Q[perm[a], perm[b]], for a permutation perm."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    B = Q[perm]                            # rows gathered
+    B.indices = inverse.astype(B.indices.dtype)[B.indices]    # columns relabelled
+    B.has_sorted_indices = False
+    B.sort_indices()
+    return B
 
 
 def renumber_permutation(M: int) -> np.ndarray:
@@ -437,13 +502,10 @@ def renumber_permutation(M: int) -> np.ndarray:
     exactly what makes the two wrapped skew-diagonals consistent.
     """
     _check_even_size("M", M, 6)
-    N = M * M
-    perm = np.empty(4 * N, dtype=np.int64)
-    for m in range(N):
-        for x in range(2):
-            for z in range(2):
-                perm[2 * (m + N * x) + z] = 4 * m + 2 * x + z
-    return perm
+    m = np.arange(M * M, dtype=np.int64)
+    # new = 2*(m + M**2 * x) + z is the row-major position of (x, m, z)
+    return (4 * m[None, :, None] + 2 * np.arange(2)[:, None, None]
+            + np.arange(2)).ravel()
 
 
 def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
@@ -464,7 +526,7 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     # Internal invariants; failure here is a construction bug, not bad input.
     if not np.array_equal(np.sort(perm), np.arange(A.n)):
         raise RuntimeError("renumbering round trip failed")
-    B = PhysAdjacency(A.quarters[np.ix_(perm, perm)])
+    B = PhysAdjacency(_permuted(A.csr, perm))
     from .hankel import shorthand_of  # local import to avoid a module cycle
     short = shorthand_of(B, block_side=2)
     if len(short.nonzero_indices()) != 15:
@@ -549,23 +611,24 @@ def label_census(S: SuperAdjacency):
 # Text export formats
 # ============================================================
 
+def _upper_edges(A: PhysAdjacency):
+    """(i, j, quarters) of every entry with i < j, in row-major order."""
+    U = sp.triu(A.csr, k=1, format="csr")
+    rows, cols, vals = _coo_of(U)
+    return zip(rows.tolist(), cols.tolist(), vals.tolist())
+
+
 def export_triplets(A: PhysAdjacency) -> str:
     """Sparse triplet text: header 'n=<count> denom=4', lines 'i j num/4'."""
     lines = [f"n={A.n} denom=4"]
-    rows, cols = np.nonzero(A.quarters)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i < j:
-            lines.append(f"{i} {j} {int(A.quarters[i, j])}/4")
+    lines += [f"{i} {j} {w}/4" for i, j, w in _upper_edges(A)]
     return "\n".join(lines) + "\n"
 
 
 def export_dot(A: PhysAdjacency) -> str:
     """GraphViz DOT rendering with weights as edge labels."""
     lines = ["graph adjacency {"]
-    rows, cols = np.nonzero(A.quarters)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i < j:
-            lines.append(f'  {i} -- {j} [label="{int(A.quarters[i, j])}/4"];')
+    lines += [f'  {i} -- {j} [label="{w}/4"];' for i, j, w in _upper_edges(A)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

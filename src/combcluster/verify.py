@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gaussian, hankel, lattice
 
@@ -88,27 +89,42 @@ def positions_from_run_lengths(M: int, s: int, t: int):
     return first + [corner] + [2 * M * M + p for p in first]
 
 
-def outer_support(B_quarters: np.ndarray) -> np.ndarray:
-    """0/1 occupancy of the 2x2 blocks of a physical matrix."""
-    nb = B_quarters.shape[0] // 2
-    blocks = B_quarters.reshape(nb, 2, nb, 2)
-    return blocks.any(axis=(1, 3)).astype(np.int64)
+def outer_support(B) -> sp.csr_matrix:
+    """0/1 CSR occupancy of the 2x2 blocks of a physical matrix.
+
+    B is a PhysAdjacency or any dense or sparse square matrix.
+    """
+    Q = sp.coo_matrix(B.csr if isinstance(B, lattice.PhysAdjacency) else B)
+    Q.eliminate_zeros()
+    nb = Q.shape[0] // 2
+    S = sp.csr_matrix((np.ones(Q.nnz, dtype=np.int64), (Q.row // 2, Q.col // 2)),
+                      shape=(nb, nb))
+    S.data[:] = 1                          # entries per block were summed
+    return S
 
 
-def layout_outer_support(M: int, positions) -> np.ndarray:
-    """0/1 occupancy of a 2x2 block-Hankel layout with the given diagonals."""
-    entries = np.zeros((4 * M * M - 1, 1, 1), dtype=np.int64)
-    entries[list(positions)] = 1
-    return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
+def layout_outer_support(M: int, positions) -> sp.csr_matrix:
+    """0/1 CSR occupancy of a 2x2 block-Hankel layout: i ~ j iff i + j in D."""
+    nb = 2 * M * M
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for d in set(positions):
+        i = np.arange(max(0, d - nb + 1), min(d, nb - 1) + 1)   # blocks (i, d - i)
+        rows.append(i)
+        cols.append(d - i)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
+                         shape=(nb, nb))
 
 
-def walk_refutation(Sa: np.ndarray, Sb: np.ndarray, k_max: int):
+def walk_refutation(Sa, Sb, k_max: int):
     """First k with trace(Sa^k) != trace(Sb^k), or None up to k_max.
 
     Closed-walk counts are isomorphism invariants, so a differing pair
     proves the two support graphs cannot be related by any renumbering.
-    Exact int64 arithmetic; k_max is clipped so the counts cannot overflow
-    (degree <= 8 bounds the k-walk count by 8**k * n).
+    Sa and Sb are 0/1 matrices, sparse or dense; each step multiplies the
+    dense int64 walk counts P by the operand, P <- P @ S, in exact int64
+    arithmetic.  k_max is clipped so the counts cannot overflow (degree
+    <= 8 bounds the k-walk count by 8**k * n).
     """
     n = Sa.shape[0]
     safe_k = int((63 - np.log2(n)) // 3)
@@ -131,7 +147,7 @@ def criterion_block_hankel_structure(M: int = 6) -> CriterionResult:
     result = lattice.renumber_to_block_hankel(A, M)
     short = result.shorthand
     nonzero = short.nonzero_indices()
-    roundtrip = np.array_equal(result.restore().quarters, A.quarters)
+    roundtrip = result.restore() == A
     all_pi = all(hankel.is_pi_block(short.entries[d]) for d in nonzero)
     s_ref, t_ref = claimed_run_lengths(M)
     ref_positions = positions_from_run_lengths(M, s_ref, t_ref)
@@ -146,7 +162,7 @@ def criterion_block_hankel_structure(M: int = 6) -> CriterionResult:
         # Both supports are full-block 2x2 layouts, so comparing their
         # block-occupancy graphs is equivalent to comparing the physical
         # supports; closed-walk counts are renumbering invariants.
-        cert = walk_refutation(outer_support(result.renumbered.quarters),
+        cert = walk_refutation(outer_support(result.renumbered),
                                layout_outer_support(M, ref_positions),
                                k_max=2 * M)
         if cert is not None:

@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import combcluster
 
 from combcluster import (build_ring_supergraph, build_torus_supergraph,
                          expand)
@@ -28,3 +33,13 @@ def crown8(ring4):
 @pytest.fixture(scope="session")
 def two_mode():
     return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment of a child python that imports this same package."""
+    src = str(Path(combcluster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -137,6 +137,39 @@ def test_no_renumbering_reaches_pinned_layout():
         assert cert == expect
 
 
+def dense_walk_certificate(Sa, Sb, k_max):
+    """The dense int64 closed-walk loop, with the same overflow cap."""
+    n = len(Sa)
+    Pa = Pb = np.eye(n, dtype=np.int64)
+    for k in range(1, min(k_max, int((63 - np.log2(n)) // 3)) + 1):
+        Pa, Pb = Pa @ Sa, Pb @ Sb
+        if np.trace(Pa) != np.trace(Pb):
+            return k, int(np.trace(Pa)), int(np.trace(Pb))
+    return None
+
+
+@pytest.mark.parametrize("M", [6, 8, 14])
+def test_sparse_walk_certificate_matches_dense_loop(M):
+    from combcluster import HankelShorthand, matrix_of, renumber_to_block_hankel
+    renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
+    positions = verify.positions_from_run_lengths(M, *verify.claimed_run_lengths(M))
+    src = verify.outer_support(renum.renumbered)
+    ref = verify.layout_outer_support(M, positions)
+    # dense oracles: 2x2 block occupancy and the 0/1 Hankel layout
+    nb = 2 * M * M
+    Q = renum.renumbered.quarters.reshape(nb, 2, nb, 2)
+    src_dense = Q.any(axis=(1, 3)).astype(np.int64)
+    entries = np.zeros((2 * nb - 1, 1, 1), dtype=np.int64)
+    entries[positions] = 1
+    ref_dense = matrix_of(HankelShorthand(entries, block_side=1))
+    assert np.array_equal(src.toarray(), src_dense)
+    assert np.array_equal(ref.toarray(), ref_dense)
+    cert = verify.walk_refutation(src, ref, k_max=2 * M)
+    assert cert == dense_walk_certificate(src_dense, ref_dense, 2 * M)
+    if M == 14:
+        assert cert == (14, 37824361136128, 37846313336832)
+
+
 def test_constructed_layout_has_same_skeleton():
     """The achieved layout uses the pinned skeleton with run lengths (M-1, M**2-2M-3)."""
     from combcluster import renumber_to_block_hankel

@@ -204,3 +204,42 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "15" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["simulate", "reduce"])
+def test_sizes_that_cannot_fit_are_refused(command, child_env):
+    # a child with a 2 GiB address-space cap: a missed refusal fails with
+    # MemoryError instead of exhausting the machine
+    import resource
+    import subprocess
+    import sys
+    import time
+
+    import combcluster.gaussian as gaussian
+    if gaussian._memory_limit() >= gaussian._DENSE_PEAK_FACTORS * (2 * 16384) ** 2 * 8:
+        pytest.skip("this machine has room for the dense engine at M=64")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "combcluster", command, "--M", "64"],
+        capture_output=True, text=True, env=child_env, preexec_fn=cap,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r'error: code=2 cause=GaussianError detail="16384 modes '
+                        r'need ~\S+ GiB in the dense Gaussian engine, more than '
+                        r'the \S+ GiB of memory here"\n', proc.stderr)
+    assert time.perf_counter() - start < 10
+
+
+def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):
+    import combcluster.gaussian as gaussian
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: 1 << 20)
+    code, out, err = run_cli(capsys, "simulate", "--M", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=2 cause=GaussianError detail=\"144 modes")
+    assert err.count("\n") == 1

@@ -112,6 +112,41 @@ def test_rotation_preserves_vacuum():
     assert np.allclose(rot.cov, st.cov, atol=1e-15)
 
 
+def dense_rotation(state, colors, turns):
+    """The block-matrix form [[P0, t P1], [-t P1, P0]] applied by product."""
+    P0 = np.diag((colors == 0).astype(float))
+    P1 = np.diag((colors == 1).astype(float))
+    S = np.block([[P0, turns * P1], [-turns * P1, P0]])
+    return S @ state.mean, S @ state.factor
+
+
+def bit_identical(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_rotation_row_swap_is_bit_identical_to_block_product():
+    from combcluster import build_torus_supergraph, expand
+    lat6 = expand(build_torus_supergraph(6))
+    lat10 = expand(build_torus_supergraph(10))
+    cases = []
+    for A, r in ((lat10, 1.0), (lat10, 2.0)):
+        cases.append((evolve(EvolutionParams(A.dense(), r)),
+                      bicoloring(A).colors))
+    # a measured state: reduced modes and a nonzero mean
+    rotated, _ = cluster_state(lat6, 1.0)
+    kept = [i for i in range(lat6.n) if i % 4 == 0]
+    measured = [i for i in range(lat6.n) if i % 4]
+    outcomes = np.random.default_rng(3).normal(size=len(measured))
+    cases.append((measure_q(rotated, measured, outcomes),
+                  bicoloring(lat6).colors[kept]))
+    for state, colors in cases:
+        for turns in (+1, -1):
+            got = rotate_color_class(state, colors, turns)
+            mean, factor = dense_rotation(state, colors, turns)
+            assert bit_identical(got.mean, mean)
+            assert bit_identical(got.factor, factor)
+
+
 def test_rotation_validates_input(two_mode):
     st = evolve(EvolutionParams(two_mode, 0.1))
     with pytest.raises(GaussianError):

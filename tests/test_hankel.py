@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from combcluster import (HankelShorthand, NotHankelError, PumpCompileError,
-                         build_torus_supergraph, compile_pump,
+from combcluster import (HankelShorthand, NotHankelError, PhysAdjacency,
+                         PumpCompileError, build_torus_supergraph, compile_pump,
                          lattice_pump_spectrum, matrix_of,
                          pump_file, renumber_to_block_hankel, scaling_report,
                          scaling_table, shorthand_file, shorthand_of)
@@ -251,3 +251,58 @@ def test_shorthand_file_payloads(lattice6):
     assert lines[0] == "length=143 corner_index=71 block_side=2 nonzero=15"
     assert lines[1] == "5 pi-/2"
     assert any(ln.endswith("-pi+/2") for ln in lines)   # negated corner
+
+
+def dense_first_violation(Q, s):
+    """The dense block-row scan: first offending block in row-major order,
+    paired with its diagonal's first block; None for a Hankel matrix."""
+    nb = len(Q) // s
+    V = Q.reshape(nb, s, nb, s)
+    entries = np.concatenate([V[0].transpose(1, 0, 2), V[1:, :, -1]])
+    E = entries.transpose(1, 0, 2)
+    for i in range(1, nb):
+        bad = (V[i] != E[:, i:i + nb]).any(axis=(0, 2))
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            i0 = max(0, i + j - nb + 1)
+            return (i0, i + j - i0), (i, j)
+    return None
+
+
+def first_violation_or_none(Q, s):
+    try:
+        shorthand_of(Q, block_side=s)
+    except NotHankelError as err:
+        return err.first_violation
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(nb=st.integers(1, 10), s=st.sampled_from([1, 2, 3]), data=st.data())
+def test_first_violation_matches_dense_scan(nb, s, data):
+    # sparse entries, then whole blocks emptied or single values changed
+    entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
+                                   elements=st.sampled_from([0, 0, 1, -2])))
+    Q = matrix_of(HankelShorthand(entries=entries, block_side=s))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, nb - 1)), data.draw(st.integers(0, nb - 1))
+        if data.draw(st.booleans()):
+            Q[i * s:i * s + s, j * s:j * s + s] = 0
+        else:
+            Q[i * s + data.draw(st.integers(0, s - 1)),
+              j * s + data.draw(st.integers(0, s - 1))] += data.draw(st.integers(-2, 2))
+    want = dense_first_violation(Q, s)
+    assert first_violation_or_none(Q, s) == want
+    assert first_violation_or_none(PhysAdjacency(Q), s) == want
+
+
+def test_shorthand_sees_an_emptied_block(lattice6):
+    B = renumber_to_block_hankel(lattice6, 6).renumbered.quarters
+    # block (3, 2) lies on the nonzero skew-diagonal 5, whose entry is
+    # read from block (0, 5)
+    assert B[6:8, 4:6].any()
+    B[6:8, 4:6] = 0
+    for A in (B, PhysAdjacency(B)):
+        with pytest.raises(NotHankelError) as err:
+            shorthand_of(A, block_side=2)
+        assert err.value.first_violation == ((0, 5), (3, 2))

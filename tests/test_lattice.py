@@ -1,5 +1,7 @@
 """Lattice construction, exact validation, renumbering, geometry."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -363,3 +365,117 @@ def test_export_super_triplets(ring4, torus6):
     assert "pi+" in text and "pi-" in text
     text6 = export_super_triplets(torus6)
     assert "-P3" in text6 and "P2" in text6
+
+
+# ============================================================
+# Sparse layers against dense oracles
+# ============================================================
+
+@pytest.mark.parametrize("M", [4, 6, 8])
+def test_expand_equals_torus_shorthand_matrix(M):
+    # the block-Hankel description of the torus, rebuilt densely
+    from combcluster import HankelShorthand, matrix_of
+    from combcluster.lattice import PI4
+    entries = np.zeros((2 * M * M - 1, 4, 4), dtype=np.int64)
+    for d, lab, sign in torus_block_diagonals(M):
+        entries[d] = sign * PI4[lab].quarters
+    want = matrix_of(HankelShorthand(entries=entries, block_side=4))
+    A = expand(build_torus_supergraph(M))
+    assert A.csr.has_canonical_format and A.csr.data.all()
+    assert np.array_equal(A.quarters, want)
+
+
+def dense_orthogonality(Q):
+    """(worst deviation, first row-major witness) of Q @ Q - 16 * 1."""
+    D = Q @ Q - 16 * np.eye(len(Q), dtype=np.int64)
+    bad = np.argwhere(D != 0)
+    if not len(bad):
+        return 0, None
+    return Fraction(int(np.abs(D).max()), 16), tuple(map(int, bad[0]))
+
+
+@pytest.mark.parametrize("name", ["lattice6", "crown8"])
+def test_check_orthogonal_matches_dense_oracle(name, request):
+    Q0 = request.getfixturevalue(name).quarters
+    rng = np.random.default_rng(11)
+    n = len(Q0)
+    for _ in range(8):
+        Q = Q0.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            Q[i, j] = Q[j, i] = Q[i, j] + int(rng.integers(-2, 3))
+        rep = check_orthogonal(PhysAdjacency(Q))
+        worst, witness = dense_orthogonality(Q)
+        assert rep.is_orthogonal == (witness is None)
+        assert (rep.worst_deviation, rep.witness_pair) == (worst, witness)
+        assert rep.has_self_loops == bool(np.diag(Q).any())
+
+
+def bfs_colors(Q):
+    """Python BFS from the lowest node of each component, neighbors ascending."""
+    n = len(Q)
+    colors = np.full(n, -1, dtype=np.int8)
+    for start in range(n):
+        if colors[start] >= 0:
+            continue
+        colors[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in np.flatnonzero(Q[u]):
+                if colors[v] < 0:
+                    colors[v] = 1 - colors[u]
+                    queue.append(v)
+                assert colors[v] != colors[u]
+    return colors
+
+
+def test_bicoloring_matches_bfs_oracle(crown8):
+    rng = np.random.default_rng(5)
+    lattices = [expand(build_torus_supergraph(M)).quarters for M in (6, 8)]
+    # two relabelled crowns and an isolated node: the lowest node of each
+    # component is not where its rows start
+    two = np.zeros((17, 17), dtype=np.int64)
+    two[:8, :8] = two[8:16, 8:16] = crown8.quarters
+    perm = rng.permutation(17)
+    for Q in lattices + [crown8.quarters, two[np.ix_(perm, perm)]]:
+        colors = bicoloring(PhysAdjacency(Q)).colors
+        assert colors.dtype == np.int8
+        assert np.array_equal(colors, bfs_colors(Q))
+
+
+def test_non_bipartite_witness_lies_on_odd_cycle():
+    # a pendant edge (0, 3) before the triangle 3-4-5 in row-major order
+    A = np.zeros((6, 6), dtype=np.int64)
+    for u, v in ((1, 2), (0, 3), (3, 4), (4, 5), (3, 5)):
+        A[u, v] = A[v, u] = 4
+    with pytest.raises(NonBipartiteError) as err:
+        bicoloring(PhysAdjacency(A))
+    assert err.value.odd_cycle_witness == (4, 5)
+
+
+def test_degrees_counted_once_and_kept_current():
+    S = build_torus_supergraph(6)
+    scan = [sum(1 for pair in S.blocks if i in pair) for i in range(S.n_macro)]
+    assert S.degrees().tolist() == scan
+    assert [S.degree(i) for i in range(S.n_macro)] == scan
+    S.set_block(0, 7, build_torus_supergraph(6).blocks[(0, 5)])
+    assert S.degree(0) == 5 and S.degree(7) == 5
+
+
+def test_sparse_rows_match_dense_for_exports_and_two_paths(lattice6):
+    Q = lattice6.quarters
+    rows, cols = np.nonzero(np.triu(Q, 1))
+    want = [f"{i} {j} {Q[i, j]}/4" for i, j in zip(rows, cols)]
+    assert export_triplets(lattice6).splitlines()[1:] == want
+    for j, k in ((0, 0), (5, 9), (17, 100), (143, 2)):
+        assert two_path_weight(lattice6, j, k) == Fraction(int(Q[j] @ Q[:, k]), 16)
+
+
+def test_renumber_restore_round_trip_at_m10():
+    A = expand(build_torus_supergraph(10))
+    result = renumber_to_block_hankel(A, 10)
+    perm = result.permutation
+    assert np.array_equal(result.renumbered.quarters, A.quarters[np.ix_(perm, perm)])
+    assert result.restore() == A
+    assert not (result.renumbered == A)

@@ -1,0 +1,48 @@
+"""Memory ceiling of the exact lattice path: no dense n x n array.
+
+Each command runs in a fresh interpreter that reports its own peak RSS.
+At M=40 one dense (4M**2)**2 int64 adjacency is 327 MB and at M=200 it
+would be 205 GB, so a 200 MB ceiling catches any dense copy on the
+lattice, pump and Hankel layers.
+"""
+
+import json
+import resource
+import subprocess
+import sys
+
+import pytest
+
+CEILING_MB = 200
+
+CHILD = """
+import json, resource, sys
+from combcluster.cli import main
+code = main(sys.argv[1:])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "peak_mb": peak}))
+"""
+
+
+def _cap():
+    # a missed ceiling fails with MemoryError rather than exhausting memory
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["pump", "--M", "40"],
+    ["lattice", "--M", "32", "--formats", "triplet,report"],
+    ["pump", "--M", "200"],
+], ids=["pump-40", "lattice-32", "pump-200"])
+def test_lattice_path_stays_under_ceiling(argv, child_env, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv, "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, env=child_env, preexec_fn=_cap,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["code"] == 0
+    if argv[0] == "pump":
+        assert lines[0].startswith("pump_lines=15 ")
+    assert result["peak_mb"] < CEILING_MB
