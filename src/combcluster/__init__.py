@@ -42,7 +42,7 @@ from .gaussian import (
     cluster_state,
     NullifierReport, nullifier_variances,
     measure_q, ideal_graph_delete,
-    EffectiveGraph, effective_graph,
+    EffectiveGraph, effective_graph, effective_graph_error,
     GraphStats, support_graph_stats,
     ReductionReport, reduce_and_cut, lattice_cut_nodes,
     nullifier_table, nullifier_records, effective_graph_dump,

@@ -5,7 +5,8 @@ Subcommands build the lattices, compile pump spectra, run the Gaussian
 simulations and write deterministic text outputs suitable for regression
 diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
 failure, 4 internal invariant breach or lost precision (PrecisionLossError:
-a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5).
+a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5, or
+an effective-graph error it cannot, seen from r near 2.2 to 2.5).
 `simulate` and `reduce` exit 2 before building any dense matrix when the
 dense Gaussian engine's estimated peak memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
@@ -179,7 +180,7 @@ def cmd_reduce(args) -> int:
             target=target, squeeze_r=r)
         eg = gaussian.effective_graph(reduced)
         target_kept = target[np.ix_(rep.kept_nodes, rep.kept_nodes)]
-        eg_err = float(np.abs(eg.V - target_kept).max())
+        eg_err = gaussian.effective_graph_error(eg, target_kept)
         tag = f"M{args.M}_r{_fmt(r)}"
         _write(args.output_dir, f"reduction_{tag}.txt",
                f"max_residual={_fmt(rep.max_residual)} "

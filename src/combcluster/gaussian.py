@@ -35,13 +35,14 @@ class GaussianError(ValueError):
 
 
 class PrecisionLossError(RuntimeError):
-    """A nullifier variance float64 cannot resolve to _PRECISION_TOL: its
-    rounding bound is too large (e^{+-2r} rows cancel at large r) or it is
-    not finite."""
+    """A nullifier variance or an effective-graph error float64 cannot
+    resolve to _PRECISION_TOL: its rounding bound is too large (e^{+-2r}
+    rows cancel at large r) or it is not finite."""
 
 
 _ORTHOGONAL_TOL = 1e-12
-# Relative precision of nullifier variances; purity defect of effective graphs.
+# Relative precision of nullifier variances and effective-graph errors;
+# purity defect of effective graphs.
 _PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
@@ -366,7 +367,7 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     given = [int(v) for v in nodes]
     nodes = _validate_nodes(state.n, given)
     n = state.n
-    keep = [i for i in range(n) if i not in set(nodes)]
+    keep = np.setdiff1d(np.arange(n), nodes, assume_unique=True)
     if outcomes is None:
         outcomes = np.zeros(len(nodes))
     else:
@@ -375,10 +376,10 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
             raise GaussianError("outcomes must match the measured node count")
         # reorder outcomes to follow the internally sorted node order
         outcomes = outcomes[np.argsort(given, kind="stable")]
-    if not keep:
+    if not keep.size:
         return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
-    rest = keep + [n + i for i in keep]      # kept q then kept p rows
+    rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
     Ly = state.factor[nodes]
     Lr = state.factor[rest]
     gain = np.linalg.solve(Ly @ Ly.T, Ly @ Lr.T).T
@@ -397,7 +398,7 @@ def ideal_graph_delete(A, nodes) -> np.ndarray:
     nodes = list(nodes)
     if nodes:
         nodes = _validate_nodes(Ad.shape[0], nodes)
-    keep = [i for i in range(Ad.shape[0]) if i not in set(nodes)]
+    keep = np.setdiff1d(np.arange(Ad.shape[0]), nodes, assume_unique=True)
     return Ad[np.ix_(keep, keep)].copy()
 
 
@@ -412,11 +413,13 @@ class EffectiveGraph:
     V is the (real, symmetric) graph actually carried by the state, U the
     positive-definite error part; cov is recovered from (V, U) by
     `reconstruct_cov`.  For the states built here V tends to the signed
-    target adjacency as r grows while U shrinks to zero.
+    target adjacency as r grows while U shrinks to zero.  ``V_rounding``
+    bounds the rounding error of every entry of V.
     """
 
     V: np.ndarray
     U: np.ndarray
+    V_rounding: float
 
     def reconstruct_cov(self) -> np.ndarray:
         Uinv = np.linalg.inv(self.U)
@@ -429,7 +432,10 @@ class EffectiveGraph:
 def effective_graph(state: GaussianState) -> EffectiveGraph:
     """Extract (V, U) with cov_qq = U^-1/2, cov_qp = U^-1 V / 2.
 
-    Requires a pure state (purity defect within _PRECISION_TOL).
+    Requires a pure state (purity defect within _PRECISION_TOL).  Errors
+    gamma |qq|, gamma |qp| (gamma = (n+1) eps) move the solution V of
+    qq V = qp by at most gamma 2|U| (|qq| |V| + |qp|), whose largest entry
+    is ``V_rounding``.
     """
     defect = state.purity_defect()
     if not (defect <= _PRECISION_TOL):
@@ -443,7 +449,21 @@ def effective_graph(state: GaussianState) -> EffectiveGraph:
     V = 0.5 * (V + V.T)
     U = 0.5 * np.linalg.inv(qq)
     U = 0.5 * (U + U.T)
-    return EffectiveGraph(V=V, U=U)
+    gamma = (n + 1) * np.finfo(float).eps
+    rounding = gamma * 2 * np.abs(U) @ (np.abs(qq) @ np.abs(V) + np.abs(qp))
+    return EffectiveGraph(V=V, U=U, V_rounding=float(rounding.max(initial=0)))
+
+
+def effective_graph_error(eg: EffectiveGraph, target: np.ndarray) -> float:
+    """max |V - target|; PrecisionLossError unless V's rounding bound is
+    within _PRECISION_TOL of it."""
+    error = float(np.abs(eg.V - target).max())
+    if not eg.V_rounding <= _PRECISION_TOL * error:
+        raise PrecisionLossError(
+            f"effective graph error is {error:.12g} with rounding bound "
+            f"{eg.V_rounding:.3g} > {_PRECISION_TOL:g} of it: float64 cannot "
+            f"resolve it")
+    return error
 
 
 # ============================================================
@@ -507,16 +527,11 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     if not (0 <= x0 < M and 0 <= y0 < M):
         raise GaussianError(f"meridians {meridians} out of range for M={M}")
     coords = lattice.coordinates(M)
-    cut_mac = set(coords.column(x0)) | set(coords.row(y0))
-    measured, kept = [], []
-    for m in range(M * M):
-        for layer in range(4):
-            node = 4 * m + layer
-            if layer != keep_layer or m in cut_mac:
-                measured.append(node)
-            else:
-                kept.append(node)
-    return measured, kept
+    cut = np.zeros(M * M, dtype=bool)
+    cut[coords.column(x0) + coords.row(y0)] = True
+    node = np.arange(4 * M * M)
+    kept = (node % 4 == keep_layer) & ~cut[node // 4]
+    return node[~kept].tolist(), node[kept].tolist()
 
 
 def reduce_and_cut(obj, M: int, keep_layer: int, meridians,

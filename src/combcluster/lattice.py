@@ -12,19 +12,21 @@ Two graph levels appear throughout:
 
 * the *supergraph* of macronodes, whose edges carry small matrix weights
   (the rank-one projector blocks ``PI4`` at 4x4 granularity, or the 2x2
-  blocks ``pi+`` / ``pi-``), and
+  blocks ``pi+`` / ``pi-``), held as one array of superedges with one
+  block label (a `BLOCK_LABELS` key) per superedge, and
 * the expanded *physical* graph, one node per tensor slot of each
   macronode, with plain quarter-integer weights.
 
 The toroidal lattice supergraph is built directly from its skew-diagonal
 (Hankel) description: seven nonzero block skew-diagonals whose positions
-are fixed by the lattice size M.  Geometry (torus coordinates, the one-unit
-twist) is recovered afterwards by `coordinates`.
+are fixed by the lattice size M, each one range of superedges with one
+label.  Geometry (torus coordinates, the one-unit twist) is recovered
+afterwards by `coordinates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -80,9 +82,6 @@ class BlockWeight:
     def as_float(self) -> np.ndarray:
         return self.quarters / 4.0
 
-    def transpose(self) -> "BlockWeight":
-        return BlockWeight(self.quarters.T.copy())
-
     def __neg__(self) -> "BlockWeight":
         return BlockWeight(-self.quarters)
 
@@ -116,7 +115,8 @@ PI4 = (
     _bw([[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]], 1),
 )
 
-# Label spelling used by the text export formats.
+# The named blocks, all symmetric; supergraphs label their superedges with
+# these keys and the text export formats spell blocks with them.
 BLOCK_LABELS = {
     "P0": PI4[0], "P1": PI4[1], "P2": PI4[2], "P3": PI4[3],
     "-P3": -PI4[3], "pi+": PI_PLUS, "pi-": PI_MINUS,
@@ -159,57 +159,53 @@ def block_label(block: BlockWeight) -> str:
 # Supergraph and physical adjacency
 # ============================================================
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SuperAdjacency:
-    """Macronode-level adjacency with matrix-valued weights.
+    """Macronode-level adjacency: one labelled edge list, read only.
 
-    ``blocks`` maps canonical pairs (i, j) with i < j to the BlockWeight of
-    that superedge; block(j, i) is the transpose.  Diagonal blocks are
-    always absent (no self-loops).  Add blocks with `set_block`, which
-    keeps the degree count current.
+    ``pairs`` is a sorted (E, 2) int64 array of superedges (i, j) with
+    i < j, and ``labels[e]`` names the block weight of superedge e, a key of
+    `BLOCK_LABELS`.  Every named block is symmetric, so block(j, i) is
+    block(i, j) and one label serves both directions.  The constructor
+    accepts pairs in any order and orientation and rejects self-loops,
+    out-of-range or repeated pairs, and labels that are unknown or whose
+    block side is not ``block_side``.
     """
 
     n_macro: int
     block_side: int
-    blocks: dict = field(default_factory=dict)
-    _degrees: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    pairs: np.ndarray = ()
+    labels: np.ndarray = ()
 
-    def set_block(self, i: int, j: int, w: BlockWeight):
-        if i == j:
+    def __post_init__(self):
+        pairs = np.sort(np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2),
+                        axis=1)
+        labels = np.asarray(self.labels, dtype=str).reshape(-1)
+        if len(labels) != len(pairs):
+            raise LatticeError(f"{len(pairs)} pairs but {len(labels)} labels")
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise LatticeError("self-loop blocks are not allowed")
-        if w.side != self.block_side:
-            raise LatticeError("block side mismatch")
-        if i > j:
-            i, j, w = j, i, w.transpose()
-        self.blocks[(i, j)] = w
-        self._degrees = None
-
-    def block(self, i, j):
-        """BlockWeight between macronodes i and j, or None."""
-        if i < j:
-            return self.blocks.get((i, j))
-        w = self.blocks.get((j, i))
-        return w.transpose() if w is not None else None
+        if not np.all((pairs >= 0) & (pairs < self.n_macro)):
+            raise LatticeError(f"superedge out of range for n_macro={self.n_macro}")
+        for name in np.unique(labels).tolist():
+            block = BLOCK_LABELS.get(name)
+            if block is None or block.side != self.block_side:
+                raise LatticeError(f"no block {name!r} of side {self.block_side}")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        pairs, labels = pairs[order], labels[order]
+        if (np.diff(pairs, axis=0) == 0).all(axis=1).any():
+            raise LatticeError("repeated superedge")
+        for name, value in (("pairs", pairs), ("labels", labels)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def degrees(self) -> np.ndarray:
-        """Incident-block count of every macronode, from one pass over blocks."""
-        if self._degrees is None:
-            ends = np.fromiter((v for pair in self.blocks for v in pair),
-                               dtype=np.int64, count=2 * len(self.blocks))
-            self._degrees = np.bincount(ends, minlength=self.n_macro)
-        return self._degrees
-
-    def degree(self, i: int) -> int:
-        return int(self.degrees()[i])
+        """Incident-block count of every macronode."""
+        return np.bincount(self.pairs.ravel(), minlength=self.n_macro)
 
     @property
     def n_superedges(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n_physical(self) -> int:
-        return self.n_macro * self.block_side
+        return len(self.pairs)
 
 
 @dataclass(eq=False)
@@ -252,9 +248,6 @@ class PhysAdjacency:
         """Float adjacency (exact: quarter-integers are binary fractions)."""
         return self.csr.toarray() / 4
 
-    def weight(self, i, j) -> Fraction:
-        return Fraction(int(self.csr[i, j]), 4)
-
     @property
     def nnz(self) -> int:
         return self.csr.nnz
@@ -278,22 +271,16 @@ def _check_even_size(name, value, minimum):
 def torus_block_diagonals(M: int):
     """The seven nonzero 4x4-block skew-diagonals of the M-lattice.
 
-    Returns [(d, label_index, sign), ...] with d the block skew-diagonal
-    index (0 .. 2*M**2-2).  Derived from the run lengths u = M-1 and
-    v = M**2-2*M-3 of the block-Hankel shorthand; the single negated P3
-    diagonal is the twist that makes the later 2x2 regrouping consistent.
+    Returns [(d, label), ...] with d the block skew-diagonal index
+    (0 .. 2*M**2-2) and label the `BLOCK_LABELS` key of its block.  Derived
+    from the run lengths u = M-1 and v = M**2-2*M-3 of the block-Hankel
+    shorthand; the single negated P3 diagonal is the twist that makes the
+    later 2x2 regrouping consistent.
     """
     _check_even_size("M", M, 4)
     N = M * M
-    return [
-        (M - 1, 1, +1),
-        (N - M - 3, 0, +1),
-        (N - 3, 3, +1),
-        (N - 1, 2, +1),
-        (N + M - 1, 1, +1),
-        (2 * N - M - 3, 0, +1),
-        (2 * N - 3, 3, -1),
-    ]
+    return [(M - 1, "P1"), (N - M - 3, "P0"), (N - 3, "P3"), (N - 1, "P2"),
+            (N + M - 1, "P1"), (2 * N - M - 3, "P0"), (2 * N - 3, "-P3")]
 
 
 def build_torus_supergraph(M: int) -> SuperAdjacency:
@@ -308,19 +295,19 @@ def build_torus_supergraph(M: int) -> SuperAdjacency:
     -------
     SuperAdjacency
         Block-Hankel at macronode granularity: block(i, j) depends only on
-        i + j and is nonzero on exactly seven skew-diagonals.  Every
-        macronode ends up with exactly four incident blocks, one per
-        projector label, which is what makes the expanded adjacency
-        orthogonal.
+        i + j and is nonzero on exactly seven skew-diagonals, each one
+        range of pairs (i, d - i).  Every macronode ends up with exactly
+        four incident blocks, one per projector label, which is what makes
+        the expanded adjacency orthogonal.
     """
     _check_even_size("M", M, 4)
     N = M * M
-    S = SuperAdjacency(n_macro=N, block_side=4)
-    for d, lab, sg in torus_block_diagonals(M):
-        block = PI4[lab] if sg > 0 else -PI4[lab]
-        for i in range(max(0, d - N + 1), (d + 1) // 2):     # i < j = d - i
-            S.set_block(i, d - i, block)
-    return S
+    pairs, labels = [], []
+    for d, label in torus_block_diagonals(M):
+        i = np.arange(max(0, d - N + 1), (d + 1) // 2)     # i < j = d - i
+        pairs.append(np.column_stack([i, d - i]))
+        labels.append(np.full(i.size, label))
+    return SuperAdjacency(N, 4, np.concatenate(pairs), np.concatenate(labels))
 
 
 def build_ring_supergraph(n_macro: int) -> SuperAdjacency:
@@ -331,10 +318,9 @@ def build_ring_supergraph(n_macro: int) -> SuperAdjacency:
     Expanding gives the 2*n_macro-node crown graph.
     """
     _check_even_size("n_macro", n_macro, 4)
-    S = SuperAdjacency(n_macro=n_macro, block_side=2)
-    for k in range(n_macro):
-        S.set_block(k, (k + 1) % n_macro, PI_PLUS if k % 2 == 0 else PI_MINUS)
-    return S
+    k = np.arange(n_macro)
+    return SuperAdjacency(n_macro, 2, np.column_stack([k, (k + 1) % n_macro]),
+                          np.where(k % 2 == 0, "pi+", "pi-"))
 
 
 def expand(S: SuperAdjacency) -> PhysAdjacency:
@@ -342,23 +328,22 @@ def expand(S: SuperAdjacency) -> PhysAdjacency:
 
     Physical node index = macronode * block_side + layer; the entry between
     (i, layer a) and (j, layer b) is block(i, j)[a, b].  The CSR matrix is
-    converted from block-sparse-row storage of the blocks; no dense matrix
-    is built.
+    converted from block-sparse-row storage of the blocks, looked up by
+    label; no dense matrix is built.
     """
     s = S.block_side
-    n = S.n_physical
-    pairs = np.array(list(S.blocks), dtype=np.int64).reshape(-1, 2)
-    W = np.array([w.quarters for w in S.blocks.values()],
-                 dtype=np.int64).reshape(-1, s, s)
-    # block (i, j) and its mirror (j, i) = block.T, ordered by block row
-    # then block column as block-sparse-row storage needs
-    brow = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    bcol = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    n = S.n_macro * s
+    names, codes = np.unique(S.labels, return_inverse=True)
+    table = np.array([BLOCK_LABELS[name].quarters for name in names.tolist()],
+                     dtype=np.int64).reshape(-1, s, s)
+    # every superedge (i, j) and its mirror (j, i), ordered by block row
+    # then block column as block-sparse-row storage needs; the blocks are
+    # symmetric, so the mirror carries the same block
+    brow = np.concatenate([S.pairs[:, 0], S.pairs[:, 1]])
+    bcol = np.concatenate([S.pairs[:, 1], S.pairs[:, 0]])
     order = np.lexsort((bcol, brow))
-    data = W[order % len(W)]
-    mirror = order >= len(W)
-    data[mirror] = data[mirror].transpose(0, 2, 1)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(brow, minlength=S.n_macro))])
+    data = table[codes[order % S.n_superedges]]
+    indptr = np.concatenate([[0], np.cumsum(S.degrees())])
     bsr = sp.bsr_matrix((data, bcol[order], indptr), shape=(n, n))
     return PhysAdjacency(bsr.tocsr())
 
@@ -576,16 +561,14 @@ def coordinates(M: int) -> MacronodeCoords:
     N = M * M
     # Every block of a label has i + j = d (mod N), so the macronode the
     # label pairs with m is the reflection (d - m) mod N.
-    diagonal = {f"P{lab}": d % N for d, lab, _ in torus_block_diagonals(M)}
+    diagonal = {label.lstrip("-"): d % N for d, label in torus_block_diagonals(M)}
 
     def walk(first, second):
-        order = [0]
-        cur, use_first = 0, True
-        for _ in range(N - 1):
-            cur = (diagonal[first if use_first else second] - cur) % N
-            use_first = not use_first
-            order.append(cur)
-        return order
+        # from 0, reflect by first, then second, ...: two steps add
+        # diagonal[second] - diagonal[first]
+        k = np.arange(N)
+        shift = k // 2 * (diagonal[second] - diagonal[first])
+        return (np.where(k % 2, diagonal[first] - shift, shift) % N).tolist()
 
     x_cycle = walk(*AXIS_LABELS["x"])
     y_cycle = walk(*AXIS_LABELS["y"])
@@ -598,13 +581,13 @@ def coordinates(M: int) -> MacronodeCoords:
 
 
 def label_census(S: SuperAdjacency):
-    """Map macronode -> {label: count} over its incident blocks."""
-    census = {i: {} for i in range(S.n_macro)}
-    for (i, j), w in S.blocks.items():
-        name = block_label(w).lstrip("-")
-        census[i][name] = census[i].get(name, 0) + 1
-        census[j][name] = census[j].get(name, 0) + 1
-    return census
+    """Map macronode -> {label: count} over its incident blocks, sign dropped."""
+    names, codes = np.unique(np.char.lstrip(S.labels, "-"), return_inverse=True)
+    counts = np.bincount((S.pairs * names.size + codes[:, None]).ravel(),
+                         minlength=S.n_macro * names.size).reshape(S.n_macro, -1)
+    names = names.tolist()
+    return {i: {name: c for name, c in zip(names, row) if c}
+            for i, row in enumerate(counts.tolist())}
 
 
 # ============================================================
@@ -635,7 +618,7 @@ def export_dot(A: PhysAdjacency) -> str:
 
 def export_super_triplets(S: SuperAdjacency) -> str:
     """Triplets at block granularity with named block payloads."""
-    lines = [f"n={S.n_macro} block_side={S.block_side}"]
-    for (i, j) in sorted(S.blocks):
-        lines.append(f"{i} {j} {block_label(S.blocks[(i, j)])}")
-    return "\n".join(lines) + "\n"
+    i, j = S.pairs.T.astype(str)
+    rows = np.char.add(np.char.add(i, " "), np.char.add(np.char.add(j, " "), S.labels))
+    header = f"n={S.n_macro} block_side={S.block_side}"
+    return "\n".join([header, *rows.tolist()]) + "\n"

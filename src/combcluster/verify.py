@@ -341,7 +341,7 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
     for r in (1.0, 2.0):
         reduced, target, rep = _measure_and_delete(A, r, measured)
         eg = gaussian.effective_graph(reduced)
-        eg_err = float(np.abs(eg.V - target).max())
+        eg_err = gaussian.effective_graph_error(eg, target)
         residuals.append(rep.max_variance)
         eg_errors.append(eg_err)
         details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)} "

@@ -129,6 +129,29 @@ def test_reduce_command(capsys, tmp_path):
     assert res[1] < res[0]
 
 
+@pytest.mark.parametrize("r", ["0.5", "1", "2", "2.5", "3", "4", "4.5"])
+def test_reduce_is_right_or_refused(capsys, r):
+    # the kept layer's effective graph is tanh(4r) T, so the printed error
+    # is 1/4 (1 - tanh(4r)) within 1e-6 relative, or exit 4 and one line
+    code, out, err = run_cli(capsys, "reduce", "--M", "4", "--r", r)
+    if code == 4:
+        assert "effective_graph_error" not in out
+        assert err.startswith("error: code=4 cause=PrecisionLossError ")
+        assert err.count("\n") == 1
+        return
+    assert (code, err) == (0, "")
+    printed = float(re.search(r"effective_graph_error=(\S+)", out)[1])
+    exact = 0.5 / (np.exp(8 * float(r)) + 1)
+    assert abs(printed / exact - 1) <= 1e-6
+
+
+@pytest.mark.parametrize("r", ["4", "4.5"])
+def test_reduce_refuses_unresolved_effective_graph_error(capsys, r):
+    code, _, err = run_cli(capsys, "reduce", "--M", "4", "--r", r)
+    assert code == 4
+    assert "cause=PrecisionLossError" in err
+
+
 def test_verify_all_exit_reflects_failures(capsys):
     code, out, _ = run_cli(capsys, "verify-all")
     assert code == 3          # two documented criterion failures

@@ -35,8 +35,7 @@ def test_torus_m4_shorthand_segments():
 def test_torus_every_macronode_degree_four(M):
     S = build_torus_supergraph(M)
     assert S.n_macro == M * M
-    degrees = [S.degree(i) for i in range(S.n_macro)]
-    assert degrees == [4] * (M * M)
+    assert S.degrees().tolist() == [4] * (M * M)
     assert S.n_superedges == 2 * M * M
 
 
@@ -54,7 +53,7 @@ def test_torus_rejects_bad_sizes(M):
 
 def test_block_diagonal_positions_formula():
     for M in (4, 6, 8):
-        ds = [d for d, _, _ in torus_block_diagonals(M)]
+        ds = [d for d, _ in torus_block_diagonals(M)]
         N = M * M
         assert ds == [M - 1, N - M - 3, N - 3, N - 1,
                       N + M - 1, 2 * N - M - 3, 2 * N - 3]
@@ -174,8 +173,7 @@ def test_ring_expansion_is_orthogonal(crown8):
 
 
 def test_ring_macronode_bipartition(ring4):
-    for (i, j) in ring4.blocks:
-        assert (i + j) % 2 == 1
+    assert np.all(ring4.pairs.sum(axis=1) % 2 == 1)
 
 
 def test_ring_odd_or_small_rejected():
@@ -326,10 +324,10 @@ def test_coordinates_x_axis_neighbors_consecutive(torus6):
     # consecutive nodes along the x walk are joined by P2/P3 superedges
     coords = coordinates(6)
     cyc = coords.axis_cycles["x"]
+    labels = dict(zip(map(tuple, torus6.pairs.tolist()), torus6.labels.tolist()))
     for k in range(35):
-        blk = torus6.block(cyc[k], cyc[k + 1])
-        assert blk is not None
-        assert block_label(blk).lstrip("-") in ("P2", "P3")
+        label = labels[tuple(sorted((cyc[k], cyc[k + 1])))]
+        assert label.lstrip("-") in ("P2", "P3")
 
 
 def test_column_row_selectors():
@@ -375,10 +373,10 @@ def test_export_super_triplets(ring4, torus6):
 def test_expand_equals_torus_shorthand_matrix(M):
     # the block-Hankel description of the torus, rebuilt densely
     from combcluster import HankelShorthand, matrix_of
-    from combcluster.lattice import PI4
+    from combcluster.lattice import BLOCK_LABELS
     entries = np.zeros((2 * M * M - 1, 4, 4), dtype=np.int64)
-    for d, lab, sign in torus_block_diagonals(M):
-        entries[d] = sign * PI4[lab].quarters
+    for d, label in torus_block_diagonals(M):
+        entries[d] = BLOCK_LABELS[label].quarters
     want = matrix_of(HankelShorthand(entries=entries, block_side=4))
     A = expand(build_torus_supergraph(M))
     assert A.csr.has_canonical_format and A.csr.data.all()
@@ -456,11 +454,11 @@ def test_non_bipartite_witness_lies_on_odd_cycle():
 
 def test_degrees_counted_once_and_kept_current():
     S = build_torus_supergraph(6)
-    scan = [sum(1 for pair in S.blocks if i in pair) for i in range(S.n_macro)]
+    scan = [sum(1 for pair in S.pairs.tolist() if i in pair) for i in range(S.n_macro)]
     assert S.degrees().tolist() == scan
-    assert [S.degree(i) for i in range(S.n_macro)] == scan
-    S.set_block(0, 7, build_torus_supergraph(6).blocks[(0, 5)])
-    assert S.degree(0) == 5 and S.degree(7) == 5
+    # the edge list is read only, so the degrees cannot go stale
+    with pytest.raises(ValueError):
+        S.pairs[0, 1] = 7
 
 
 def test_sparse_rows_match_dense_for_exports_and_two_paths(lattice6):
