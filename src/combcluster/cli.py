@@ -143,22 +143,35 @@ def cmd_pump(args) -> int:
     return EXIT_OK
 
 
+def _emit(outdir, runs) -> None:
+    """Print each run's line and write its files, then list the files.
+
+    ``runs`` holds (line, [(name, text)]) pairs.  Callers compute every run
+    before emitting any, so a refusal part-way through an --r list leaves
+    no output behind."""
+    emitted = []
+    for line, files in runs:
+        for name, content in files:
+            _write(outdir, name, content, emitted)
+        print(line)
+    for f in emitted:
+        print(f"wrote {f}")
+
+
 def cmd_simulate(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     gaussian.require_dense_fit(A.n)
-    emitted = []
+    runs = []
     for r in args.squeeze_r:
         _, conv = gaussian.cluster_state(A, r)
         rep = conv.nullifiers
         tag = f"M{args.M}_r{_fmt(r)}"
-        _write(args.output_dir, f"nullifiers_{tag}.txt",
-               gaussian.nullifier_table(rep), emitted)
-        _write(args.output_dir, f"nullifiers_{tag}.kv",
-               gaussian.nullifier_records(rep), emitted)
-        print(f"r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
-              f"convention=({conv.quarter_turns:+d},{conv.target_sign:+d}A)")
-    for f in emitted:
-        print(f"wrote {f}")
+        runs.append((
+            f"r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
+            f"convention=({conv.quarter_turns:+d},{conv.target_sign:+d}A)",
+            [(f"nullifiers_{tag}.txt", gaussian.nullifier_table(rep)),
+             (f"nullifiers_{tag}.kv", gaussian.nullifier_records(rep))]))
+    _emit(args.output_dir, runs)
     return EXIT_OK
 
 
@@ -166,12 +179,11 @@ def cmd_reduce(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     gaussian.require_dense_fit(A.n)
     meridians = tuple(args.meridians)
-    emitted = []
     _, ideal_report = gaussian.reduce_and_cut(
         A.dense(), args.M, args.keep_layer, meridians)
     st = ideal_report.graph_stats
-    print(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
-          f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}")
+    runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
+             f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]
     for r in args.squeeze_r:
         rotated, conv = gaussian.cluster_state(A, r)
         target = conv.nullifiers.target_adjacency
@@ -182,15 +194,13 @@ def cmd_reduce(args) -> int:
         target_kept = target[np.ix_(rep.kept_nodes, rep.kept_nodes)]
         eg_err = gaussian.effective_graph_error(eg, target_kept)
         tag = f"M{args.M}_r{_fmt(r)}"
-        _write(args.output_dir, f"reduction_{tag}.txt",
-               f"max_residual={_fmt(rep.max_residual)} "
-               f"effective_graph_error={_fmt(eg_err)}\n", emitted)
-        _write(args.output_dir, f"effective_graph_{tag}.txt",
-               gaussian.effective_graph_dump(eg), emitted)
-        print(f"r={_fmt(r)} max_residual={_fmt(rep.max_residual)} "
-              f"effective_graph_error={_fmt(eg_err)}")
-    for f in emitted:
-        print(f"wrote {f}")
+        result = (f"max_residual={_fmt(rep.max_residual)} "
+                  f"effective_graph_error={_fmt(eg_err)}")
+        runs.append((f"r={_fmt(r)} {result}",
+                     [(f"reduction_{tag}.txt", result + "\n"),
+                      (f"effective_graph_{tag}.txt",
+                       gaussian.effective_graph_dump(eg))]))
+    _emit(args.output_dir, runs)
     return EXIT_OK
 
 

@@ -10,9 +10,17 @@ cosh(2r) 1 + sinh(2r) A.
 
 A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  Purity checks (svd of L.T @ Omega @ L), nullifier
-variances (row norms of L_p - T L_q) and q measurements (a projection of
-L) all read the factor, which stays accurate where the derived covariance
-is stiff with e^{+-4r} eigenvalue pairs.
+variances (row norms of L_p - T L_q) and q measurements (one QR of the
+measured and kept rows of L) all read the factor, which stays accurate
+where the derived covariance is stiff with e^{+-4r} eigenvalue pairs.
+
+The cluster-state path (evolve, convention, nullifiers, measurement,
+effective graph) calls numpy.linalg only.  scipy.linalg links a second
+OpenBLAS with its own thread pool, whose threads keep spinning after each
+call and take the cores from numpy's: on a 2-core host, one
+scipy.linalg.solve_triangular before each `simulate --M 10` made it ~1.8x
+slower (0.06 s to 0.11 s).  scipy's expm serves only non-orthogonal
+adjacencies.
 """
 
 from __future__ import annotations
@@ -359,10 +367,15 @@ def _validate_nodes(n, nodes):
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
-    Conditioning projects the factor onto the null space of the measured
-    q rows L_y, so the kept covariance is outcome independent; means move
-    by the gain L_r L_y^T (L_y L_y^T)^-1 for the given outcomes (default
-    all zero).  Measuring every mode returns the empty state.
+    Conditioning projects the kept rows L_r (kept q, then kept p) onto the
+    null space of the measured q rows L_y.  One Householder QR of
+    [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]] gives both results: the
+    projected factor L_r P = (Q_2 R_22)^T, so the conditional factor is
+    R_22^T (2m x 2m) and the kept covariance is outcome independent; and
+    the mean gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T, without the
+    normal equations that square L_y's condition number.  Means move by
+    the gain for the given outcomes (default all zero).  Measuring every
+    mode returns the empty state.
     """
     given = [int(v) for v in nodes]
     nodes = _validate_nodes(state.n, given)
@@ -380,13 +393,11 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
         return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
-    Ly = state.factor[nodes]
-    Lr = state.factor[rest]
-    gain = np.linalg.solve(Ly @ Ly.T, Ly @ Lr.T).T
+    k = len(nodes)
+    R = np.linalg.qr(state.factor[np.concatenate([nodes, rest])].T, mode="r")
+    gain = np.linalg.solve(R[:k, :k], R[:k, k:]).T
     mean_c = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
-    _, _, vt = np.linalg.svd(Ly, full_matrices=True)
-    u, s, _ = np.linalg.svd(Lr @ vt[len(nodes):].T, full_matrices=False)
-    return GaussianState(mean_c, u * s)
+    return GaussianState(mean_c, R[k:, k:].T)
 
 
 def ideal_graph_delete(A, nodes) -> np.ndarray:
@@ -585,7 +596,7 @@ def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
 
 def nullifier_table(report: NullifierReport) -> str:
     """Plain text table 'i variance' with a trailing summary line."""
-    lines = [f"{i} {v:.12g}" for i, v in enumerate(report.variances)]
+    lines = ["%d %.12g" % iv for iv in enumerate(report.variances.tolist())]
     lines.append(f"r={report.squeeze_r:.12g} max={report.max_variance:.12g} "
                  f"target={report.target_hash()}")
     return "\n".join(lines) + "\n"
@@ -593,8 +604,8 @@ def nullifier_table(report: NullifierReport) -> str:
 
 def nullifier_records(report: NullifierReport) -> str:
     """Machine-readable key-value variant of the nullifier table."""
-    lines = [f"node={i} variance={v:.12g}"
-             for i, v in enumerate(report.variances)]
+    lines = ["node=%d variance=%.12g" % iv
+             for iv in enumerate(report.variances.tolist())]
     lines.append(f"summary r={report.squeeze_r:.12g} "
                  f"max={report.max_variance:.12g} target={report.target_hash()}")
     return "\n".join(lines) + "\n"
@@ -605,6 +616,6 @@ def effective_graph_dump(eg: EffectiveGraph) -> str:
     out = []
     for name, mat in (("V", eg.V), ("U", eg.U)):
         out.append(f"{name} n={mat.shape[0]}")
-        for row in mat:
-            out.append(" ".join(f"{v:.12g}" for v in row))
+        row_format = " ".join(["%.12g"] * mat.shape[1])
+        out.extend(row_format % tuple(row) for row in mat.tolist())
     return "\n".join(out) + "\n"

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, determinism, exit codes, error format."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +151,41 @@ def test_reduce_refuses_unresolved_effective_graph_error(capsys, r):
     code, _, err = run_cli(capsys, "reduce", "--M", "4", "--r", r)
     assert code == 4
     assert "cause=PrecisionLossError" in err
+
+
+@pytest.mark.parametrize("argv", [("reduce", "--M", "4", "--r", "1,4"),
+                                  ("simulate", "--M", "4", "--r", "1,6")])
+def test_refusal_in_r_list_leaves_no_partial_output(argv, capsys, tmp_path):
+    # r=1 succeeds, the later r is refused: nothing of r=1 is printed or written
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--output-dir", str(outdir))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: code=4 cause=PrecisionLossError ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_gaussian_path_never_enters_scipy_linalg(capsys, tmp_path):
+    # scipy.linalg links a second BLAS whose idle threads compete with
+    # numpy's on small hosts; the simulate and reduce paths stay on numpy
+    entered = set()
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename.replace("\\", "/")
+        if event == "call" and "scipy/linalg/" in path:
+            entered.add(f"{path}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(["simulate", "--M", "6", "--output-dir", str(tmp_path)]),
+                 main(["reduce", "--M", "6", "--r", "1,2",
+                       "--output-dir", str(tmp_path)])]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert not entered
 
 
 def test_verify_all_exit_reflects_failures(capsys):

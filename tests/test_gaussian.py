@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from combcluster import (EvolutionParams, GaussianError, PhysAdjacency,
-                         best_phase_convention, bicoloring, cluster_state,
-                         effective_graph,
-                         evolution_symplectic, evolve, ideal_graph_delete,
+from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
+                         NullifierReport, PhysAdjacency,
+                         best_phase_convention, bicoloring,
+                         build_torus_supergraph, cluster_state,
+                         effective_graph, effective_graph_dump,
+                         evolution_symplectic, evolve, expand,
+                         ideal_graph_delete, lattice_cut_nodes,
                          measure_q, nullifier_records, nullifier_table,
                          nullifier_variances, omega, rotate_color_class,
                          support_graph_stats, vacuum)
@@ -300,6 +303,32 @@ def test_nullifier_report_exports(two_mode):
     assert len(rep.target_hash()) == 12
 
 
+FORMAT_VALUES = np.array([-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0,
+                          -7.0, 1e12, 1e15, 1 / 3, -2 / 3, 0.1, np.pi,
+                          np.nan, np.inf, -np.inf])
+
+
+def test_formats_match_per_value_fstrings():
+    # row-at-a-time %-formatting gives the bytes of one f-string per value
+    rng = np.random.default_rng(5)
+    values = np.concatenate([FORMAT_VALUES, rng.normal(size=64)
+                             * 10.0 ** rng.integers(-300, 300, size=64)])
+    square = values[:81].reshape(9, 9)
+    eg = EffectiveGraph(V=square, U=-square.T, V_rounding=0.0)
+    expected = []
+    for name, mat in (("V", eg.V), ("U", eg.U)):
+        expected.append(f"{name} n={mat.shape[0]}")
+        expected.extend(" ".join(f"{v:.12g}" for v in row) for row in mat)
+    assert effective_graph_dump(eg) == "\n".join(expected) + "\n"
+    rep = NullifierReport(np.zeros((2, 2)), values, 1.0, squeeze_r=0.5)
+    summary = f"max=1 target={rep.target_hash()}"
+    assert nullifier_table(rep) == "".join(
+        f"{i} {v:.12g}\n" for i, v in enumerate(values)) + f"r=0.5 {summary}\n"
+    assert nullifier_records(rep) == "".join(
+        f"node={i} variance={v:.12g}\n" for i, v in enumerate(values)
+    ) + f"summary r=0.5 {summary}\n"
+
+
 # ============================================================
 # Measurement
 # ============================================================
@@ -390,6 +419,81 @@ def test_measure_matches_covariance_schur_complement(r, crown8, lattice6):
             assert np.abs(red.cov - cov).max() / np.abs(cov).max() <= 1e-12
             assert np.abs(red.mean - mean).max() / np.abs(mean).max() <= 1e-12
             assert red.purity_defect() <= 1e-9
+
+
+def svd_projection_conditioning(state, nodes, outcomes):
+    """Reference conditioning by two SVDs: a full SVD of the measured rows
+    L_y for their null space, a second SVD of the projected kept rows, and
+    the gain from the normal equations (L_y L_y^T) G^T = L_y L_r^T."""
+    n = state.n
+    keep = np.setdiff1d(np.arange(n), nodes)
+    rest = np.concatenate([keep, n + keep])
+    Ly, Lr = state.factor[nodes], state.factor[rest]
+    gain = np.linalg.solve(Ly @ Ly.T, Ly @ Lr.T).T
+    mean = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
+    _, _, vt = np.linalg.svd(Ly, full_matrices=True)
+    u, s, _ = np.linalg.svd(Lr @ vt[len(nodes):].T, full_matrices=False)
+    return 0.5 * (u * s) @ (u * s).T, mean
+
+
+def measurement_cases(name, crown8, lattice6):
+    """(cluster-state adjacency, measured node set) for each named case."""
+    if name == "crown-8":
+        return crown8, [0, 2, 4, 6]
+    if name == "lattice-6":
+        return lattice6, [i for i in range(lattice6.n) if i % 4]
+    return expand(build_torus_supergraph(10)), lattice_cut_nodes(10, 2, (3, 1))[0]
+
+
+def relative_gap(x, reference):
+    return np.abs(x - reference).max() / np.abs(reference).max()
+
+
+def mean_tolerance(state, nodes):
+    """1e-12, or the cond(L_y L_y^T) eps to which a conditional mean is
+    determined when the measured rows are ill conditioned."""
+    Ly = state.factor[nodes]
+    return max(1e-12, 100 * np.linalg.cond(Ly @ Ly.T) * np.finfo(float).eps)
+
+
+def states_of(A, r):
+    """The cluster state, whose measured q rows are orthogonal, and the
+    evolved state before its quarter turn, whose q rows are coupled."""
+    return cluster_state(A, r)[0], evolve(EvolutionParams(A.dense(), r))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["crown-8", "lattice-6", "M10-cut"])
+def test_measure_matches_svd_projection_oracle(case, r, crown8, lattice6):
+    A, nodes = measurement_cases(case, crown8, lattice6)
+    outcomes = np.random.default_rng(len(nodes)).normal(size=len(nodes))
+    m = A.n - len(nodes)
+    for state in states_of(A, r):
+        red = measure_q(state, nodes, outcomes=outcomes)
+        cov, mean = svd_projection_conditioning(state, nodes, outcomes)
+        assert red.factor.shape == (2 * m, 2 * m)
+        assert relative_gap(red.cov, cov) <= 1e-12
+        assert relative_gap(red.mean, mean) <= mean_tolerance(state, nodes)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["crown-8", "lattice-6", "M10-cut"])
+def test_measure_in_two_steps_equals_one(case, r, crown8, lattice6):
+    # measuring A, then B in the reduced state, equals measuring A and B at once
+    A, nodes = measurement_cases(case, crown8, lattice6)
+    rng = np.random.default_rng(len(nodes))
+    outcomes = rng.normal(size=len(nodes))
+    first = rng.random(len(nodes)) < 0.5
+    a, b = np.asarray(nodes)[first], np.asarray(nodes)[~first]
+    b_after_a = b - np.searchsorted(a, b)       # indices among a's kept modes
+    m = A.n - len(nodes)
+    for state in states_of(A, r):
+        steps = measure_q(measure_q(state, a, outcomes[first]),
+                          b_after_a, outcomes[~first])
+        joint = measure_q(state, nodes, outcomes)
+        assert steps.factor.shape == joint.factor.shape == (2 * m, 2 * m)
+        assert relative_gap(steps.cov, joint.cov) <= 1e-12
+        assert relative_gap(steps.mean, joint.mean) <= mean_tolerance(state, nodes)
 
 
 def test_crown_reduction_residual_decreases(crown8):
