@@ -195,7 +195,8 @@ def cmd_reduce(args) -> int:
         eg_err = gaussian.effective_graph_error(eg, target_kept)
         tag = f"M{args.M}_r{_fmt(r)}"
         result = (f"max_residual={_fmt(rep.max_residual)} "
-                  f"effective_graph_error={_fmt(eg_err)}")
+                  "effective_graph_error="
+                  f"{gaussian.format_resolved(eg_err, eg.V_rounding)}")
         runs.append((f"r={_fmt(r)} {result}",
                      [(f"reduction_{tag}.txt", result + "\n"),
                       (f"effective_graph_{tag}.txt",

@@ -9,17 +9,21 @@ p(t) = exp(-2 r A) p(0); for orthogonal A the exponential collapses to
 cosh(2r) 1 + sinh(2r) A.
 
 A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
-evolved state L = S).  Purity checks (svd of L.T @ Omega @ L), nullifier
-variances (row norms of L_p - T L_q) and q measurements (one QR of the
-measured and kept rows of L) all read the factor, which stays accurate
-where the derived covariance is stiff with e^{+-4r} eigenvalue pairs.
+evolved state L = S).  L is one canonical scipy.sparse CSR array: the
+evolved factor has the sparsity of A, a quarter turn permutes and signs its
+rows, and nullifier variances (row norms of L_p - T L_q) are sparse
+products.  Dense copies are taken only for QR (q measurements, one QR of
+the measured and kept rows of L), SVD (purity checks, svd of
+L.T @ Omega @ L) and solve (the effective graph), and for the covariance,
+derived on access.  Reading the factor keeps these accurate where the
+covariance is stiff with e^{+-4r} eigenvalue pairs.
 
 The cluster-state path (evolve, convention, nullifiers, measurement,
-effective graph) calls numpy.linalg only.  scipy.linalg links a second
-OpenBLAS with its own thread pool, whose threads keep spinning after each
-call and take the cores from numpy's: on a 2-core host, one
-scipy.linalg.solve_triangular before each `simulate --M 10` made it ~1.8x
-slower (0.06 s to 0.11 s).  scipy's expm serves only non-orthogonal
+effective graph) calls numpy.linalg and scipy.sparse only.  scipy.linalg
+links a second OpenBLAS with its own thread pool, whose threads keep
+spinning after each call and take the cores from numpy's: on a 2-core host,
+one scipy.linalg.solve_triangular before each `simulate --M 10` made it
+~1.8x slower (0.06 s to 0.11 s).  scipy's expm serves only non-orthogonal
 adjacencies.
 """
 
@@ -31,6 +35,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
@@ -55,9 +60,11 @@ _PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
-# Peak bytes of the dense engine per float64 entry of its 2n x 2n factor:
-# peak RSS above the import baseline over (2n)**2 * 8 bytes measured 6.5
-# and 6.1 for `simulate`, 7.6 and 6.6 for `reduce`, at M = 10 and 14.
+# Peak bytes of the Gaussian engine per float64 entry of a dense 2n x 2n
+# matrix: peak RSS above the import baseline over (2n)**2 * 8 bytes measured
+# 1.8 and 1.4 for `simulate` (CSR factor, dense n x n targets) and 3.8 and
+# 3.1 for `reduce` (the dense QR of the measured and kept rows), at M = 10
+# and 14; 8 bounds both from above.
 _DENSE_PEAK_FACTORS = 8
 
 
@@ -93,25 +100,42 @@ def require_dense_fit(n: int) -> None:
 # States
 # ============================================================
 
+def _canonical_csr(X) -> sp.csr_array:
+    """X as float64 CSR with sorted indices, no duplicates and no stored
+    zeros; copied only when X is not so already."""
+    X = sp.csr_array(X, dtype=float)
+    if not (X.has_canonical_format and X.data.all()):
+        X = X.copy()
+        X.sum_duplicates()
+        X.eliminate_zeros()
+    return X
+
+
 @dataclass
 class GaussianState:
     """Mean vector and factor L (cov = L @ L.T / 2) over 2n quadratures.
 
-    States are immutable values: operations return new ones.
+    ``factor`` is a canonical float64 CSR array (sorted indices, no
+    duplicates, no stored zeros); a dense or sparse matrix is converted.
+    States are immutable values: operations return new ones, and the
+    arrays of ``mean`` and ``factor`` are read-only.
     """
 
     mean: np.ndarray
-    factor: np.ndarray
+    factor: sp.csr_array
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        self.factor = np.asarray(self.factor, dtype=float)
-        if self.factor.ndim != 2 or self.factor.shape[0] != self.mean.size:
+        L = self.factor if sp.issparse(self.factor) else np.asarray(self.factor)
+        if L.ndim != 2 or L.shape[0] != self.mean.size:
             raise GaussianError("factor rows do not match mean length")
         if self.mean.size % 2:
             raise GaussianError("state must have an even number of quadratures")
+        L = _canonical_csr(L)
         self.mean.setflags(write=False)
-        self.factor.setflags(write=False)
+        for a in (L.data, L.indices, L.indptr):
+            a.setflags(write=False)
+        self.factor = L
 
     @property
     def n(self) -> int:
@@ -119,14 +143,15 @@ class GaussianState:
 
     @property
     def cov(self) -> np.ndarray:
-        """Covariance L @ L.T / 2, derived on each access."""
-        return 0.5 * (self.factor @ self.factor.T)
+        """Dense covariance L @ L.T / 2, derived on each access."""
+        L = self.factor.toarray()
+        return 0.5 * (L @ L.T)
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Symplectic spectrum (n values, 1/2 each for a pure state)."""
         if self.n == 0:
             return np.zeros(0)
-        L = self.factor
+        L = self.factor.toarray()
         K = L.T @ omega(self.n) @ L
         s = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
         return 0.5 * s[:2 * self.n:2]
@@ -149,7 +174,7 @@ def vacuum(n: int) -> GaussianState:
     """n-mode vacuum: zero mean, factor identity (covariance identity/2)."""
     if n < 1:
         raise GaussianError(f"mode count must be >= 1, got {n}")
-    return GaussianState(np.zeros(2 * n), np.eye(2 * n))
+    return GaussianState(np.zeros(2 * n), sp.eye_array(2 * n, format="csr"))
 
 
 # ============================================================
@@ -162,18 +187,29 @@ def _as_dense_adjacency(A) -> np.ndarray:
     return np.asarray(A, dtype=float)
 
 
+def _as_sparse_adjacency(A) -> sp.csr_array:
+    """Canonical float CSR form of a square adjacency (PhysAdjacency,
+    sparse or dense)."""
+    if isinstance(A, PhysAdjacency):
+        A = A.csr * 0.25
+    elif not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise GaussianError("adjacency must be a square matrix")
+    return _canonical_csr(A)
+
+
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Adjacency plus overall squeezing parameter r = coupling * time."""
+    """Adjacency (stored as float CSR) plus overall squeezing parameter
+    r = coupling * time."""
 
-    adjacency: np.ndarray
+    adjacency: sp.csr_array
     squeeze_r: float
 
     def __post_init__(self):
-        A = _as_dense_adjacency(self.adjacency)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise GaussianError("adjacency must be a square matrix")
-        if not np.array_equal(A, A.T):
+        A = _as_sparse_adjacency(self.adjacency)
+        if (A != A.T).nnz:
             raise GaussianError("adjacency must be symmetric")
         if not (self.squeeze_r >= 0):
             raise GaussianError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
@@ -184,26 +220,27 @@ class EvolutionParams:
         object.__setattr__(self, "adjacency", A)
 
 
-def evolution_symplectic(A, r: float) -> np.ndarray:
-    """Symplectic matrix blkdiag(exp(2rA), exp(-2rA)) of the evolution.
+def evolution_symplectic(A, r: float) -> sp.csr_array:
+    """Symplectic matrix blkdiag(exp(2rA), exp(-2rA)) of the evolution, CSR.
 
     For orthogonal A (A @ A = 1, exact for the quarter-integer lattices
-    here) the closed form cosh(2r) 1 +- sinh(2r) A is used; it keeps the
-    q and p blocks exactly inverse to each other, which protects state
-    purity at large r.  Otherwise scipy's scaling-and-squaring expm runs.
+    here, decided by the sparse product) the closed form
+    cosh(2r) 1 +- sinh(2r) A is used; it has the sparsity of A and keeps
+    the q and p blocks exactly inverse to each other, which protects state
+    purity at large r.  Otherwise scipy's scaling-and-squaring expm runs on
+    a dense copy.
     """
-    A = _as_dense_adjacency(A)
-    n = A.shape[0]
-    I = np.eye(n)
-    if np.abs(A @ A - I).max() <= _ORTHOGONAL_TOL:
+    A = _as_sparse_adjacency(A)
+    I = sp.eye_array(A.shape[0], format="csr")
+    if np.abs((A @ A - I).data).max(initial=0.0) <= _ORTHOGONAL_TOL:
         ch, sh = np.cosh(2 * r), np.sinh(2 * r)
         Sq = ch * I + sh * A
         Sp = ch * I - sh * A
     else:
-        Sq = expm(2 * r * A)
-        Sp = expm(-2 * r * A)
-    Z = np.zeros((n, n))
-    return np.block([[Sq, Z], [Z, Sp]])
+        A = A.toarray()
+        Sq = sp.csr_array(expm(2 * r * A))
+        Sp = sp.csr_array(expm(-2 * r * A))
+    return sp.block_diag((Sq, Sp), format="csr")
 
 
 def evolve(params: EvolutionParams) -> GaussianState:
@@ -229,15 +266,18 @@ def rotate_color_class(state: GaussianState, coloring: Bicoloring,
     if not np.all(np.isin(colors, (0, 1))):
         raise GaussianError("coloring entries must be 0 or 1")
     # Rows of S @ (mean, factor) for S = [[P0, t P1], [-t P1, P0]]: on
-    # color-1 modes q <- t p and p <- -t q.  Adding 0.0 turns the -0.0 of
-    # negated zeros into the +0.0 the matrix product gives.
+    # color-1 modes q <- t p and p <- -t q, a signed row permutation.
+    # Adding 0.0 turns the -0.0 of negated zero means into the +0.0 the
+    # matrix product gives; the factor stores no zeros.
     q = np.flatnonzero(colors == 1)
     p = q + state.n
-    mean, factor = state.mean.copy(), state.factor.copy()
-    for x in (mean, factor):
-        x[q], x[p] = quarter_turns * x[p], -quarter_turns * x[q]
-        x += 0.0
-    return GaussianState(mean, factor)
+    rows = np.arange(2 * state.n)
+    rows[q], rows[p] = p, q
+    sign = np.ones(2 * state.n)
+    sign[q], sign[p] = quarter_turns, -quarter_turns
+    factor = state.factor[rows]
+    factor.data = factor.data * np.repeat(sign, np.diff(factor.indptr))
+    return GaussianState(sign * state.mean[rows] + 0.0, factor)
 
 
 # ============================================================
@@ -258,6 +298,21 @@ class NullifierReport:
         return hashlib.sha256(raw).hexdigest()[:12]
 
 
+def _row_norms(X: sp.csr_array) -> np.ndarray:
+    """Euclidean norm of each row of X over its stored entries.
+
+    Each row's squares are summed in ascending order, so rows holding the
+    same values in different columns (the modes of a translation-invariant
+    lattice) get bit-identical norms.
+    """
+    counts = np.diff(X.indptr)
+    squares = np.zeros((X.shape[0], counts.max(initial=0)))
+    rows = np.repeat(np.arange(X.shape[0]), counts)
+    squares[rows, np.arange(X.nnz) - X.indptr[rows]] = X.data ** 2
+    squares.sort(axis=1)
+    return np.sqrt(squares.sum(axis=1))
+
+
 def nullifier_variances(state: GaussianState, target,
                         squeeze_r: float = float("nan")) -> NullifierReport:
     """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i.
@@ -265,17 +320,18 @@ def nullifier_variances(state: GaussianState, target,
     PrecisionLossError when a variance is not finite, or when the rounding
     bound (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k = largest row
     count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|."""
-    At = _as_dense_adjacency(target)
+    dense = _as_dense_adjacency(target)
     n = state.n
-    if At.shape != (n, n):
+    if dense.shape != (n, n):
         raise GaussianError(
-            f"target is {At.shape}, state has {n} modes")
+            f"target is {dense.shape}, state has {n} modes")
+    At = _as_sparse_adjacency(dense)
     Lq, Lp = state.factor[:n], state.factor[n:]
-    k = int(np.count_nonzero(At, axis=1).max(initial=0))
+    k = int(np.diff(At.indptr).max(initial=0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norms = np.linalg.norm(Lp - At @ Lq, axis=1)
-        bound = (k + 1) * np.finfo(float).eps * np.linalg.norm(
-            np.abs(Lp) + np.abs(At) @ np.abs(Lq), axis=1)
+        norms = _row_norms(Lp - At @ Lq)
+        bound = (k + 1) * np.finfo(float).eps * _row_norms(
+            abs(Lp) + abs(At) @ abs(Lq))
         variances = 0.5 * norms ** 2
         relative = bound / norms
     resolved = np.isfinite(variances) & (relative <= _PRECISION_TOL)
@@ -285,7 +341,7 @@ def nullifier_variances(state: GaussianState, target,
             f"nullifier variance of mode {i} is {variances[i]:.12g} with "
             f"relative rounding bound {relative[i]:.3g} > {_PRECISION_TOL:g}: "
             f"float64 cannot resolve it")
-    return NullifierReport(target_adjacency=At,
+    return NullifierReport(target_adjacency=dense,
                            variances=variances,
                            max_variance=float(variances.max()),
                            squeeze_r=squeeze_r)
@@ -342,9 +398,8 @@ def cluster_state(A: PhysAdjacency, r: float):
     ``nullifiers`` report carries squeeze_r = r.
     """
     colors = lattice.bicoloring(A)
-    dense = A.dense()
-    state = evolve(EvolutionParams(dense, r))
-    conv = best_phase_convention(state, colors, dense)
+    state = evolve(EvolutionParams(A, r))
+    conv = best_phase_convention(state, colors, A.dense())
     conv.nullifiers.squeeze_r = r
     return conv.state, conv
 
@@ -368,14 +423,14 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
     Conditioning projects the kept rows L_r (kept q, then kept p) onto the
-    null space of the measured q rows L_y.  One Householder QR of
-    [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]] gives both results: the
-    projected factor L_r P = (Q_2 R_22)^T, so the conditional factor is
-    R_22^T (2m x 2m) and the kept covariance is outcome independent; and
-    the mean gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T, without the
-    normal equations that square L_y's condition number.  Means move by
-    the gain for the given outcomes (default all zero).  Measuring every
-    mode returns the empty state.
+    null space of the measured q rows L_y.  One Householder QR of a dense
+    copy of [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]] gives both results:
+    the projected factor L_r P = (Q_2 R_22)^T, so the conditional factor is
+    R_22^T (2m x 2m, stored as CSR) and the kept covariance is outcome
+    independent; and the mean gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T,
+    without the normal equations that square L_y's condition number.  Means
+    move by the gain for the given outcomes (default all zero).  Measuring
+    every mode returns the empty state.
     """
     given = [int(v) for v in nodes]
     nodes = _validate_nodes(state.n, given)
@@ -394,7 +449,8 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
     k = len(nodes)
-    R = np.linalg.qr(state.factor[np.concatenate([nodes, rest])].T, mode="r")
+    rows = state.factor[np.concatenate([nodes, rest])].toarray()
+    R = np.linalg.qr(rows.T, mode="r")
     gain = np.linalg.solve(R[:k, :k], R[:k, k:]).T
     mean_c = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
     return GaussianState(mean_c, R[k:, k:].T)
@@ -453,7 +509,8 @@ def effective_graph(state: GaussianState) -> EffectiveGraph:
         raise GaussianError(
             f"effective graph needs a pure state; purity defect {defect:.3e}")
     n = state.n
-    Lq, Lp = state.factor[:n], state.factor[n:]
+    L = state.factor.toarray()
+    Lq, Lp = L[:n], L[n:]
     qq = 0.5 * (Lq @ Lq.T)
     qp = 0.5 * (Lq @ Lp.T)
     V = np.linalg.solve(qq, qp)
@@ -609,6 +666,15 @@ def nullifier_records(report: NullifierReport) -> str:
     lines.append(f"summary r={report.squeeze_r:.12g} "
                  f"max={report.max_variance:.12g} target={report.target_hash()}")
     return "\n".join(lines) + "\n"
+
+
+def format_resolved(value: float, rounding: float) -> str:
+    """``value`` to the significant digits its rounding bound resolves,
+    min(12, floor(log10(value / rounding))); 12 for a zero bound.  An error
+    that `effective_graph_error` accepted keeps at least 6."""
+    digits = 12 if rounding == 0 else min(
+        12, math.floor(math.log10(value / rounding)))
+    return f"{value:.{digits}g}"
 
 
 def effective_graph_dump(eg: EffectiveGraph) -> str:

@@ -345,7 +345,8 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
         residuals.append(rep.max_variance)
         eg_errors.append(eg_err)
         details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)} "
-                       f"effective_graph_error={_fmt(eg_err)}")
+                       "effective_graph_error="
+                       f"{gaussian.format_resolved(eg_err, eg.V_rounding)}")
     weights = np.abs(target[target != 0])
     uniform_quarter = bool(np.all(weights == 0.25))
     stats = gaussian.support_graph_stats(target)

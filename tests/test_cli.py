@@ -146,6 +146,31 @@ def test_reduce_is_right_or_refused(capsys, r):
     assert abs(printed / exact - 1) <= 1e-6
 
 
+@pytest.mark.parametrize("argv, digits", [
+    (("--M", "4", "--r", "0.5,1,2"), None),
+    (("--M", "6", "--r", "1,2"), {"1": 10, "2": 7}),
+    (("--M", "10", "--r", "0.7,1.3", "--keep-layer", "2",
+      "--meridians", "3,1"), {"1.3": 9}),
+])
+def test_reduce_prints_only_resolved_digits(capsys, tmp_path, argv, digits):
+    # every printed digit of the error is a digit of (1 - tanh(4r))/4, on
+    # stdout and in the reduction file alike
+    code, out, _ = run_cli(capsys, "reduce", *argv, "--output-dir", str(tmp_path))
+    assert code == 0
+    printed = dict(re.findall(r"^r=(\S+) .*effective_graph_error=(\S+)$", out, re.M))
+    assert len(printed) == len(argv[3].split(","))
+    for r, text in printed.items():
+        shown = len(text.split("e")[0].replace(".", "").lstrip("0"))
+        exact = 0.5 / (np.exp(8 * float(r)) + 1)
+        assert 6 <= shown <= 12
+        assert text == f"{exact:.{shown}g}"
+        if digits and r in digits:
+            assert shown == digits[r]
+        name = f"reduction_M{argv[1]}_r{r}.txt"
+        assert (tmp_path / name).read_text().endswith(
+            f"effective_graph_error={text}\n")
+
+
 @pytest.mark.parametrize("r", ["4", "4.5"])
 def test_reduce_refuses_unresolved_effective_graph_error(capsys, r):
     code, _, err = run_cli(capsys, "reduce", "--M", "4", "--r", r)

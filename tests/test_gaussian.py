@@ -62,7 +62,7 @@ def test_evolve_rejects_asymmetric():
 
 
 def test_orthogonal_fast_path_matches_general(two_mode):
-    S = evolution_symplectic(two_mode, 0.7)
+    S = evolution_symplectic(two_mode, 0.7).toarray()
     ch, sh = np.cosh(1.4), np.sinh(1.4)
     expected_q = ch * np.eye(2) + sh * two_mode
     assert np.allclose(S[:2, :2], expected_q, atol=1e-14)
@@ -120,7 +120,7 @@ def dense_rotation(state, colors, turns):
     P0 = np.diag((colors == 0).astype(float))
     P1 = np.diag((colors == 1).astype(float))
     S = np.block([[P0, turns * P1], [-turns * P1, P0]])
-    return S @ state.mean, S @ state.factor
+    return S @ state.mean, S @ state.factor.toarray()
 
 
 def bit_identical(a, b):
@@ -147,7 +147,7 @@ def test_rotation_row_swap_is_bit_identical_to_block_product():
             got = rotate_color_class(state, colors, turns)
             mean, factor = dense_rotation(state, colors, turns)
             assert bit_identical(got.mean, mean)
-            assert bit_identical(got.factor, factor)
+            assert bit_identical(got.factor.toarray(), factor)
 
 
 def test_rotation_validates_input(two_mode):
@@ -428,7 +428,8 @@ def svd_projection_conditioning(state, nodes, outcomes):
     n = state.n
     keep = np.setdiff1d(np.arange(n), nodes)
     rest = np.concatenate([keep, n + keep])
-    Ly, Lr = state.factor[nodes], state.factor[rest]
+    L = state.factor.toarray()
+    Ly, Lr = L[nodes], L[rest]
     gain = np.linalg.solve(Ly @ Ly.T, Ly @ Lr.T).T
     mean = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
     _, _, vt = np.linalg.svd(Ly, full_matrices=True)
@@ -452,7 +453,7 @@ def relative_gap(x, reference):
 def mean_tolerance(state, nodes):
     """1e-12, or the cond(L_y L_y^T) eps to which a conditional mean is
     determined when the measured rows are ill conditioned."""
-    Ly = state.factor[nodes]
+    Ly = state.factor.toarray()[nodes]
     return max(1e-12, 100 * np.linalg.cond(Ly @ Ly.T) * np.finfo(float).eps)
 
 

@@ -1,9 +1,11 @@
-"""Memory ceiling of the exact lattice path: no dense n x n array.
+"""Memory ceilings of the exact lattice path and of the sparse factor.
 
 Each command runs in a fresh interpreter that reports its own peak RSS.
 At M=40 one dense (4M**2)**2 int64 adjacency is 327 MB and at M=200 it
 would be 205 GB, so a 200 MB ceiling catches any dense copy on the
-lattice, pump and Hankel layers.
+lattice, pump and Hankel layers.  `simulate --M 20` (1600 modes) peaks at
+~166 MB with the CSR Gaussian factor and ~520 MB with a dense 2n x 2n
+one, so a 250 MB ceiling catches a fall-back to the dense factor.
 """
 
 import json
@@ -14,6 +16,7 @@ import sys
 import pytest
 
 CEILING_MB = 200
+SIMULATE_CEILING_MB = 250
 
 CHILD = """
 import json, resource, sys
@@ -29,12 +32,8 @@ def _cap():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
-@pytest.mark.parametrize("argv", [
-    ["pump", "--M", "40"],
-    ["lattice", "--M", "32", "--formats", "triplet,report"],
-    ["pump", "--M", "200"],
-], ids=["pump-40", "lattice-32", "pump-200"])
-def test_lattice_path_stays_under_ceiling(argv, child_env, tmp_path):
+def _run(argv, child_env, tmp_path):
+    """(stdout lines, peak MB) of one command in a fresh, capped interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv, "--output-dir", str(tmp_path)],
         capture_output=True, text=True, env=child_env, preexec_fn=_cap,
@@ -43,6 +42,22 @@ def test_lattice_path_stays_under_ceiling(argv, child_env, tmp_path):
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     assert result["code"] == 0
+    return lines, result["peak_mb"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pump", "--M", "40"],
+    ["lattice", "--M", "32", "--formats", "triplet,report"],
+    ["pump", "--M", "200"],
+], ids=["pump-40", "lattice-32", "pump-200"])
+def test_lattice_path_stays_under_ceiling(argv, child_env, tmp_path):
+    lines, peak_mb = _run(argv, child_env, tmp_path)
     if argv[0] == "pump":
         assert lines[0].startswith("pump_lines=15 ")
-    assert result["peak_mb"] < CEILING_MB
+    assert peak_mb < CEILING_MB
+
+
+def test_sparse_factor_stays_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["simulate", "--M", "20"], child_env, tmp_path)
+    assert lines[0].startswith("r=1 max_variance=")
+    assert peak_mb < SIMULATE_CEILING_MB
