@@ -2,8 +2,11 @@
 
 Measuring q deletes nodes in the infinite-squeezing limit.  Three
 demonstrations: the 4-macronode crown collapsing to a uniform ring, the
-lattice collapsing to one uniformly weighted layer, and the meridian cut
-that opens the torus into a planar patch.
+lattice collapsing to one uniformly weighted layer, and the meridian cut,
+which keeps one layer minus a chart column and row of macronodes and
+reports the kept graph's size, connectivity, degree and cycle rank.  The
+code does not check whether the cut opens the torus: for many meridians a
+cycle around it survives.
 """
 
 import numpy as np

@@ -7,8 +7,8 @@ diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
 failure, 4 internal invariant breach or lost precision (PrecisionLossError:
 a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5, or
 an effective-graph error it cannot, seen from r near 2.2 to 2.5).
-`simulate` and `reduce` exit 2 before building any dense matrix when the
-dense Gaussian engine's estimated peak memory exceeds this machine's.
+`simulate` and `reduce` exit 2 before building the lattice when their
+estimated peak memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
 error: code=<n> cause=<type> detail="...".
 """
@@ -159,8 +159,9 @@ def _emit(outdir, runs) -> None:
 
 
 def cmd_simulate(args) -> int:
+    n = 4 * args.M ** 2
+    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n, "sparse")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
-    gaussian.require_dense_fit(A.n)
     runs = []
     for r in args.squeeze_r:
         _, conv = gaussian.cluster_state(A, r)
@@ -176,11 +177,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    n = 4 * args.M ** 2
+    gaussian.require_fit(n, gaussian._DENSE_PEAK_FACTORS * (2 * n) ** 2 * 8, "dense")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
-    gaussian.require_dense_fit(A.n)
     meridians = tuple(args.meridians)
     _, ideal_report = gaussian.reduce_and_cut(
-        A.dense(), args.M, args.keep_layer, meridians)
+        A, args.M, args.keep_layer, meridians)
     st = ideal_report.graph_stats
     runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
              f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]
@@ -191,8 +193,8 @@ def cmd_reduce(args) -> int:
             rotated, args.M, args.keep_layer, meridians,
             target=target, squeeze_r=r)
         eg = gaussian.effective_graph(reduced)
-        target_kept = target[np.ix_(rep.kept_nodes, rep.kept_nodes)]
-        eg_err = gaussian.effective_graph_error(eg, target_kept)
+        eg_err = gaussian.effective_graph_error(
+            eg, target[rep.kept_nodes][:, rep.kept_nodes])
         tag = f"M{args.M}_r{_fmt(r)}"
         result = (f"max_residual={_fmt(rep.max_residual)} "
                   "effective_graph_error="

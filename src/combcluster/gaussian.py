@@ -11,10 +11,11 @@ cosh(2r) 1 + sinh(2r) A.
 A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  L is one canonical scipy.sparse CSR array: the
 evolved factor has the sparsity of A, a quarter turn permutes and signs its
-rows, and nullifier variances (row norms of L_p - T L_q) are sparse
-products.  Dense copies are taken only for QR (q measurements, one QR of
-the measured and kept rows of L), SVD (purity checks, svd of
-L.T @ Omega @ L) and solve (the effective graph), and for the covariance,
+rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
+float CSR target) are sparse products.  Dense copies are taken only for QR
+(q measurements, one QR of the measured and kept rows of L), SVD (purity
+checks, svd of L.T @ Omega @ L) and solve (the effective graph, compared
+with a dense copy of its small kept target), and for the covariance,
 derived on access.  Reading the factor keeps these accurate where the
 covariance is stiff with e^{+-4r} eigenvalue pairs.
 
@@ -60,12 +61,12 @@ _PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
-# Peak bytes of the Gaussian engine per float64 entry of a dense 2n x 2n
-# matrix: peak RSS above the import baseline over (2n)**2 * 8 bytes measured
-# 1.8 and 1.4 for `simulate` (CSR factor, dense n x n targets) and 3.8 and
-# 3.1 for `reduce` (the dense QR of the measured and kept rows), at M = 10
-# and 14; 8 bounds both from above.
+# Peak RSS above the import baseline, bounded by about twice what was
+# measured: `reduce` per float64 entry of a dense 2n x 2n matrix (its dense
+# QR; 3.8 and 3.1 at M = 10 and 14), `simulate` per mode (CSR factor and
+# targets; 7.0, 6.1 and 5.9 KB at M = 20, 36 and 64).
 _DENSE_PEAK_FACTORS = 8
+_SPARSE_PEAK_PER_MODE = 16 * 1024
 
 
 def omega(n: int) -> np.ndarray:
@@ -86,13 +87,13 @@ def _memory_limit() -> int:
     return limit
 
 
-def require_dense_fit(n: int) -> None:
-    """GaussianError unless the dense engine's peak for n modes fits in memory."""
-    need = _DENSE_PEAK_FACTORS * (2 * n) ** 2 * 8
+def require_fit(n: int, need: int, engine: str) -> None:
+    """GaussianError unless ``need`` bytes, the caller's peak estimate for n
+    modes in the "dense" or "sparse" ``engine``, fit in memory."""
     limit = _memory_limit()
     if need > limit:
         raise GaussianError(
-            f"{n} modes need ~{need / 2**30:.3g} GiB in the dense Gaussian "
+            f"{n} modes need ~{need / 2**30:.3g} GiB in the {engine} Gaussian "
             f"engine, more than the {limit / 2**30:.3g} GiB of memory here")
 
 
@@ -180,12 +181,6 @@ def vacuum(n: int) -> GaussianState:
 # ============================================================
 # Evolution
 # ============================================================
-
-def _as_dense_adjacency(A) -> np.ndarray:
-    if isinstance(A, PhysAdjacency):
-        return A.dense()
-    return np.asarray(A, dtype=float)
-
 
 def _as_sparse_adjacency(A) -> sp.csr_array:
     """Canonical float CSR form of a square adjacency (PhysAdjacency,
@@ -286,16 +281,19 @@ def rotate_color_class(state: GaussianState, coloring: Bicoloring,
 
 @dataclass
 class NullifierReport:
-    """Variances of p - A q against a target adjacency."""
+    """Variances of p - A q against a target adjacency (canonical float CSR)."""
 
-    target_adjacency: np.ndarray
+    target_adjacency: sp.csr_array
     variances: np.ndarray
     max_variance: float
     squeeze_r: float = float("nan")
 
     def target_hash(self) -> str:
-        raw = np.ascontiguousarray(self.target_adjacency, dtype=float).tobytes()
-        return hashlib.sha256(raw).hexdigest()[:12]
+        """SHA-256 prefix of the shape and CSR arrays (indices as int64)."""
+        T = self.target_adjacency
+        raw = b"".join(np.asarray(a, dtype=np.int64).tobytes()
+                       for a in (T.shape, T.indptr, T.indices))
+        return hashlib.sha256(raw + (T.data + 0.0).tobytes()).hexdigest()[:12]
 
 
 def _row_norms(X: sp.csr_array) -> np.ndarray:
@@ -320,12 +318,10 @@ def nullifier_variances(state: GaussianState, target,
     PrecisionLossError when a variance is not finite, or when the rounding
     bound (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k = largest row
     count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|."""
-    dense = _as_dense_adjacency(target)
+    At = _as_sparse_adjacency(target)
     n = state.n
-    if dense.shape != (n, n):
-        raise GaussianError(
-            f"target is {dense.shape}, state has {n} modes")
-    At = _as_sparse_adjacency(dense)
+    if At.shape != (n, n):
+        raise GaussianError(f"target is {At.shape}, state has {n} modes")
     Lq, Lp = state.factor[:n], state.factor[n:]
     k = int(np.diff(At.indptr).max(initial=0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -341,7 +337,7 @@ def nullifier_variances(state: GaussianState, target,
             f"nullifier variance of mode {i} is {variances[i]:.12g} with "
             f"relative rounding bound {relative[i]:.3g} > {_PRECISION_TOL:g}: "
             f"float64 cannot resolve it")
-    return NullifierReport(target_adjacency=dense,
+    return NullifierReport(target_adjacency=At,
                            variances=variances,
                            max_variance=float(variances.max()),
                            squeeze_r=squeeze_r)
@@ -375,10 +371,11 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
     a +1 turn.  A target with an edge inside a color class raises
     GaussianError.
     """
-    At = _as_dense_adjacency(target)
+    At = _as_sparse_adjacency(target)
     rotated = rotate_color_class(state, coloring, +1)
     colors = np.asarray(getattr(coloring, "colors", coloring))
-    if At.shape == (state.n, state.n) and np.any(At[np.equal.outer(colors, colors)]):
+    if At.shape == (state.n, state.n) and np.any(
+            np.repeat(colors, np.diff(At.indptr)) == colors[At.indices]):
         raise GaussianError("target has an edge inside a color class")
     reports = {sign: nullifier_variances(rotated, sign * At) for sign in (+1, -1)}
     survey = {(turns, sign): reports[turns * sign].max_variance
@@ -398,8 +395,8 @@ def cluster_state(A: PhysAdjacency, r: float):
     ``nullifiers`` report carries squeeze_r = r.
     """
     colors = lattice.bicoloring(A)
-    state = evolve(EvolutionParams(A, r))
-    conv = best_phase_convention(state, colors, A.dense())
+    params = EvolutionParams(A, r)
+    conv = best_phase_convention(evolve(params), colors, params.adjacency)
     conv.nullifiers.squeeze_r = r
     return conv.state, conv
 
@@ -456,17 +453,17 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     return GaussianState(mean_c, R[k:, k:].T)
 
 
-def ideal_graph_delete(A, nodes) -> np.ndarray:
+def ideal_graph_delete(A, nodes) -> sp.csr_array:
     """Combinatorial limit of measure_q: drop the measured rows/columns.
 
-    An empty node set is allowed and returns A unchanged.
+    Returns float CSR.  An empty node set is allowed and returns A unchanged.
     """
-    Ad = _as_dense_adjacency(A)
+    At = _as_sparse_adjacency(A)
     nodes = list(nodes)
     if nodes:
-        nodes = _validate_nodes(Ad.shape[0], nodes)
-    keep = np.setdiff1d(np.arange(Ad.shape[0]), nodes, assume_unique=True)
-    return Ad[np.ix_(keep, keep)].copy()
+        nodes = _validate_nodes(At.shape[0], nodes)
+    keep = np.setdiff1d(np.arange(At.shape[0]), nodes, assume_unique=True)
+    return At[keep][:, keep]
 
 
 # ============================================================
@@ -522,10 +519,10 @@ def effective_graph(state: GaussianState) -> EffectiveGraph:
     return EffectiveGraph(V=V, U=U, V_rounding=float(rounding.max(initial=0)))
 
 
-def effective_graph_error(eg: EffectiveGraph, target: np.ndarray) -> float:
-    """max |V - target|; PrecisionLossError unless V's rounding bound is
-    within _PRECISION_TOL of it."""
-    error = float(np.abs(eg.V - target).max())
+def effective_graph_error(eg: EffectiveGraph, target) -> float:
+    """max |V - target|, target densified; PrecisionLossError unless V's
+    rounding bound is within _PRECISION_TOL of it."""
+    error = float(np.abs(eg.V - _as_sparse_adjacency(target).toarray()).max())
     if not eg.V_rounding <= _PRECISION_TOL * error:
         raise PrecisionLossError(
             f"effective graph error is {error:.12g} with rounding bound "
@@ -553,14 +550,12 @@ class GraphStats:
 
 
 def support_graph_stats(A) -> GraphStats:
-    """Connectivity, degrees and cycle rank of the nonzero-entry support."""
-    Ad = _as_dense_adjacency(A)
-    adj = Ad != 0
-    np.fill_diagonal(adj, False)
-    n = adj.shape[0]
-    deg = adj.sum(axis=1)
-    edges = int(adj.sum()) // 2
-    comps = connected_components(adj, directed=False)[0]
+    """Connectivity, degrees and cycle rank of the off-diagonal support."""
+    At = _as_sparse_adjacency(A)
+    n = At.shape[0]
+    deg = np.diff(At.indptr) - (At.diagonal() != 0)
+    edges = int(deg.sum()) // 2
+    comps = connected_components(At, directed=False)[0]
     hist = {int(k): int(c) for k, c in
             zip(*np.unique(deg, return_counts=True))}
     return GraphStats(n_nodes=n, n_edges=edges,
@@ -604,47 +599,42 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
 
 def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
                    target=None, squeeze_r: float = float("nan")):
-    """Open the toroidal lattice into a planar patch.
+    """Keep one layer minus the macronodes on chart column x0 and row y0.
 
-    Ideal path: ``obj`` is an adjacency (PhysAdjacency or ndarray); the
-    measured nodes are deleted outright and the remaining graph analyzed.
+    The report gives the kept support graph's connectivity, degrees and
+    cycle rank; nothing checks that the cut opens the torus.
+
+    Ideal path: ``obj`` is an adjacency (PhysAdjacency, sparse or dense);
+    the measured nodes are deleted outright and the rest analyzed.
 
     Gaussian path: ``obj`` is a GaussianState (already in the cluster-state
     phase convention) and ``target`` its signed target adjacency; the
     measured nodes are q-measured and the report carries the maximum
     nullifier residual of the remaining modes against the reduced target.
 
-    Returns (reduced object, ReductionReport).
+    Returns (reduced state or remaining CSR adjacency, ReductionReport).
     """
     measured, kept = lattice_cut_nodes(M, keep_layer, meridians)
-    if isinstance(obj, GaussianState):
-        if target is None:
-            raise GaussianError("gaussian reduction needs the signed target")
-        At = _as_dense_adjacency(target)
-        if At.shape[0] != obj.n or obj.n != 4 * M * M:
-            raise GaussianError("state/target size does not match the lattice")
+    is_state = isinstance(obj, GaussianState)
+    if is_state and target is None:
+        raise GaussianError("gaussian reduction needs the signed target")
+    At = _as_sparse_adjacency(target if is_state else obj)
+    if At.shape[0] != 4 * M * M or is_state and obj.n != At.shape[0]:
+        raise GaussianError(f"{'state/target' if is_state else 'adjacency'} "
+                            "size does not match the lattice")
+    reduced = remaining = At[kept][:, kept]
+    residual = float("nan")
+    if is_state:
         reduced = measure_q(obj, measured)
-        target_kept = At[np.ix_(kept, kept)]
-        rep = nullifier_variances(reduced, target_kept, squeeze_r=squeeze_r)
-        stats = support_graph_stats(target_kept)
-        report = ReductionReport(
-            M=M, keep_layer=keep_layer, meridians=tuple(meridians),
-            kept_nodes=kept, measured_count=len(measured),
-            graph_stats=stats,
-            expected_patch_macronodes=(M - 1) ** 2,
-            max_residual=rep.max_variance, squeeze_r=squeeze_r)
-        return reduced, report
-    Ad = _as_dense_adjacency(obj)
-    if Ad.shape[0] != 4 * M * M:
-        raise GaussianError("adjacency size does not match the lattice")
-    remaining = ideal_graph_delete(Ad, measured)
-    stats = support_graph_stats(remaining)
+        residual = nullifier_variances(reduced, remaining,
+                                       squeeze_r=squeeze_r).max_variance
     report = ReductionReport(
         M=M, keep_layer=keep_layer, meridians=tuple(meridians),
         kept_nodes=kept, measured_count=len(measured),
-        graph_stats=stats,
-        expected_patch_macronodes=(M - 1) ** 2)
-    return remaining, report
+        graph_stats=support_graph_stats(remaining),
+        expected_patch_macronodes=(M - 1) ** 2,
+        max_residual=residual, squeeze_r=squeeze_r)
+    return reduced, report
 
 
 # ============================================================

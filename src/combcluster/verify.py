@@ -16,7 +16,9 @@ criterion.  Two criteria are expected to FAIL and say why in their details:
   transform cosh(2r) 1 + sinh(2r) A - which criterion 4 independently
   validates against an ODE oracle - forces the uniform value exp(-4r);
   at r = 0 the variance of p_i - (A q)_i is 1, not 1/2, for any
-  unit-row-norm target, so no convention reaches exp(-2r)/2.
+  unit-row-norm target, so no convention takes the unnormalised p - A q at
+  this code's r to exp(-2r)/2.  But this r squeezes one mode to e^{-4r}/2,
+  so r_s = 2r, and (p - A q)/sqrt(2) has variance exp(-2 r_s)/2 exactly.
 
 The failures are reported honestly rather than patched over by loosening
 the checks.
@@ -319,7 +321,7 @@ def criterion_crown_to_ring() -> CriterionResult:
         residuals.append(rep.max_variance)
         details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)}")
     # |weights| and support of the signed target do not depend on r
-    weights = np.abs(target[target != 0])
+    weights = np.abs(target.data)
     uniform_half = bool(weights.size) and bool(np.all(weights == 0.5))
     stats = gaussian.support_graph_stats(target)
     ring_shape = (stats.n_nodes == 4 and stats.n_edges == 4
@@ -347,7 +349,7 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
         details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)} "
                        "effective_graph_error="
                        f"{gaussian.format_resolved(eg_err, eg.V_rounding)}")
-    weights = np.abs(target[target != 0])
+    weights = np.abs(target.data)
     uniform_quarter = bool(np.all(weights == 0.25))
     stats = gaussian.support_graph_stats(target)
     regular4 = stats.n_nodes == M * M and stats.max_degree == 4 and \

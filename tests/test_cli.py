@@ -300,30 +300,39 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     import time
 
     import combcluster.gaussian as gaussian
-    if gaussian._memory_limit() >= gaussian._DENSE_PEAK_FACTORS * (2 * 16384) ** 2 * 8:
-        pytest.skip("this machine has room for the dense engine at M=64")
+    # simulate's estimate is linear in the mode count, reduce's quadratic
+    M, engine = {"simulate": (4096, "sparse"), "reduce": (64, "dense")}[command]
+    n = 4 * M * M
+    need = {"sparse": gaussian._SPARSE_PEAK_PER_MODE * n,
+            "dense": gaussian._DENSE_PEAK_FACTORS * (2 * n) ** 2 * 8}[engine]
+    if gaussian._memory_limit() >= need:
+        pytest.skip(f"this machine has room for {command} at M={M}")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "combcluster", command, "--M", "64"],
+        [sys.executable, "-m", "combcluster", command, "--M", str(M)],
         capture_output=True, text=True, env=child_env, preexec_fn=cap,
         timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert re.fullmatch(r'error: code=2 cause=GaussianError detail="16384 modes '
-                        r'need ~\S+ GiB in the dense Gaussian engine, more than '
-                        r'the \S+ GiB of memory here"\n', proc.stderr)
+    assert re.fullmatch(rf'error: code=2 cause=GaussianError detail="{n} modes '
+                        rf'need ~\S+ GiB in the {engine} Gaussian engine, more '
+                        r'than the \S+ GiB of memory here"\n', proc.stderr)
     assert time.perf_counter() - start < 10
 
 
 def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):
+    # refused one byte below simulate's estimate for 144 modes, run at it
     import combcluster.gaussian as gaussian
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: 1 << 20)
+    need = gaussian._SPARSE_PEAK_PER_MODE * 144
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--M", "6")
     assert code == 2
     assert out == ""
     assert err.startswith("error: code=2 cause=GaussianError detail=\"144 modes")
     assert err.count("\n") == 1
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    assert run_cli(capsys, "simulate", "--M", "6")[0] == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
                          NullifierReport, PhysAdjacency,
@@ -18,6 +19,13 @@ from combcluster.verify import ode_oracle_covariance
 
 def colors_of(A):
     return bicoloring(PhysAdjacency(np.asarray(np.round(A * 4), dtype=np.int64)))
+
+
+def same_csr(X, Y):
+    """Bit-identical CSR arrays: shape, structure and values."""
+    return X.shape == Y.shape and all(
+        np.array_equal(a, b) for a, b in
+        ((X.indptr, Y.indptr), (X.indices, Y.indices), (X.data, Y.data)))
 
 
 def optimal_rotation(A, r):
@@ -236,8 +244,7 @@ def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
         assert (conv.quarter_turns, conv.target_sign) == \
             (ref_conv.quarter_turns, ref_conv.target_sign)
         assert np.array_equal(conv.nullifiers.variances, ref.variances)
-        assert np.array_equal(conv.nullifiers.target_adjacency,
-                              ref.target_adjacency)
+        assert same_csr(conv.nullifiers.target_adjacency, ref.target_adjacency)
         assert conv.nullifiers.max_variance == ref.max_variance
         assert conv.nullifiers.squeeze_r == r
 
@@ -303,6 +310,25 @@ def test_nullifier_report_exports(two_mode):
     assert len(rep.target_hash()) == 12
 
 
+def test_target_hash_digests_the_canonical_csr_target(crown8):
+    # dense, int32-index and int64-index copies of one target digest alike;
+    # the sign and the shape of the target change the digest
+    rotated, _ = cluster_state(crown8, 1.0)
+    dense = crown8.dense()
+    int32 = sp.csr_array(dense)
+    int64 = int32.copy()
+    int64.indptr, int64.indices = (int32.indptr.astype(np.int64),
+                                   int32.indices.astype(np.int64))
+    assert (int32.indices.dtype, int64.indices.dtype) == (np.int32, np.int64)
+    hashes = {nullifier_variances(rotated, T).target_hash()
+              for T in (dense, int32, int64)}
+    assert len(hashes) == 1
+    assert nullifier_variances(rotated, -dense).target_hash() not in hashes
+    padded = NullifierReport(sp.csr_array(np.pad(dense, (0, 1))),
+                             np.zeros(9), 0.0)
+    assert padded.target_hash() not in hashes
+
+
 FORMAT_VALUES = np.array([-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0,
                           -7.0, 1e12, 1e15, 1 / 3, -2 / 3, 0.1, np.pi,
                           np.nan, np.inf, -np.inf])
@@ -320,7 +346,7 @@ def test_formats_match_per_value_fstrings():
         expected.append(f"{name} n={mat.shape[0]}")
         expected.extend(" ".join(f"{v:.12g}" for v in row) for row in mat)
     assert effective_graph_dump(eg) == "\n".join(expected) + "\n"
-    rep = NullifierReport(np.zeros((2, 2)), values, 1.0, squeeze_r=0.5)
+    rep = NullifierReport(sp.csr_array((2, 2)), values, 1.0, squeeze_r=0.5)
     summary = f"max=1 target={rep.target_hash()}"
     assert nullifier_table(rep) == "".join(
         f"{i} {v:.12g}\n" for i, v in enumerate(values)) + f"r=0.5 {summary}\n"
@@ -549,7 +575,7 @@ def test_support_graph_stats_counts_components():
 
 def test_ideal_delete_nothing_is_identity(crown8):
     out = ideal_graph_delete(crown8.dense(), [])
-    assert np.array_equal(out, crown8.dense())
+    assert same_csr(out, sp.csr_array(crown8.dense()))
 
 
 # ============================================================

@@ -6,6 +6,9 @@ would be 205 GB, so a 200 MB ceiling catches any dense copy on the
 lattice, pump and Hankel layers.  `simulate --M 20` (1600 modes) peaks at
 ~166 MB with the CSR Gaussian factor and ~520 MB with a dense 2n x 2n
 one, so a 250 MB ceiling catches a fall-back to the dense factor.
+`simulate --M 64` (16 384 modes) peaks at ~160 MB with CSR targets, and a
+single dense n x n target is 2 GiB, so a 300 MB ceiling catches any dense
+target copy.
 """
 
 import json
@@ -17,6 +20,7 @@ import pytest
 
 CEILING_MB = 200
 SIMULATE_CEILING_MB = 250
+SPARSE_TARGET_CEILING_MB = 300
 
 CHILD = """
 import json, resource, sys
@@ -61,3 +65,11 @@ def test_sparse_factor_stays_under_ceiling(child_env, tmp_path):
     lines, peak_mb = _run(["simulate", "--M", "20"], child_env, tmp_path)
     assert lines[0].startswith("r=1 max_variance=")
     assert peak_mb < SIMULATE_CEILING_MB
+
+
+def test_sparse_targets_stay_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["simulate", "--M", "64", "--r", "1,2"], child_env,
+                          tmp_path)
+    assert lines[0].startswith("r=1 max_variance=")
+    assert lines[1].startswith("r=2 max_variance=")
+    assert peak_mb < SPARSE_TARGET_CEILING_MB
