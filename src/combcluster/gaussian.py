@@ -19,13 +19,14 @@ with a dense copy of its small kept target), and for the covariance,
 derived on access.  Reading the factor keeps these accurate where the
 covariance is stiff with e^{+-4r} eigenvalue pairs.
 
-The cluster-state path (evolve, convention, nullifiers, measurement,
-effective graph) calls numpy.linalg and scipy.sparse only.  scipy.linalg
-links a second OpenBLAS with its own thread pool, whose threads keep
-spinning after each call and take the cores from numpy's: on a 2-core host,
-one scipy.linalg.solve_triangular before each `simulate --M 10` made it
-~1.8x slower (0.06 s to 0.11 s).  scipy's expm serves only non-orthogonal
-adjacencies.
+The library imports numpy and scipy.sparse only, and every path but
+criterion 4's oracle calls numpy.linalg and scipy.sparse alone.
+scipy.linalg links a second OpenBLAS with its own thread pool, whose
+threads keep spinning after each call and take the cores from numpy's: on
+a 2-core host, one scipy.linalg.solve_triangular before each
+`simulate --M 10` made it ~1.8x slower (0.06 s to 0.11 s).  So it is
+imported only inside `evolution_symplectic`, for the expm of a
+non-orthogonal adjacency (criterion 4).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 from . import lattice
 from .lattice import Bicoloring, PhysAdjacency
@@ -232,6 +231,7 @@ def evolution_symplectic(A, r: float) -> sp.csr_array:
         Sq = ch * I + sh * A
         Sp = ch * I - sh * A
     else:
+        from scipy.linalg import expm
         A = A.toarray()
         Sq = sp.csr_array(expm(2 * r * A))
         Sp = sp.csr_array(expm(-2 * r * A))
@@ -312,12 +312,17 @@ def _row_norms(X: sp.csr_array) -> np.ndarray:
 
 
 def nullifier_variances(state: GaussianState, target,
-                        squeeze_r: float = float("nan")) -> NullifierReport:
+                        squeeze_r: float = float("nan"),
+                        return_negated: bool = False):
     """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i.
 
     PrecisionLossError when a variance is not finite, or when the rounding
     bound (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k = largest row
-    count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|."""
+    count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|.
+
+    With ``return_negated``, returns the pair of reports against T and -T.
+    The second shares the product T L_q (L_p + T L_q is exactly
+    L_p - (-T) L_q) and the rounding bound, which is the same for +-T."""
     At = _as_sparse_adjacency(target)
     n = state.n
     if At.shape != (n, n):
@@ -325,9 +330,24 @@ def nullifier_variances(state: GaussianState, target,
     Lq, Lp = state.factor[:n], state.factor[n:]
     k = int(np.diff(At.indptr).max(initial=0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norms = _row_norms(Lp - At @ Lq)
+        X = At @ Lq
         bound = (k + 1) * np.finfo(float).eps * _row_norms(
             abs(Lp) + abs(At) @ abs(Lq))
+        residual = Lp - X
+    report = _resolved_report(At, residual, bound, squeeze_r)
+    if not return_negated:
+        return report
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = Lp + X
+    return report, _resolved_report(_canonical_csr(-At), residual, bound,
+                                    squeeze_r)
+
+
+def _resolved_report(At, residual, bound, squeeze_r) -> NullifierReport:
+    """Report of the nullifier rows ``residual`` = L_p - T L_q against the
+    target At; PrecisionLossError where ``bound`` does not resolve them."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms = _row_norms(residual)
         variances = 0.5 * norms ** 2
         relative = bound / norms
     resolved = np.isfinite(variances) & (relative <= _PRECISION_TOL)
@@ -368,8 +388,9 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
     the color-1 modes, which maps the nullifiers of -+A to those of +-A
     when every edge of A joins two colors; so only the +1 turn is
     computed, the survey copies its values to (-1, -+A), and the winner is
-    a +1 turn.  A target with an edge inside a color class raises
-    GaussianError.
+    a +1 turn, and one `nullifier_variances` call gives the +A and -A
+    reports from one product and rounding bound.  A target with an edge
+    inside a color class raises GaussianError.
     """
     At = _as_sparse_adjacency(target)
     rotated = rotate_color_class(state, coloring, +1)
@@ -377,7 +398,8 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
     if At.shape == (state.n, state.n) and np.any(
             np.repeat(colors, np.diff(At.indptr)) == colors[At.indices]):
         raise GaussianError("target has an edge inside a color class")
-    reports = {sign: nullifier_variances(rotated, sign * At) for sign in (+1, -1)}
+    reports = dict(zip((+1, -1),
+                       nullifier_variances(rotated, At, return_negated=True)))
     survey = {(turns, sign): reports[turns * sign].max_variance
               for turns in (+1, -1) for sign in (+1, -1)}
     sign = -1 if reports[-1].max_variance < reports[+1].max_variance else +1
@@ -555,7 +577,9 @@ def support_graph_stats(A) -> GraphStats:
     n = At.shape[0]
     deg = np.diff(At.indptr) - (At.diagonal() != 0)
     edges = int(deg.sum()) // 2
-    comps = connected_components(At, directed=False)[0]
+    # components of the undirected support, also for an unsymmetric At
+    pattern = abs(At)
+    comps = lattice.bfs_depths(pattern + pattern.T)[1]
     hist = {int(k): int(c) for k, c in
             zip(*np.unique(deg, return_counts=True))}
     return GraphStats(n_nodes=n, n_edges=edges,

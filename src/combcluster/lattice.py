@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 if TYPE_CHECKING:
     from .hankel import HankelShorthand
@@ -413,27 +412,58 @@ def _coo_of(Q: sp.csr_matrix):
     return rows, Q.indices, Q.data
 
 
+def bfs_depths(csr) -> tuple[np.ndarray, int]:
+    """Breadth-first depth of each node from the lowest-index node of its
+    component, and the number of components, of a symmetric CSR graph.
+
+    Every stored entry is an edge (a self-loop joins nothing new).  Nodes
+    without entries are components of depth 0, set in one step; the other
+    components are searched one after another, each from its lowest
+    unvisited node, and each level expands the whole frontier at once by
+    gathering its rows of ``indices`` through ``indptr``.
+    """
+    n = csr.shape[0]
+    indptr, indices = csr.indptr, csr.indices
+    degree = np.diff(indptr)
+    isolated = degree == 0
+    depth = np.where(isolated, 0, -1)
+    n_components = int(isolated.sum())
+    unseen = ~isolated
+    root = 0
+    while root < n:
+        # argmax stops at the first True, so finding every root costs O(n)
+        root += int(np.argmax(unseen[root:]))
+        if not unseen[root]:
+            break
+        n_components += 1
+        unseen[root], depth[root] = False, 0
+        frontier, level = np.array([root]), 0
+        while frontier.size:
+            level += 1
+            starts, counts = indptr[frontier], degree[frontier]
+            ends = np.cumsum(counts)
+            slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts,
+                                                    counts)
+            reached = indices[slots]
+            frontier = np.unique(reached[unseen[reached]])
+            unseen[frontier], depth[frontier] = False, level
+    return depth, n_components
+
+
 def bicoloring(A: PhysAdjacency) -> Bicoloring:
     """Two-color the support graph by BFS; NonBipartiteError on odd cycles.
 
-    Deterministic: node v gets the parity of its BFS depth from the
-    lowest-index node of its component, so color 0 always contains node 0
-    of its component.  One search from a root joined to each of those
-    nodes finds every depth.  Every edge is then checked; the witness is
-    the first same-color edge in row-major order, which lies on an odd
-    cycle (its two BFS paths meet above it).
+    Deterministic: node v gets the parity of its `bfs_depths` depth, the
+    breadth-first distance from the lowest-index node of its component,
+    so color 0 always contains node 0 of its component.  Every edge is
+    then checked; the witness is the first same-color edge in row-major
+    order, which lies on an odd cycle (its two BFS paths meet above it).
     """
     if not A.is_symmetric():
         raise LatticeError("adjacency must be symmetric")
-    n = A.n
+    depth, _ = bfs_depths(A.csr)
+    colors = (depth % 2).astype(np.int8)
     rows, cols, _ = _coo_of(A.csr)
-    _, component = connected_components(A.csr, directed=False)
-    _, starts = np.unique(component, return_index=True)
-    rooted = sp.coo_matrix((np.ones(rows.size + starts.size),
-                            (np.concatenate([rows, np.full(starts.size, n)]),
-                             np.concatenate([cols, starts]))), shape=(n + 1, n + 1))
-    depth = dijkstra(rooted, directed=False, indices=n, unweighted=True)[:n]
-    colors = ((depth.astype(np.int64) + 1) % 2).astype(np.int8)
     clash = np.flatnonzero(colors[rows] == colors[cols])
     if clash.size:
         u, v = int(rows[clash[0]]), int(cols[clash[0]])

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, determinism, exit codes, error format."""
 
+import json
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -211,6 +213,30 @@ def test_gaussian_path_never_enters_scipy_linalg(capsys, tmp_path):
     capsys.readouterr()
     assert codes == [0, 0]
     assert not entered
+
+
+FRESH_CHILD = """
+import json, sys
+from combcluster.cli import main
+commands = [["simulate", "--M", "4"], ["reduce", "--M", "4", "--r", "1"],
+            ["lattice", "--M", "4"], ["ring", "--n-macro", "4"],
+            ["pump", "--M", "6"], ["scaling", "--M", "6,8"]]
+codes = [main(argv + ["--output-dir", sys.argv[1]]) for argv in commands]
+heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_commands_run_without_scipy_linalg_or_csgraph(child_env, tmp_path):
+    # every command but verify-all runs on numpy and scipy.sparse alone:
+    # scipy.linalg and its second BLAS load only for a non-orthogonal expm
+    proc = subprocess.run([sys.executable, "-c", FRESH_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=child_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "loaded": []}
 
 
 def test_verify_all_exit_reflects_failures(capsys):

@@ -1,11 +1,13 @@
 """Gaussian engine: evolution, conventions, nullifiers, measurement."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
-                         NullifierReport, PhysAdjacency,
+                         NullifierReport, PhysAdjacency, PrecisionLossError,
                          best_phase_convention, bicoloring,
                          build_torus_supergraph, cluster_state,
                          effective_graph, effective_graph_dump,
@@ -223,6 +225,28 @@ def test_best_phase_convention_survey_matches_all_four_candidates(r, crown8,
         assert np.array_equal(
             conv.nullifiers.variances,
             brute[(conv.quarter_turns, conv.target_sign)].variances)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 3.3, 5.0])
+def test_negated_report_equals_a_separate_pass(r, lattice6):
+    # the -T report shares T L_q and the rounding bound with the +T one,
+    # and must equal its own pass bit for bit, refusals included
+    T = lattice6.dense()
+    rotated = rotate_color_class(evolve(EvolutionParams(T, r)),
+                                 bicoloring(lattice6), +1)
+    try:
+        ref = [nullifier_variances(rotated, sign * T, squeeze_r=r)
+               for sign in (+1, -1)]
+    except PrecisionLossError as err:
+        with pytest.raises(PrecisionLossError, match=re.escape(str(err))):
+            nullifier_variances(rotated, T, return_negated=True)
+        return
+    pair = nullifier_variances(rotated, T, squeeze_r=r, return_negated=True)
+    for rep, want in zip(pair, ref):
+        assert np.array_equal(rep.variances, want.variances)
+        assert rep.max_variance == want.max_variance
+        assert rep.target_hash() == want.target_hash()
+        assert rep.squeeze_r == r
 
 
 def test_best_phase_convention_refuses_edge_inside_color_class(two_mode):

@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          bicoloring, build_ring_supergraph,
@@ -13,7 +17,7 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          renumber_permutation, renumber_to_block_hankel,
                          torus_block_diagonals, two_path_weight)
 from combcluster import verify
-from combcluster.lattice import block_label
+from combcluster.lattice import bfs_depths, block_label
 
 
 # ============================================================
@@ -450,6 +454,80 @@ def test_non_bipartite_witness_lies_on_odd_cycle():
     with pytest.raises(NonBipartiteError) as err:
         bicoloring(PhysAdjacency(A))
     assert err.value.odd_cycle_witness == (4, 5)
+
+
+def csgraph_depths(Q):
+    """Depth of each node from its component's lowest node, and the
+    component count, by scipy.sparse.csgraph (one unweighted dijkstra per
+    component)."""
+    n_components, labels = connected_components(Q, directed=False)
+    depth = np.zeros(Q.shape[0], dtype=np.int64)
+    for c in range(n_components):
+        nodes = np.flatnonzero(labels == c)
+        depth[nodes] = dijkstra(Q, directed=False, indices=nodes[0],
+                                unweighted=True)[nodes]
+    return depth, n_components
+
+
+@st.composite
+def graphs(draw):
+    """A symmetric CSR graph with self-loops allowed, from n = 0 to n = 600
+    nodes; graphs with few edges per node have hundreds of components."""
+    n = draw(st.integers(0, 600))
+    m = draw(st.integers(0, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, v = rng.integers(0, max(n, 1), size=(2, m))
+    Q = sp.csr_array((np.full(2 * m, 4), (np.r_[u, v], np.r_[v, u])),
+                     shape=(n, n))
+    Q.sum_duplicates()
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    Q.indices = Q.indices.astype(index_dtype)
+    Q.indptr = Q.indptr.astype(index_dtype)
+    return Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_bfs_depths_match_csgraph(Q):
+    depth, n_components = bfs_depths(Q)
+    want_depth, want_components = csgraph_depths(Q)
+    assert n_components == want_components
+    assert np.array_equal(depth, want_depth)
+    # bicoloring: parity of those depths, or the first same-color edge in
+    # row-major order as the odd-cycle witness
+    colors = want_depth % 2
+    A = PhysAdjacency(Q)
+    rows = np.repeat(np.arange(A.n), np.diff(A.csr.indptr))
+    clash = np.flatnonzero(colors[rows] == colors[A.csr.indices])
+    if clash.size:
+        with pytest.raises(NonBipartiteError) as err:
+            bicoloring(A)
+        i = clash[0]
+        assert err.value.odd_cycle_witness == (rows[i], A.csr.indices[i])
+    else:
+        assert np.array_equal(bicoloring(A).colors, colors)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bfs_depths_of_trivial_graphs(n):
+    depth, n_components = bfs_depths(sp.csr_array((n, n), dtype=np.int64))
+    assert (depth.tolist(), n_components) == ([0] * n, n)
+    assert bicoloring(PhysAdjacency(np.zeros((n, n), dtype=np.int64))).n == n
+
+
+def test_bfs_depths_of_many_components_and_self_loops():
+    # 300 two-node components in shuffled order, a self-loop on one node
+    # of each, and 100 isolated nodes
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(700)
+    u, v = perm[:300], perm[300:600]
+    Q = sp.csr_array((np.ones(900), (np.r_[u, v, u], np.r_[v, u, u])),
+                     shape=(700, 700))
+    depth, n_components = bfs_depths(Q)
+    assert n_components == 400
+    assert np.array_equal(depth[np.minimum(u, v)], np.zeros(300))
+    assert np.array_equal(depth[np.maximum(u, v)], np.ones(300))
+    assert np.array_equal(depth[perm[600:]], np.zeros(100))
 
 
 def test_degrees_counted_once_and_kept_current():

@@ -3,12 +3,13 @@
 Each command runs in a fresh interpreter that reports its own peak RSS.
 At M=40 one dense (4M**2)**2 int64 adjacency is 327 MB and at M=200 it
 would be 205 GB, so a 200 MB ceiling catches any dense copy on the
-lattice, pump and Hankel layers.  `simulate --M 20` (1600 modes) peaks at
-~166 MB with the CSR Gaussian factor and ~520 MB with a dense 2n x 2n
-one, so a 250 MB ceiling catches a fall-back to the dense factor.
-`simulate --M 64` (16 384 modes) peaks at ~160 MB with CSR targets, and a
-single dense n x n target is 2 GiB, so a 300 MB ceiling catches any dense
-target copy.
+lattice, pump and Hankel layers.  `pump --M 200` peaks at ~169 MB on a
+2-core host, 31 MB under the ceiling.  `simulate --M 20`
+(1600 modes) peaks at ~62 MB with the CSR Gaussian factor and ~520 MB
+with a dense 2n x 2n one, so a 250 MB ceiling catches a fall-back to the
+dense factor.  `simulate --M 64` (16 384 modes) peaks at ~145 MB with CSR
+targets, and a single dense n x n target is 2 GiB, so a 300 MB ceiling
+catches any dense target copy.
 """
 
 import json
