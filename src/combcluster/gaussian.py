@@ -665,21 +665,32 @@ def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
 # Report formats
 # ============================================================
 
+def _render_variances(row_format: str, report: NullifierReport) -> str:
+    """One ``row_format`` line (mode index, variance text) per mode.
+
+    Each distinct variance, by bit pattern so -0.0 keeps its sign, is
+    formatted once with 12 significant digits: a translation-invariant
+    lattice has one variance for all of its modes.
+    """
+    v = np.ascontiguousarray(report.variances, dtype=np.float64)
+    bits, which = np.unique(v.view(np.int64), return_inverse=True)
+    text = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return lattice._render_rows(row_format, np.arange(v.size), text[which])
+
+
 def nullifier_table(report: NullifierReport) -> str:
     """Plain text table 'i variance' with a trailing summary line."""
-    lines = ["%d %.12g" % iv for iv in enumerate(report.variances.tolist())]
-    lines.append(f"r={report.squeeze_r:.12g} max={report.max_variance:.12g} "
-                 f"target={report.target_hash()}")
-    return "\n".join(lines) + "\n"
+    return (_render_variances("%d %s\n", report)
+            + f"r={report.squeeze_r:.12g} max={report.max_variance:.12g} "
+            f"target={report.target_hash()}\n")
 
 
 def nullifier_records(report: NullifierReport) -> str:
     """Machine-readable key-value variant of the nullifier table."""
-    lines = ["node=%d variance=%.12g" % iv
-             for iv in enumerate(report.variances.tolist())]
-    lines.append(f"summary r={report.squeeze_r:.12g} "
-                 f"max={report.max_variance:.12g} target={report.target_hash()}")
-    return "\n".join(lines) + "\n"
+    return (_render_variances("node=%d variance=%s\n", report)
+            + f"summary r={report.squeeze_r:.12g} "
+            f"max={report.max_variance:.12g} target={report.target_hash()}\n")
 
 
 def format_resolved(value: float, rounding: float) -> str:

@@ -92,6 +92,9 @@ class HankelShorthand:
         return np.flatnonzero(self.entries.any(axis=(1, 2))).tolist()
 
 
+_GATHER_CHUNK = 1 << 16
+
+
 def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     """Extract the shorthand of A, verifying constant block skew-diagonals.
 
@@ -135,20 +138,27 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     # entries are read from block row 0 and block column N - 1, the first
     # block (i0, d - i0) of each skew-diagonal
     first = (rows < s) | (cols >= n - s)
-    b = cols % s
     slot = rows + cols
+    del rows
+    b = cols % s
     slot -= b                              # d*s + a
     slot *= s
     slot += b
-    del rows, b
+    del b
     entries = np.zeros((2 * nb - 1) * s * s, dtype=np.int64)
     entries[slot[first]] = vals[first]
-    ok = vals == entries[slot]
+    # compared a chunk at a time: one int64 gather of every slot's entry
+    # would add 8 bytes per nonzero to the peak
+    ok = np.empty(vals.size, dtype=bool)
+    for start in range(0, vals.size, _GATHER_CHUNK):
+        part = slice(start, start + _GATHER_CHUNK)
+        np.equal(vals[part], entries[slot[part]], out=ok[part])
     nonzero = np.flatnonzero(entries)
-    # skew-diagonal d holds N - |d - N + 1| blocks
+    # skew-diagonal d holds N - |d - N + 1| blocks, so no slot is stored
+    # more often than that, and once every stored value matches (hence
+    # lies in a nonzero slot) the slots are full iff the totals agree
     expected = nb - np.abs(nonzero // (s * s) - (nb - 1))
-    if ok.all() and np.array_equal(
-            np.bincount(slot, minlength=entries.size)[nonzero], expected):
+    if ok.all() and vals.size == expected.sum():
         return HankelShorthand(entries=entries.reshape(-1, s, s), block_side=s)
     # Offending blocks: those holding a value other than their slot's
     # entry, and per short slot the first block (in i) not holding it,

@@ -624,26 +624,46 @@ def label_census(S: SuperAdjacency):
 # Text export formats
 # ============================================================
 
+_RENDER_CHUNK = 1 << 14
+
+
+def _render_rows(row_format: str, *columns) -> str:
+    """``row_format % row`` for every row of the equal-length columns,
+    concatenated: the bytes of one %-format per row.
+
+    Each chunk of rows is one %-format: the row format repeated once per
+    row, applied to the chunk's values interleaved row by row as Python
+    scalars.  Chunking bounds the temporaries to a few MB at any size.
+    """
+    n = len(columns[0])
+    width = len(columns)
+    parts = []
+    for start in range(0, n, _RENDER_CHUNK):
+        stop = min(start + _RENDER_CHUNK, n)
+        values = [None] * ((stop - start) * width)
+        for c, column in enumerate(columns):
+            values[c::width] = column[start:stop].tolist()
+        parts.append(row_format * (stop - start) % tuple(values))
+    return "".join(parts)
+
+
 def _upper_edges(A: PhysAdjacency):
-    """(i, j, quarters) of every entry with i < j, in row-major order."""
-    U = sp.triu(A.csr, k=1, format="csr")
-    rows, cols, vals = _coo_of(U)
-    return zip(rows.tolist(), cols.tolist(), vals.tolist())
+    """Row, column and quarters arrays of the entries with i < j, row-major."""
+    rows, cols, vals = _coo_of(A.csr)
+    upper = cols > rows
+    return rows[upper], cols[upper], vals[upper]
 
 
 def export_triplets(A: PhysAdjacency) -> str:
     """Sparse triplet text: header 'n=<count> denom=4', lines 'i j num/4'."""
-    lines = [f"n={A.n} denom=4"]
-    lines += [f"{i} {j} {w}/4" for i, j, w in _upper_edges(A)]
-    return "\n".join(lines) + "\n"
+    return f"n={A.n} denom=4\n" + _render_rows("%d %d %d/4\n", *_upper_edges(A))
 
 
 def export_dot(A: PhysAdjacency) -> str:
     """GraphViz DOT rendering with weights as edge labels."""
-    lines = ["graph adjacency {"]
-    lines += [f'  {i} -- {j} [label="{w}/4"];' for i, j, w in _upper_edges(A)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return ("graph adjacency {\n"
+            + _render_rows('  %d -- %d [label="%d/4"];\n', *_upper_edges(A))
+            + "}\n")
 
 
 def export_super_triplets(S: SuperAdjacency) -> str:

@@ -118,25 +118,46 @@ def layout_outer_support(M: int, positions) -> sp.csr_matrix:
                          shape=(nb, nb))
 
 
+def _closed_walks(S):
+    """trace(S^1), trace(S^2), ... of a 0/1 matrix, from half-length walks.
+
+    trace(S^k) is the Frobenius product <S^a, (S^T)^b> with a = ceil(k/2)
+    and b = floor(k/2), so only the powers up to ceil(k/2) are built, as
+    int64 CSR, each from the last by S @ P.  Symmetry is checked once: for
+    a symmetric S the powers of S^T are those of S, and an even k is the
+    sum of squares of one power's stored values.  Every entry of a power
+    and every partial sum of a product is non-negative and at most the
+    trace, so nothing overflows while the trace itself fits in int64.
+    """
+    S = sp.csr_matrix(S, dtype=np.int64)
+    St = S.T.tocsr()
+    symmetric = (S != St).nnz == 0
+    P, Q = S, sp.identity(S.shape[0], np.int64, format="csr")
+    while True:                            # P = S^a, Q = (S^T)^(a-1)
+        yield int(P.multiply(Q).sum())     # k = 2a - 1
+        if symmetric:
+            Q = P
+            yield int(np.dot(P.data, P.data))
+        else:
+            Q = St @ Q
+            yield int(P.multiply(Q).sum())
+        P = S @ P
+
+
 def walk_refutation(Sa, Sb, k_max: int):
     """First k with trace(Sa^k) != trace(Sb^k), or None up to k_max.
 
     Closed-walk counts are isomorphism invariants, so a differing pair
     proves the two support graphs cannot be related by any renumbering.
-    Sa and Sb are 0/1 matrices, sparse or dense; each step multiplies the
-    dense int64 walk counts P by the operand, P <- P @ S, in exact int64
-    arithmetic.  k_max is clipped so the counts cannot overflow (degree
-    <= 8 bounds the k-walk count by 8**k * n).
+    Sa and Sb are 0/1 matrices, sparse or dense; the counts are exact
+    int64 products of half-length walks (`_closed_walks`).  k_max is
+    clipped so the counts cannot overflow (degree <= 8 bounds the k-walk
+    count by 8**k * n).
     """
     n = Sa.shape[0]
     safe_k = int((63 - np.log2(n)) // 3)
-    k_max = min(k_max, safe_k)
-    Pa = np.eye(n, dtype=np.int64)
-    Pb = np.eye(n, dtype=np.int64)
-    for k in range(1, k_max + 1):
-        Pa = Pa @ Sa
-        Pb = Pb @ Sb
-        ta, tb = int(np.trace(Pa)), int(np.trace(Pb))
+    for k, ta, tb in zip(range(1, min(k_max, safe_k) + 1),
+                         _closed_walks(Sa), _closed_walks(Sb)):
         if ta != tb:
             return k, ta, tb
     return None

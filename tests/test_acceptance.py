@@ -23,8 +23,11 @@ they stay red with the analysis attached.
 
 import time
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from combcluster import verify
 from combcluster import (EvolutionParams, best_phase_convention, bicoloring,
@@ -125,7 +128,8 @@ def test_no_renumbering_reaches_pinned_layout():
     """
     from combcluster import renumber_to_block_hankel
     for M, expect in ((6, (6, 949248, 1013760)),
-                      (8, (8, 80543744, 82575360))):
+                      (8, (8, 80543744, 82575360)),
+                      (16, (16, 2778926585741312, 2779357894410240))):
         A = expand(build_torus_supergraph(M))
         renum = renumber_to_block_hankel(A, M)
         s_ref, t_ref = verify.claimed_run_lengths(M)
@@ -168,6 +172,55 @@ def test_sparse_walk_certificate_matches_dense_loop(M):
     assert cert == dense_walk_certificate(src_dense, ref_dense, 2 * M)
     if M == 14:
         assert cert == (14, 37824361136128, 37846313336832)
+
+
+def random_walk_graph(rng, n, density, symmetric, loops):
+    """Random 0/1 matrix with at most 8 entries per row (the cap's bound)."""
+    S = np.zeros((n, n), dtype=np.int64)
+    for i, j in zip(*np.nonzero(rng.random((n, n)) < density)):
+        if (symmetric and i > j) or (i == j and not loops):
+            continue
+        if S[i].sum() < 8 and S[j].sum() < 8:
+            S[i, j] = 1
+            if symmetric:
+                S[j, i] = 1
+    return S
+
+
+def cycle(length, symmetric):
+    C = np.roll(np.eye(length, dtype=np.int64), 1, axis=1)
+    return np.minimum(C + C.T, 1) if symmetric else C
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       m=st.integers(1, 12), density=st.floats(0, 0.3),
+       symmetric=st.booleans(), loops=st.booleans(),
+       long_walks=st.booleans(), sparse=st.booleans(),
+       k_max=st.integers(0, 24))
+def test_walk_refutation_matches_stepwise_dense_loop(
+        seed, n, m, density, symmetric, loops, long_walks, sparse, k_max):
+    """Half-length sparse walks give the stepwise dense loop's certificate.
+
+    With ``long_walks`` the pair is G + C_2m against a renumbered
+    G + C_m + C_m (C a cycle, directed unless symmetric), which agree on
+    every closed-walk count below k = m; otherwise two random graphs.
+    Isolated nodes, self-loops and k_max beyond the overflow cap occur.
+    """
+    rng = np.random.default_rng(seed)
+    if long_walks:
+        G = random_walk_graph(rng, max(0, n - 2 * m), density, symmetric, loops)
+        Sa = sp.block_diag([G, cycle(2 * m, symmetric)]).toarray()
+        Sb = sp.block_diag([G, cycle(m, symmetric), cycle(m, symmetric)]).toarray()
+        perm = rng.permutation(len(Sb))
+        Sb = Sb[perm][:, perm]
+    else:
+        Sa, Sb = (random_walk_graph(rng, n, density, symmetric, loops)
+                  for _ in range(2))
+    want = dense_walk_certificate(Sa, Sb, k_max)
+    if sparse:
+        Sa, Sb = sp.csr_matrix(Sa), sp.csr_matrix(Sb)
+    assert verify.walk_refutation(Sa, Sb, k_max) == want
 
 
 def test_constructed_layout_has_same_skeleton():

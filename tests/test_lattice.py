@@ -1,6 +1,7 @@
 """Lattice construction, exact validation, renumbering, geometry."""
 
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +17,7 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          export_triplets, label_census,
                          renumber_permutation, renumber_to_block_hankel,
                          torus_block_diagonals, two_path_weight)
-from combcluster import verify
+from combcluster import lattice, verify
 from combcluster.lattice import bfs_depths, block_label
 
 
@@ -359,6 +360,43 @@ def test_export_dot_contains_edges(crown8):
     text = export_dot(crown8)
     assert text.startswith("graph adjacency {")
     assert text.count("--") == crown8.nnz // 2
+
+
+def per_edge_exports(Q):
+    """Triplet and DOT text of dense Q, one f-string per upper edge."""
+    n = len(Q)
+    edges = [(i, j, int(Q[i, j])) for i in range(n) for j in range(i + 1, n)
+             if Q[i, j]]
+    triplets = f"n={n} denom=4\n" + "".join(f"{i} {j} {w}/4\n"
+                                           for i, j, w in edges)
+    dot = ("graph adjacency {\n"
+           + "".join(f'  {i} -- {j} [label="{w}/4"];\n' for i, j, w in edges)
+           + "}\n")
+    return triplets, dot
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       scale=st.sampled_from([4, 2**40]), index64=st.booleans(),
+       chunk=st.sampled_from([1, 3, 64, lattice._RENDER_CHUNK]))
+def test_exports_match_per_edge_fstrings(n, seed, density, scale, index64,
+                                         chunk):
+    """Bulk rendering gives the bytes of one f-string per edge.
+
+    Signed quarter numerators up to 2**40, no edges, n = 1, int32 and
+    int64 CSR indices, and chunks of 1 row up to the default.
+    """
+    rng = np.random.default_rng(seed)
+    Q = rng.integers(-scale, scale + 1, size=(n, n))
+    Q[rng.random((n, n)) >= density] = 0
+    A = PhysAdjacency(Q)
+    if index64:
+        A.csr.indices = A.csr.indices.astype(np.int64)
+        A.csr.indptr = A.csr.indptr.astype(np.int64)
+    assert A.csr.indices.dtype == (np.int64 if index64 else np.int32)
+    with mock.patch.object(lattice, "_RENDER_CHUNK", chunk):
+        assert (export_triplets(A), export_dot(A)) == per_edge_exports(Q)
 
 
 def test_export_super_triplets(ring4, torus6):

@@ -3,8 +3,11 @@
 Each command runs in a fresh interpreter that reports its own peak RSS.
 At M=40 one dense (4M**2)**2 int64 adjacency is 327 MB and at M=200 it
 would be 205 GB, so a 200 MB ceiling catches any dense copy on the
-lattice, pump and Hankel layers.  `pump --M 200` peaks at ~169 MB on a
-2-core host, 31 MB under the ceiling.  `simulate --M 20`
+lattice, pump and Hankel layers.  `pump --M 200` peaks at ~139 MB on a
+2-core host, 61 MB under the ceiling.  `lattice --M 100` with all three
+text formats (102 400 edges per edge file) peaks at ~90 MB, rendering a
+chunk of edges at a time; holding one string per edge for a whole file
+costs ~30 MB more.  `simulate --M 20`
 (1600 modes) peaks at ~62 MB with the CSR Gaussian factor and ~520 MB
 with a dense 2n x 2n one, so a 250 MB ceiling catches a fall-back to the
 dense factor.  `simulate --M 64` (16 384 modes) peaks at ~145 MB with CSR
@@ -54,7 +57,8 @@ def _run(argv, child_env, tmp_path):
     ["pump", "--M", "40"],
     ["lattice", "--M", "32", "--formats", "triplet,report"],
     ["pump", "--M", "200"],
-], ids=["pump-40", "lattice-32", "pump-200"])
+    ["lattice", "--M", "100", "--formats", "triplet,dot,report"],
+], ids=["pump-40", "lattice-32", "pump-200", "lattice-100"])
 def test_lattice_path_stays_under_ceiling(argv, child_env, tmp_path):
     lines, peak_mb = _run(argv, child_env, tmp_path)
     if argv[0] == "pump":
