@@ -196,9 +196,10 @@ def cmd_reduce(args) -> int:
         eg_err = gaussian.effective_graph_error(
             eg, target[rep.kept_nodes][:, rep.kept_nodes])
         tag = f"M{args.M}_r{_fmt(r)}"
-        result = (f"max_residual={_fmt(rep.max_residual)} "
-                  "effective_graph_error="
-                  f"{gaussian.format_resolved(eg_err, eg.V_rounding)}")
+        resolved = gaussian.format_resolved
+        result = (f"max_residual="
+                  f"{resolved(rep.max_residual, rep.max_residual_rounding)} "
+                  f"effective_graph_error={resolved(eg_err, eg.V_rounding)}")
         runs.append((f"r={_fmt(r)} {result}",
                      [(f"reduction_{tag}.txt", result + "\n"),
                       (f"effective_graph_{tag}.txt",

@@ -13,11 +13,13 @@ evolved state L = S).  L is one canonical scipy.sparse CSR array: the
 evolved factor has the sparsity of A, a quarter turn permutes and signs its
 rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
 float CSR target) are sparse products.  Dense copies are taken only for QR
-(q measurements, one QR of the measured and kept rows of L), SVD (purity
-checks, svd of L.T @ Omega @ L) and solve (the effective graph, compared
-with a dense copy of its small kept target), and for the covariance,
-derived on access.  Reading the factor keeps these accurate where the
-covariance is stiff with e^{+-4r} eigenvalue pairs.
+(q measurements, one QR per connected block of the measured and kept rows
+of L: after the quarter turn each row lies in the q or in the p columns,
+so a lattice cut is two blocks), SVD (purity checks, svd of
+L.T @ Omega @ L) and solve (the effective graph, compared with a dense copy
+of its small kept target), and for the covariance, derived on access.
+Reading the factor keeps these accurate where the covariance is stiff with
+e^{+-4r} eigenvalue pairs.
 
 The library imports numpy and scipy.sparse only, and every path but
 criterion 4's oracle calls numpy.linalg and scipy.sparse alone.
@@ -31,6 +33,7 @@ non-orthogonal adjacency (criterion 4).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -281,15 +284,24 @@ def rotate_color_class(state: GaussianState, coloring: Bicoloring,
 
 @dataclass
 class NullifierReport:
-    """Variances of p - A q against a target adjacency (canonical float CSR)."""
+    """Variances of p - A q against a target adjacency (canonical float CSR).
+
+    ``max_variance_rounding`` bounds the rounding error of ``max_variance``.
+    """
 
     target_adjacency: sp.csr_array
     variances: np.ndarray
     max_variance: float
     squeeze_r: float = float("nan")
+    max_variance_rounding: float = 0.0
 
     def target_hash(self) -> str:
-        """SHA-256 prefix of the shape and CSR arrays (indices as int64)."""
+        """SHA-256 prefix of the shape and CSR arrays (indices as int64),
+        computed on the first call: a report's target is not changed."""
+        return self._target_digest
+
+    @functools.cached_property
+    def _target_digest(self) -> str:
         T = self.target_adjacency
         raw = b"".join(np.asarray(a, dtype=np.int64).tobytes()
                        for a in (T.shape, T.indptr, T.indices))
@@ -317,8 +329,10 @@ def nullifier_variances(state: GaussianState, target,
     """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i.
 
     PrecisionLossError when a variance is not finite, or when the rounding
-    bound (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k = largest row
-    count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|.
+    bound b_i = (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k =
+    largest row count of T) exceeds _PRECISION_TOL of |(L_p - T L_q)_i|.
+    The largest variance's rounding bound, |(L_p - T L_q)_i| b_i + b_i^2/2,
+    is kept on the report.
 
     With ``return_negated``, returns the pair of reports against T and -T.
     The second shares the product T L_q (L_p + T L_q is exactly
@@ -357,10 +371,11 @@ def _resolved_report(At, residual, bound, squeeze_r) -> NullifierReport:
             f"nullifier variance of mode {i} is {variances[i]:.12g} with "
             f"relative rounding bound {relative[i]:.3g} > {_PRECISION_TOL:g}: "
             f"float64 cannot resolve it")
-    return NullifierReport(target_adjacency=At,
-                           variances=variances,
-                           max_variance=float(variances.max()),
-                           squeeze_r=squeeze_r)
+    i = int(np.argmax(variances))
+    return NullifierReport(
+        target_adjacency=At, variances=variances,
+        max_variance=float(variances[i]), squeeze_r=squeeze_r,
+        max_variance_rounding=float(norms[i] * bound[i] + 0.5 * bound[i] ** 2))
 
 
 @dataclass
@@ -438,18 +453,61 @@ def _validate_nodes(n, nodes):
     return nodes
 
 
+def _dense_blocks(X: sp.csr_array):
+    """(rows, dense block) for each connected block of X's rows.
+
+    Rows are joined when they share a stored column: the components of the
+    bipartite row-column graph of X's pattern, labelled by the library's
+    breadth-first search.  Blocks come in the order of their lowest row;
+    each holds its rows in ascending order, densely on the columns they
+    alone use, in ascending column order.  A row without entries is a
+    block with no columns.
+    """
+    R, C = X.shape
+    T = X.T.tocsr()
+    graph = sp.csr_array(
+        (np.ones(2 * X.nnz), np.concatenate([X.indices + R, T.indices]),
+         np.concatenate([X.indptr, X.nnz + T.indptr[1:]])),
+        shape=(R + C, R + C))
+    component = lattice.bfs_depths(graph)[1]
+    # rows precede columns, so the blocks holding rows are labelled 0..b-1
+    row_block, col_block = component[:R], component[R:]
+    order = np.argsort(row_block, kind="stable")
+    bounds = np.searchsorted(row_block[order], np.arange(row_block.max() + 2))
+    col_order = np.argsort(col_block, kind="stable")
+    col_sorted = col_block[col_order]
+    local = np.empty(C, dtype=np.intp)       # column index within its block
+    local[col_order] = np.arange(C) - np.searchsorted(col_sorted, col_sorted)
+    widths = np.bincount(col_block, minlength=bounds.size)
+    X = X[order]
+    nz_row = np.repeat(np.arange(R), np.diff(X.indptr))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        start, stop = X.indptr[lo], X.indptr[hi]
+        D = np.zeros((hi - lo, widths[b]))
+        D[nz_row[start:stop] - lo, local[X.indices[start:stop]]] = \
+            X.data[start:stop]
+        yield order[lo:hi], D
+
+
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
     Conditioning projects the kept rows L_r (kept q, then kept p) onto the
-    null space of the measured q rows L_y.  One Householder QR of a dense
-    copy of [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]] gives both results:
-    the projected factor L_r P = (Q_2 R_22)^T, so the conditional factor is
-    R_22^T (2m x 2m, stored as CSR) and the kept covariance is outcome
-    independent; and the mean gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T,
-    without the normal equations that square L_y's condition number.  Means
-    move by the gain for the given outcomes (default all zero).  Measuring
-    every mode returns the empty state.
+    null space of the measured q rows L_y.  Rows of [L_y; L_r] that share
+    no column condition independently, so each connected block of them
+    (`_dense_blocks`) is conditioned alone; a fully coupled factor is one
+    block.  One Householder QR of the block's dense rows,
+    [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]], gives both results: the
+    projected factor L_r P = (Q_2 R_22)^T, so the block's conditional factor
+    is R_22^T and the kept covariance is outcome independent; and the mean
+    gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T, without the normal
+    equations that square L_y's condition number.  The conditional factor
+    (2m x 2m, CSR) holds the blocks' R_22^T on its diagonal, with columns in
+    block order, and a kept row without entries stays a zero row.  Means
+    move by the gain for the given outcomes (default all zero).  A measured
+    row whose pivot |R_ii| is within its QR rounding, (block rows) eps |row|,
+    is zero or dependent on the measured rows before it: GaussianError
+    naming its mode.  Measuring every mode returns the empty state.
     """
     given = [int(v) for v in nodes]
     nodes = _validate_nodes(state.n, given)
@@ -468,11 +526,32 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
     k = len(nodes)
-    rows = state.factor[np.concatenate([nodes, rest])].toarray()
-    R = np.linalg.qr(rows.T, mode="r")
-    gain = np.linalg.solve(R[:k, :k], R[:k, k:]).T
-    mean_c = state.mean[rest] + gain @ (outcomes - state.mean[nodes])
-    return GaussianState(mean_c, R[k:, k:].T)
+    shift = outcomes - state.mean[nodes]
+    # + 0.0: blocks without measured rows turn -0.0 means into +0.0 too
+    mean_c = state.mean[rest] + 0.0
+    parts, width = [], 0
+    for block, D in _dense_blocks(
+            state.factor[np.concatenate([nodes, rest])]):
+        kb = int(np.searchsorted(block, k))   # its measured rows come first
+        kept = block[kb:] - k
+        R = np.linalg.qr(D.T, mode="r")
+        pivots = np.zeros(kb)
+        pivots[:min(kb, R.shape[0])] = np.abs(np.diagonal(R[:kb, :kb]))
+        low = pivots <= (D.shape[0] * np.finfo(float).eps
+                         * np.linalg.norm(D[:kb], axis=1))
+        if low.any():
+            raise GaussianError(
+                f"measured q row of mode {nodes[block[np.argmax(low)]]} is "
+                "zero or dependent on the other measured rows")
+        if kb and kept.size:
+            gain = np.linalg.solve(R[:kb, :kb], R[:kb, kb:]).T
+            mean_c[kept] += gain @ shift[block[:kb]]
+        L = sp.coo_array(R[kb:, kb:].T)
+        parts.append((L.data, kept[L.row], width + L.col))
+        width += kept.size
+    data, rows, cols = (np.concatenate(a) for a in zip(*parts))
+    return GaussianState(mean_c, sp.csr_array((data, (rows, cols)),
+                                              shape=(rest.size, rest.size)))
 
 
 def ideal_graph_delete(A, nodes) -> sp.csr_array:
@@ -579,7 +658,7 @@ def support_graph_stats(A) -> GraphStats:
     edges = int(deg.sum()) // 2
     # components of the undirected support, also for an unsymmetric At
     pattern = abs(At)
-    comps = lattice.bfs_depths(pattern + pattern.T)[1]
+    comps = lattice.bfs_depths(pattern + pattern.T)[2]
     hist = {int(k): int(c) for k, c in
             zip(*np.unique(deg, return_counts=True))}
     return GraphStats(n_nodes=n, n_edges=edges,
@@ -600,6 +679,7 @@ class ReductionReport:
     expected_patch_macronodes: int
     max_residual: float = float("nan")
     squeeze_r: float = float("nan")
+    max_residual_rounding: float = float("nan")
 
 
 def lattice_cut_nodes(M: int, keep_layer: int, meridians):
@@ -647,17 +727,20 @@ def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
         raise GaussianError(f"{'state/target' if is_state else 'adjacency'} "
                             "size does not match the lattice")
     reduced = remaining = At[kept][:, kept]
-    residual = float("nan")
+    residual = rounding = float("nan")
     if is_state:
         reduced = measure_q(obj, measured)
-        residual = nullifier_variances(reduced, remaining,
-                                       squeeze_r=squeeze_r).max_variance
+        nullifiers = nullifier_variances(reduced, remaining,
+                                         squeeze_r=squeeze_r)
+        residual = nullifiers.max_variance
+        rounding = nullifiers.max_variance_rounding
     report = ReductionReport(
         M=M, keep_layer=keep_layer, meridians=tuple(meridians),
         kept_nodes=kept, measured_count=len(measured),
         graph_stats=support_graph_stats(remaining),
         expected_patch_macronodes=(M - 1) ** 2,
-        max_residual=residual, squeeze_r=squeeze_r)
+        max_residual=residual, squeeze_r=squeeze_r,
+        max_residual_rounding=rounding)
     return reduced, report
 
 
@@ -665,18 +748,24 @@ def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
 # Report formats
 # ============================================================
 
-def _render_variances(row_format: str, report: NullifierReport) -> str:
-    """One ``row_format`` line (mode index, variance text) per mode.
+def _distinct_text(values: np.ndarray) -> np.ndarray:
+    """``"%.12g" % x`` for each entry, as an object array of values' shape.
 
-    Each distinct variance, by bit pattern so -0.0 keeps its sign, is
-    formatted once with 12 significant digits: a translation-invariant
-    lattice has one variance for all of its modes.
+    Each distinct value, by bit pattern so -0.0 keeps its sign, is
+    formatted once: a translation-invariant lattice has one nullifier
+    variance for all of its modes, and few distinct V and U entries.
     """
-    v = np.ascontiguousarray(report.variances, dtype=np.float64)
+    v = np.ascontiguousarray(values, dtype=np.float64)
     bits, which = np.unique(v.view(np.int64), return_inverse=True)
     text = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()],
                     dtype=object)
-    return lattice._render_rows(row_format, np.arange(v.size), text[which])
+    return text[which].reshape(v.shape)
+
+
+def _render_variances(row_format: str, report: NullifierReport) -> str:
+    """One ``row_format`` line (mode index, variance text) per mode."""
+    return lattice._render_rows(row_format, np.arange(report.variances.size),
+                                _distinct_text(report.variances))
 
 
 def nullifier_table(report: NullifierReport) -> str:
@@ -706,7 +795,6 @@ def effective_graph_dump(eg: EffectiveGraph) -> str:
     """Dense text dump of V and U with 12 significant digits."""
     out = []
     for name, mat in (("V", eg.V), ("U", eg.U)):
-        out.append(f"{name} n={mat.shape[0]}")
-        row_format = " ".join(["%.12g"] * mat.shape[1])
-        out.extend(row_format % tuple(row) for row in mat.tolist())
-    return "\n".join(out) + "\n"
+        out.append(f"{name} n={mat.shape[0]}\n")
+        out.extend(" ".join(row) + "\n" for row in _distinct_text(mat).tolist())
+    return "".join(out)

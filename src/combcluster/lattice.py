@@ -412,32 +412,33 @@ def _coo_of(Q: sp.csr_matrix):
     return rows, Q.indices, Q.data
 
 
-def bfs_depths(csr) -> tuple[np.ndarray, int]:
+def bfs_depths(csr) -> tuple[np.ndarray, np.ndarray, int]:
     """Breadth-first depth of each node from the lowest-index node of its
-    component, and the number of components, of a symmetric CSR graph.
+    component, each node's component label, and the number of components,
+    of a symmetric CSR graph.
 
     Every stored entry is an edge (a self-loop joins nothing new).  Nodes
     without entries are components of depth 0, set in one step; the other
     components are searched one after another, each from its lowest
     unvisited node, and each level expands the whole frontier at once by
-    gathering its rows of ``indices`` through ``indptr``.
+    gathering its rows of ``indices`` through ``indptr``.  Components are
+    labelled 0, 1, ... in the order of their lowest node.
     """
     n = csr.shape[0]
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
     isolated = degree == 0
     depth = np.where(isolated, 0, -1)
-    n_components = int(isolated.sum())
+    root = np.arange(n)           # lowest node of each node's component
     unseen = ~isolated
-    root = 0
-    while root < n:
+    start = 0
+    while start < n:
         # argmax stops at the first True, so finding every root costs O(n)
-        root += int(np.argmax(unseen[root:]))
-        if not unseen[root]:
+        start += int(np.argmax(unseen[start:]))
+        if not unseen[start]:
             break
-        n_components += 1
-        unseen[root], depth[root] = False, 0
-        frontier, level = np.array([root]), 0
+        unseen[start], depth[start] = False, 0
+        frontier, level = np.array([start]), 0
         while frontier.size:
             level += 1
             starts, counts = indptr[frontier], degree[frontier]
@@ -447,7 +448,9 @@ def bfs_depths(csr) -> tuple[np.ndarray, int]:
             reached = indices[slots]
             frontier = np.unique(reached[unseen[reached]])
             unseen[frontier], depth[frontier] = False, level
-    return depth, n_components
+            root[frontier] = start
+    first = np.cumsum(root == np.arange(n))
+    return depth, first[root] - 1, int(first[-1]) if n else 0
 
 
 def bicoloring(A: PhysAdjacency) -> Bicoloring:
@@ -461,7 +464,7 @@ def bicoloring(A: PhysAdjacency) -> Bicoloring:
     """
     if not A.is_symmetric():
         raise LatticeError("adjacency must be symmetric")
-    depth, _ = bfs_depths(A.csr)
+    depth, _, _ = bfs_depths(A.csr)
     colors = (depth % 2).astype(np.int8)
     rows, cols, _ = _coo_of(A.csr)
     clash = np.flatnonzero(colors[rows] == colors[cols])

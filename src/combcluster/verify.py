@@ -340,7 +340,8 @@ def criterion_crown_to_ring() -> CriterionResult:
     for r in (1.0, 2.0, 3.0):
         _, target, rep = _measure_and_delete(crown, r, top)
         residuals.append(rep.max_variance)
-        details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)}")
+        details.append(f"r={_fmt(r)} max_residual=" + gaussian.format_resolved(
+            rep.max_variance, rep.max_variance_rounding))
     # |weights| and support of the signed target do not depend on r
     weights = np.abs(target.data)
     uniform_half = bool(weights.size) and bool(np.all(weights == 0.5))
@@ -367,9 +368,11 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
         eg_err = gaussian.effective_graph_error(eg, target)
         residuals.append(rep.max_variance)
         eg_errors.append(eg_err)
-        details.append(f"r={_fmt(r)} max_residual={_fmt(rep.max_variance)} "
-                       "effective_graph_error="
-                       f"{gaussian.format_resolved(eg_err, eg.V_rounding)}")
+        resolved = gaussian.format_resolved
+        details.append(
+            f"r={_fmt(r)} max_residual="
+            f"{resolved(rep.max_variance, rep.max_variance_rounding)} "
+            f"effective_graph_error={resolved(eg_err, eg.V_rounding)}")
     weights = np.abs(target.data)
     uniform_quarter = bool(np.all(weights == 0.25))
     stats = gaussian.support_graph_stats(target)
@@ -404,7 +407,9 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
             rotated, M, 0, meridians,
             target=conv.nullifiers.target_adjacency, squeeze_r=r)
         residuals.append(rep.max_residual)
-        details.append(f"gaussian r={_fmt(r)} max_residual={_fmt(rep.max_residual)}")
+        details.append(f"gaussian r={_fmt(r)} max_residual="
+                       + gaussian.format_resolved(rep.max_residual,
+                                                  rep.max_residual_rounding))
     ok = (st.is_connected and st.max_degree <= 4
           and residuals[1] < residuals[0])
     details.append(f"residual_improves={str(residuals[1] < residuals[0]).lower()}")

@@ -1,0 +1,149 @@
+"""q measurement by connected blocks against one QR of all measured rows.
+
+`measure_q` conditions each connected block of the measured and kept rows
+with its own Householder QR.  The oracle is the single-QR algorithm: one
+QR of every measured and kept row, [L_y; L_r]^T = Q R, with conditional
+factor R_22^T and mean gain R_12^T R_11^-T.  Rows in different blocks share
+no column, so both give the same covariance and mean up to rounding.
+"""
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+
+from combcluster import (GaussianError, GaussianState, cluster_state,
+                         ideal_graph_delete, measure_q, nullifier_variances)
+from combcluster import lattice
+
+
+def single_qr_measure(state, nodes, outcomes):
+    """(mean, factor) of the q measurement of sorted ``nodes`` by one QR."""
+    n = state.n
+    keep = np.setdiff1d(np.arange(n), nodes)
+    rest = np.concatenate([keep, n + keep])
+    k = len(nodes)
+    rows = state.factor[np.concatenate([nodes, rest])].toarray()
+    R = np.linalg.qr(rows.T, mode="r")
+    gain = np.linalg.solve(R[:k, :k], R[:k, k:]).T
+    return state.mean[rest] + gain @ (outcomes - state.mean[nodes]), R[k:, k:].T
+
+
+@st.composite
+def block_factors(draw):
+    """(state, nodes, outcomes): a factor whose measured and kept rows fall
+    in 1-3 groups with disjoint column sets, rows and columns permuted.
+
+    A group holds any mix of measured and kept rows (possibly only one
+    kind) and has at least as many columns as measured rows.  The factor
+    has between k + 2m and 2n columns (k measured, m kept modes), so it is
+    square or has fewer columns than rows; kept rows and the unused
+    measured p rows may have no entries.  Measured rows are dense on their
+    group's columns.
+    """
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = rng.permutation(n)[:k]
+    keep = np.setdiff1d(np.arange(n), nodes)
+    measured, kept = nodes, np.concatenate([keep, n + keep])
+    groups = draw(st.integers(1, 3))
+    group = {int(v): draw(st.integers(0, groups - 1))
+             for v in np.concatenate([measured, kept])}
+    widths = []
+    for g in range(groups):
+        kg = sum(group[int(v)] == g for v in measured)
+        mg = sum(group[int(v)] == g for v in kept)
+        widths.append(draw(st.integers(kg, kg + mg)))
+    used = sum(widths)
+    C = used + draw(st.integers(len(measured) + len(kept) - used, 2 * n - used))
+    columns = np.split(rng.permutation(C)[:used], np.cumsum(widths)[:-1])
+    L = np.zeros((2 * n, C))
+    for v in measured:
+        cols = columns[group[int(v)]]
+        L[v, cols] = rng.normal(size=cols.size)
+    for v in kept:
+        cols = columns[group[int(v)]]
+        if not draw(st.booleans()):           # else a row with no entries
+            L[v, cols] = rng.normal(size=cols.size) * (rng.random(cols.size) < 0.7)
+    for v in n + nodes:                       # not selected: any columns
+        L[v] = rng.normal(size=C) * (rng.random(C) < 0.3)
+    # well-conditioned measured rows, so both algorithms agree to 1e-12
+    assume(np.linalg.cond(L[nodes]) <= 100)
+    state = GaussianState(rng.normal(size=2 * n), L)
+    return state, nodes, rng.normal(size=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_factors())
+def test_blocked_measurement_matches_single_qr(case):
+    state, nodes, outcomes = case
+    got = measure_q(state, nodes, outcomes)
+    order = np.argsort(nodes)
+    mean, factor = single_qr_measure(state, nodes[order], outcomes[order])
+    assert got.factor.shape == factor.shape
+    # relative to the kept rows' covariance before the measurement: where
+    # the measured rows span the kept ones the result is 0 up to rounding
+    n = state.n
+    keep = np.setdiff1d(np.arange(n), nodes)
+    scale = np.abs(state.cov[np.ix_(keep, keep)]).max(initial=0) + \
+        np.abs(state.cov[np.ix_(n + keep, n + keep)]).max(initial=0)
+    cov = 0.5 * factor @ factor.T
+    assert np.abs(got.cov - cov).max(initial=0) <= 1e-12 * scale
+    assert np.abs(got.mean - mean).max(initial=0) <= \
+        1e-12 * max(1.0, np.abs(mean).max(initial=0))
+
+
+@pytest.mark.parametrize("r", [0.7, 1.3, 3.0, 4.5])
+def test_cluster_cut_matches_single_qr(r):
+    # the rotated cluster state splits into a q-column and a p-column block
+    A = lattice.expand(lattice.build_torus_supergraph(6))
+    rotated, _ = cluster_state(A, r)
+    measured = np.array([i for i in range(A.n) if i % 4 != 0])
+    outcomes = np.linspace(-1.0, 1.0, measured.size)
+    got = measure_q(rotated, measured, outcomes)
+    mean, factor = single_qr_measure(rotated, measured, outcomes)
+    cov = 0.5 * factor @ factor.T
+    assert np.abs(got.cov - cov).max() <= 1e-14 * np.abs(cov).max()
+    assert np.abs(got.mean - mean).max() <= 1e-14 * np.abs(mean).max()
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_max_variance_rounding_covers_the_measurement(r):
+    # the crown-to-ring residual printed by verify-all: the blocked and the
+    # single QR give variances within the report's rounding bound
+    crown = lattice.expand(lattice.build_ring_supergraph(4))
+    top = np.arange(0, 8, 2)
+    rotated, conv = cluster_state(crown, r)
+    target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
+    rep = nullifier_variances(measure_q(rotated, top), target)
+    mean, factor = single_qr_measure(rotated, top, np.zeros(top.size))
+    want = nullifier_variances(GaussianState(mean, factor), target)
+    assert 0 < rep.max_variance_rounding <= 1e-6 * rep.max_variance
+    assert abs(rep.max_variance - want.max_variance) <= rep.max_variance_rounding
+
+
+@pytest.mark.parametrize("diagonal, factor, nodes, mode", [
+    # a measured q row with no entries
+    ([0.0, 1, 1, 1], None, [0], 0),
+    # two equal measured q rows
+    (None, [[1.0, 2, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0]], [1, 0], 1),
+    # two measured q rows on one column
+    (None, [[1.0, 0, 0, 0, 0, 0], [-2, 0, 0, 0, 0, 0]], [0, 1], 1),
+])
+def test_degenerate_measurement_names_the_mode(diagonal, factor, nodes, mode):
+    if diagonal is not None:
+        L = np.diag(diagonal)
+    else:
+        L = np.eye(6)
+        L[:2] = factor
+    with pytest.raises(GaussianError,
+                       match=f"measured q row of mode {mode} is zero or "
+                             "dependent"):
+        measure_q(GaussianState(np.zeros(len(L)), L), nodes)
+
+
+def test_kept_row_without_entries_stays_a_zero_row():
+    red = measure_q(GaussianState(np.zeros(4), np.diag([1.0, 0, 1, 1])), [0])
+    assert red.factor.shape == (2, 2)
+    assert np.array_equal(red.cov, np.diag([0.0, 0.5]))

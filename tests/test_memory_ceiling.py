@@ -12,7 +12,10 @@ costs ~30 MB more.  `simulate --M 20`
 with a dense 2n x 2n one, so a 250 MB ceiling catches a fall-back to the
 dense factor.  `simulate --M 64` (16 384 modes) peaks at ~145 MB with CSR
 targets, and a single dense n x n target is 2 GiB, so a 300 MB ceiling
-catches any dense target copy.
+catches any dense target copy.  `reduce --M 20 --r 1,2` peaks at ~125 MB
+conditioning the q-column and p-column blocks of the measured rows
+separately and at ~230 MB with one dense QR of all of them, so a 180 MB
+ceiling catches a fall-back to the single QR.
 """
 
 import json
@@ -25,6 +28,7 @@ import pytest
 CEILING_MB = 200
 SIMULATE_CEILING_MB = 250
 SPARSE_TARGET_CEILING_MB = 300
+BLOCKED_QR_CEILING_MB = 180
 
 CHILD = """
 import json, resource, sys
@@ -78,3 +82,12 @@ def test_sparse_targets_stay_under_ceiling(child_env, tmp_path):
     assert lines[0].startswith("r=1 max_variance=")
     assert lines[1].startswith("r=2 max_variance=")
     assert peak_mb < SPARSE_TARGET_CEILING_MB
+
+
+def test_blocked_measurement_stays_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["reduce", "--M", "20", "--r", "1,2"], child_env,
+                          tmp_path)
+    assert lines[0].startswith("ideal nodes=361 connected=true")
+    assert lines[1].startswith("r=1 max_residual=")
+    assert lines[2].startswith("r=2 max_residual=")
+    assert peak_mb < BLOCKED_QR_CEILING_MB
