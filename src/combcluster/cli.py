@@ -163,9 +163,9 @@ def cmd_simulate(args) -> int:
     gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n, "sparse")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     runs = []
-    for r in args.squeeze_r:
-        _, conv = gaussian.cluster_state(A, r)
+    for _, conv in gaussian.cluster_states(A, args.squeeze_r):
         rep = conv.nullifiers
+        r = rep.squeeze_r
         tag = f"M{args.M}_r{_fmt(r)}"
         runs.append((
             f"r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
@@ -186,8 +186,8 @@ def cmd_reduce(args) -> int:
     st = ideal_report.graph_stats
     runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
              f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]
-    for r in args.squeeze_r:
-        rotated, conv = gaussian.cluster_state(A, r)
+    for rotated, conv in gaussian.cluster_states(A, args.squeeze_r):
+        r = conv.nullifiers.squeeze_r
         target = conv.nullifiers.target_adjacency
         reduced, rep = gaussian.reduce_and_cut(
             rotated, args.M, args.keep_layer, meridians,

@@ -12,14 +12,18 @@ A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  L is one canonical scipy.sparse CSR array: the
 evolved factor has the sparsity of A, a quarter turn permutes and signs its
 rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
-float CSR target) are sparse products.  Dense copies are taken only for QR
-(q measurements, one QR per connected block of the measured and kept rows
-of L: after the quarter turn each row lies in the q or in the p columns,
-so a lattice cut is two blocks), SVD (purity checks, svd of
-L.T @ Omega @ L) and solve (the effective graph, compared with a dense copy
-of its small kept target), and for the covariance, derived on access.
-Reading the factor keeps these accurate where the covariance is stiff with
-e^{+-4r} eigenvalue pairs.
+float CSR target) are sparse products.  A q measurement first conditions
+on the measured q rows orthogonal to every other measured row by a sparse
+projection (all of them for the quarter-turned cluster state, whose q rows
+have Gram cosh(4r) 1).  Dense copies are taken only for QR (the rest of a
+q measurement, one QR per connected block of the coupled measured rows and
+the projected kept rows: after the quarter turn each row lies in the q or
+in the p columns, so a lattice cut is two blocks of kept rows; and purity
+checks, det(L L^T) from one QR of L^T), SVD (the symplectic spectrum) and
+solve (the effective graph, compared with a dense copy of its small kept
+target), and for the covariance, derived on access.  Reading the factor
+keeps these accurate where the covariance is stiff with e^{+-4r}
+eigenvalue pairs.
 
 The library imports numpy and scipy.sparse only, and every path but
 criterion 4's oracle calls numpy.linalg and scipy.sparse alone.
@@ -63,10 +67,13 @@ _PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
-# Peak RSS above the import baseline, bounded by about twice what was
-# measured: `reduce` per float64 entry of a dense 2n x 2n matrix (its dense
-# QR; 3.8 and 3.1 at M = 10 and 14), `simulate` per mode (CSR factor and
-# targets; 7.0, 6.1 and 5.9 KB at M = 20, 36 and 64).
+# Peak RSS above the import baseline, bounded by at least twice what was
+# measured: `reduce` per float64 entry of a dense 2n x 2n matrix (0.90,
+# 0.50, 0.37 and 0.30 at M = 10, 14, 20 and 28, whose blocks' QRs hold only
+# the kept rows; 3.8 and 3.1 at M = 10 and 14 with one QR of every measured
+# and kept row, which a factor whose measured rows are all coupled still
+# takes), `simulate` per mode (CSR factor and targets; 7.0, 6.1 and 5.9 KB
+# at M = 20, 36 and 64).
 _DENSE_PEAK_FACTORS = 8
 _SPARSE_PEAK_PER_MODE = 16 * 1024
 
@@ -151,20 +158,31 @@ class GaussianState:
         return 0.5 * (L @ L.T)
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic spectrum (n values, 1/2 each for a pure state)."""
+        """Symplectic spectrum (n values, 1/2 each for a pure state).
+
+        The singular values of L^T Omega L come in equal pairs, one pair
+        per value; a factor with fewer than 2n columns has fewer, and the
+        missing values are 0."""
         if self.n == 0:
             return np.zeros(0)
         L = self.factor.toarray()
         K = L.T @ omega(self.n) @ L
-        s = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
+        s = np.zeros(2 * self.n + K.shape[0])
+        s[:K.shape[0]] = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
         return 0.5 * s[:2 * self.n:2]
 
     def purity_defect(self) -> float:
-        """|det(2 cov) - 1| computed through the symplectic spectrum."""
+        """|det(2 cov) - 1|, where det(2 cov) = det(L L^T) = prod R_ii^2 for
+        one QR of L^T; 1 for a factor with fewer than 2n columns, whose
+        det(2 cov) is 0."""
         if self.n == 0:
             return 0.0
-        nus = self.symplectic_eigenvalues()
-        return abs(np.expm1(2.0 * np.sum(np.log(2.0 * nus))))
+        if self.factor.shape[1] < 2 * self.n:
+            return 1.0
+        R = np.linalg.qr(self.factor.T.toarray(), mode="r")
+        with np.errstate(divide="ignore"):
+            log_det = 2.0 * np.sum(np.log(np.abs(np.diagonal(R))))
+        return abs(np.expm1(log_det))
 
     def uncertainty_defect(self) -> float:
         """How far below 1/2 the smallest symplectic eigenvalue falls (>= 0)."""
@@ -217,19 +235,27 @@ class EvolutionParams:
         object.__setattr__(self, "adjacency", A)
 
 
-def evolution_symplectic(A, r: float) -> sp.csr_array:
+def _is_orthogonal(A: sp.csr_array) -> bool:
+    """A @ A = 1 to _ORTHOGONAL_TOL, by the sparse product."""
+    I = sp.eye_array(A.shape[0], format="csr")
+    return np.abs((A @ A - I).data).max(initial=0.0) <= _ORTHOGONAL_TOL
+
+
+def evolution_symplectic(A, r: float,
+                         orthogonal: bool | None = None) -> sp.csr_array:
     """Symplectic matrix blkdiag(exp(2rA), exp(-2rA)) of the evolution, CSR.
 
     For orthogonal A (A @ A = 1, exact for the quarter-integer lattices
-    here, decided by the sparse product) the closed form
-    cosh(2r) 1 +- sinh(2r) A is used; it has the sparsity of A and keeps
-    the q and p blocks exactly inverse to each other, which protects state
-    purity at large r.  Otherwise scipy's scaling-and-squaring expm runs on
-    a dense copy.
+    here) the closed form cosh(2r) 1 +- sinh(2r) A is used; it has the
+    sparsity of A and keeps the q and p blocks exactly inverse to each
+    other, which protects state purity at large r.  Otherwise scipy's
+    scaling-and-squaring expm runs on a dense copy.  ``orthogonal`` is
+    `_is_orthogonal(A)`, computed here unless the caller passes it
+    (`cluster_states` computes it once for all r).
     """
     A = _as_sparse_adjacency(A)
     I = sp.eye_array(A.shape[0], format="csr")
-    if np.abs((A @ A - I).data).max(initial=0.0) <= _ORTHOGONAL_TOL:
+    if _is_orthogonal(A) if orthogonal is None else orthogonal:
         ch, sh = np.cosh(2 * r), np.sinh(2 * r)
         Sq = ch * I + sh * A
         Sp = ch * I - sh * A
@@ -241,9 +267,11 @@ def evolution_symplectic(A, r: float) -> sp.csr_array:
     return sp.block_diag((Sq, Sp), format="csr")
 
 
-def evolve(params: EvolutionParams) -> GaussianState:
-    """Evolve vacuum (factor 1) under the coupling: the factor becomes S."""
-    S = evolution_symplectic(params.adjacency, params.squeeze_r)
+def evolve(params: EvolutionParams,
+           orthogonal: bool | None = None) -> GaussianState:
+    """Evolve vacuum (factor 1) under the coupling: the factor becomes S
+    (`evolution_symplectic`, which takes ``orthogonal``)."""
+    S = evolution_symplectic(params.adjacency, params.squeeze_r, orthogonal)
     return GaussianState(np.zeros(S.shape[0]), S)
 
 
@@ -423,19 +451,29 @@ def best_phase_convention(state: GaussianState, coloring: Bicoloring,
                            state=rotated)
 
 
-def cluster_state(A: PhysAdjacency, r: float):
-    """The cluster state of A at squeezing r, in its best phase convention.
+def cluster_states(A: PhysAdjacency, rs):
+    """Yield the cluster state of A at each squeezing r in ``rs``.
 
-    Evolves vacuum under A and picks the convention with
-    `best_phase_convention`, whose color-1 rotation is the returned state.
-    Returns (rotated state, PhaseConvention); the convention's
-    ``nullifiers`` report carries squeeze_r = r.
+    Each is vacuum evolved under A, in the convention picked by
+    `best_phase_convention`, whose color-1 rotation is the yielded state:
+    (rotated state, PhaseConvention), the convention's ``nullifiers``
+    report carrying squeeze_r = r.  The bicoloring, the float adjacency
+    and its orthogonality depend on A alone and are computed once.
     """
     colors = lattice.bicoloring(A)
-    params = EvolutionParams(A, r)
-    conv = best_phase_convention(evolve(params), colors, params.adjacency)
-    conv.nullifiers.squeeze_r = r
-    return conv.state, conv
+    At = _as_sparse_adjacency(A)
+    orthogonal = _is_orthogonal(At)
+    for r in rs:
+        params = EvolutionParams(At, r)
+        conv = best_phase_convention(evolve(params, orthogonal), colors,
+                                     params.adjacency)
+        conv.nullifiers.squeeze_r = r
+        yield conv.state, conv
+
+
+def cluster_state(A: PhysAdjacency, r: float):
+    """(rotated state, PhaseConvention) of A at one r: `cluster_states`."""
+    return next(cluster_states(A, [r]))
 
 
 # ============================================================
@@ -489,22 +527,52 @@ def _dense_blocks(X: sp.csr_array):
         yield order[lo:hi], D
 
 
+def _uncorrelated_rows(X: sp.csr_array):
+    """(mask, Gram diagonal) of the rows of X orthogonal to every other row.
+
+    Row i is uncorrelated when each off-diagonal |G_ij| of the sparse Gram
+    G = X X^T is within the product's rounding gamma sqrt(G_ii) sqrt(G_jj),
+    gamma = (k+1) eps for k the largest row count.  A row whose G_ii
+    overflows, or falls below tiny/eps where its squares may underflow (a
+    row with no entries among them), is not: its gain 1/G_ii would vanish,
+    overflow or lose its digits.
+    """
+    G = (X @ X.T).tocoo()
+    d = G.diagonal()
+    gamma = (np.diff(X.indptr).max(initial=0) + 1) * np.finfo(float).eps
+    root = np.sqrt(d)
+    off = G.row != G.col
+    i, j = G.row[off], G.col[off]
+    coupled = np.abs(G.data[off]) > gamma * root[i] * root[j]
+    free = (np.finfo(float).tiny / np.finfo(float).eps < d) & (d < np.inf)
+    free[i[coupled]] = False
+    return free, d
+
+
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
     Conditioning projects the kept rows L_r (kept q, then kept p) onto the
-    null space of the measured q rows L_y.  Rows of [L_y; L_r] that share
-    no column condition independently, so each connected block of them
+    null space of the measured q rows L_y, in two steps.
+
+    First the measured rows F orthogonal to every other measured row
+    (`_uncorrelated_rows`; all of them for the quarter-turned cluster state,
+    whose q rows have Gram cosh(4r) 1) condition by a sparse projection:
+    gain W = L_r L_F^T diag(1/|L_F|^2), kept rows P = L_r - W L_F.
+
+    The other measured rows C are orthogonal to F, so conditioning on them
+    next conditions on all of L_y.  Rows of [L_C; P] that share no column
+    condition independently, so each connected block of them
     (`_dense_blocks`) is conditioned alone; a fully coupled factor is one
     block.  One Householder QR of the block's dense rows,
-    [L_y; L_r]^T = Q [[R_11, R_12], [0, R_22]], gives both results: the
-    projected factor L_r P = (Q_2 R_22)^T, so the block's conditional factor
+    [L_C; P]^T = Q [[R_11, R_12], [0, R_22]], gives both results: the
+    projected factor P P_C = (Q_2 R_22)^T, so the block's conditional factor
     is R_22^T and the kept covariance is outcome independent; and the mean
-    gain L_r L_y^T (L_y L_y^T)^-1 = R_12^T R_11^-T, without the normal
-    equations that square L_y's condition number.  The conditional factor
+    gain P L_C^T (L_C L_C^T)^-1 = R_12^T R_11^-T, without the normal
+    equations that square L_C's condition number.  The conditional factor
     (2m x 2m, CSR) holds the blocks' R_22^T on its diagonal, with columns in
     block order, and a kept row without entries stays a zero row.  Means
-    move by the gain for the given outcomes (default all zero).  A measured
+    move by the gains for the given outcomes (default all zero).  A measured
     row whose pivot |R_ii| is within its QR rounding, (block rows) eps |row|,
     is zero or dependent on the measured rows before it: GaussianError
     naming its mode.  Measuring every mode returns the empty state.
@@ -525,13 +593,21 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
         return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
-    k = len(nodes)
+    nodes = np.asarray(nodes)
     shift = outcomes - state.mean[nodes]
     # + 0.0: blocks without measured rows turn -0.0 means into +0.0 too
     mean_c = state.mean[rest] + 0.0
+    Ly, Lr = state.factor[nodes], state.factor[rest]
+    free, norms2 = _uncorrelated_rows(Ly)
+    if free.any():
+        LF = Ly[np.flatnonzero(free)]
+        W = (Lr @ LF.T) @ sp.diags_array(1.0 / norms2[free])
+        mean_c += W @ shift[free]
+        Lr = Lr - W @ LF
+    coupled = np.flatnonzero(~free)
+    k = coupled.size
     parts, width = [], 0
-    for block, D in _dense_blocks(
-            state.factor[np.concatenate([nodes, rest])]):
+    for block, D in _dense_blocks(sp.vstack([Ly[coupled], Lr], format="csr")):
         kb = int(np.searchsorted(block, k))   # its measured rows come first
         kept = block[kb:] - k
         R = np.linalg.qr(D.T, mode="r")
@@ -541,11 +617,11 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
                          * np.linalg.norm(D[:kb], axis=1))
         if low.any():
             raise GaussianError(
-                f"measured q row of mode {nodes[block[np.argmax(low)]]} is "
-                "zero or dependent on the other measured rows")
+                f"measured q row of mode {nodes[coupled[block[np.argmax(low)]]]}"
+                " is zero or dependent on the other measured rows")
         if kb and kept.size:
             gain = np.linalg.solve(R[:kb, :kb], R[:kb, kb:]).T
-            mean_c[kept] += gain @ shift[block[:kb]]
+            mean_c[kept] += gain @ shift[coupled[block[:kb]]]
         L = sp.coo_array(R[kb:, kb:].T)
         parts.append((L.data, kept[L.row], width + L.col))
         width += kept.size

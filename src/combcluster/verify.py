@@ -294,9 +294,9 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
     monotone_ok = True
     for name, A in _convention_cases(M):
         maxima = []
-        for r in (0.5, 1.0, 2.0):
-            _, conv = gaussian.cluster_state(A, r)
+        for _, conv in gaussian.cluster_states(A, (0.5, 1.0, 2.0)):
             rep = conv.nullifiers
+            r = rep.squeeze_r
             claimed = np.exp(-2.0 * r) / 2.0
             err = float(np.abs(rep.variances - claimed).max())
             spread = float(np.ptp(rep.variances))
@@ -318,17 +318,18 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
                            details)
 
 
-def _measure_and_delete(A: lattice.PhysAdjacency, r: float, measured):
-    """q-measure nodes of A's cluster state and delete them from its target.
+def _measure_and_delete(A: lattice.PhysAdjacency, rs, measured):
+    """q-measure nodes of A's cluster state at each r in ``rs`` and delete
+    them from its target.
 
-    Returns (reduced state, reduced signed target, its nullifier report).
+    Yields (reduced state, reduced signed target, its nullifier report).
     """
-    rotated, conv = gaussian.cluster_state(A, r)
-    reduced = gaussian.measure_q(rotated, measured)
-    target = gaussian.ideal_graph_delete(conv.nullifiers.target_adjacency,
-                                          measured)
-    rep = gaussian.nullifier_variances(reduced, target, squeeze_r=r)
-    return reduced, target, rep
+    for rotated, conv in gaussian.cluster_states(A, rs):
+        reduced = gaussian.measure_q(rotated, measured)
+        target = gaussian.ideal_graph_delete(conv.nullifiers.target_adjacency,
+                                              measured)
+        yield reduced, target, gaussian.nullifier_variances(
+            reduced, target, squeeze_r=conv.nullifiers.squeeze_r)
 
 
 def criterion_crown_to_ring() -> CriterionResult:
@@ -337,8 +338,8 @@ def criterion_crown_to_ring() -> CriterionResult:
     residuals = []
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = [2 * k for k in range(4)]       # layer-0 node of each macronode
-    for r in (1.0, 2.0, 3.0):
-        _, target, rep = _measure_and_delete(crown, r, top)
+    for _, target, rep in _measure_and_delete(crown, (1.0, 2.0, 3.0), top):
+        r = rep.squeeze_r
         residuals.append(rep.max_variance)
         details.append(f"r={_fmt(r)} max_residual=" + gaussian.format_resolved(
             rep.max_variance, rep.max_variance_rounding))
@@ -362,8 +363,8 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
     residuals, eg_errors = [], []
     A = lattice.expand(lattice.build_torus_supergraph(M))
     measured = [i for i in range(A.n) if i % 4 != 0]
-    for r in (1.0, 2.0):
-        reduced, target, rep = _measure_and_delete(A, r, measured)
+    for reduced, target, rep in _measure_and_delete(A, (1.0, 2.0), measured):
+        r = rep.squeeze_r
         eg = gaussian.effective_graph(reduced)
         eg_err = gaussian.effective_graph_error(eg, target)
         residuals.append(rep.max_variance)
@@ -401,8 +402,8 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
         f"cycle_rank={st.cycle_rank} "
         f"degree_histogram={sorted(st.degree_histogram.items())}")
     residuals = []
-    for r in (1.0, 2.0):
-        rotated, conv = gaussian.cluster_state(A, r)
+    for rotated, conv in gaussian.cluster_states(A, (1.0, 2.0)):
+        r = conv.nullifiers.squeeze_r
         _, rep = gaussian.reduce_and_cut(
             rotated, M, 0, meridians,
             target=conv.nullifiers.target_adjacency, squeeze_r=r)

@@ -1,10 +1,14 @@
-"""q measurement by connected blocks against one QR of all measured rows.
+"""q measurement by projection and connected blocks against one QR of all
+measured rows.
 
-`measure_q` conditions each connected block of the measured and kept rows
-with its own Householder QR.  The oracle is the single-QR algorithm: one
-QR of every measured and kept row, [L_y; L_r]^T = Q R, with conditional
-factor R_22^T and mean gain R_12^T R_11^-T.  Rows in different blocks share
-no column, so both give the same covariance and mean up to rounding.
+`measure_q` conditions on the measured rows orthogonal to every other
+measured row by a sparse projection, then on the rest with one Householder
+QR per connected block of them and the projected kept rows.  The oracle is
+the single-QR algorithm: one QR of every measured and kept row,
+[L_y; L_r]^T = Q R, with conditional factor R_22^T and mean gain
+R_12^T R_11^-T.  Projecting on orthogonal rows one after another projects
+on their span, and rows in different blocks share no column, so both give
+the same covariance and mean up to rounding.
 """
 
 import hypothesis.strategies as st
@@ -12,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from combcluster import (GaussianError, GaussianState, cluster_state,
-                         ideal_graph_delete, measure_q, nullifier_variances)
+from combcluster import (EvolutionParams, GaussianError, GaussianState,
+                         cluster_state, evolve, ideal_graph_delete, measure_q,
+                         nullifier_variances)
 from combcluster import lattice
 
 
@@ -39,7 +44,10 @@ def block_factors(draw):
     has between k + 2m and 2n columns (k measured, m kept modes), so it is
     square or has fewer columns than rows; kept rows and the unused
     measured p rows may have no entries.  Measured rows are dense on their
-    group's columns.
+    group's columns; some are then made orthogonal to every other measured
+    row of their group (so to every other measured row), and when a mode
+    is kept at most one is zero.  The factor is scaled by 1, 1e-150 or
+    1e150.
     """
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
@@ -68,8 +76,24 @@ def block_factors(draw):
             L[v, cols] = rng.normal(size=cols.size) * (rng.random(cols.size) < 0.7)
     for v in n + nodes:                       # not selected: any columns
         L[v] = rng.normal(size=C) * (rng.random(C) < 0.3)
-    # well-conditioned measured rows, so both algorithms agree to 1e-12
-    assume(np.linalg.cond(L[nodes]) <= 100)
+    for v in measured:
+        if draw(st.booleans()):              # orthogonal to the others
+            cols = columns[group[int(v)]]
+            others = [u for u in measured
+                      if u != v and group[int(u)] == group[int(v)]]
+            Q = np.linalg.qr(L[np.ix_(others, cols)].T)[0]
+            L[v, cols] -= Q @ (Q.T @ L[v, cols])
+    # (measuring every mode returns the empty state unchecked)
+    zero = rng.choice(measured) if k < n and rng.random() < 0.2 else None
+    if zero is not None:
+        L[zero] = 0.0
+    # well-conditioned nonzero measured rows, so both algorithms agree to
+    # 1e-12
+    nonzero = [v for v in nodes if v != zero]
+    assume(not nonzero or np.linalg.cond(L[nonzero]) <= 100)
+    # scales whose Gram entries would underflow or whose products of two
+    # Gram entries would overflow
+    L *= draw(st.sampled_from([1.0, 1e-150, 1e150]))
     state = GaussianState(rng.normal(size=2 * n), L)
     return state, nodes, rng.normal(size=k)
 
@@ -78,6 +102,12 @@ def block_factors(draw):
 @given(block_factors())
 def test_blocked_measurement_matches_single_qr(case):
     state, nodes, outcomes = case
+    zero = np.diff(state.factor[nodes].indptr) == 0
+    if zero.any():
+        with pytest.raises(GaussianError, match=f"measured q row of mode "
+                           f"{nodes[zero].min()} is zero or dependent"):
+            measure_q(state, nodes, outcomes)
+        return
     got = measure_q(state, nodes, outcomes)
     order = np.argsort(nodes)
     mean, factor = single_qr_measure(state, nodes[order], outcomes[order])
@@ -96,16 +126,30 @@ def test_blocked_measurement_matches_single_qr(case):
 
 @pytest.mark.parametrize("r", [0.7, 1.3, 3.0, 4.5])
 def test_cluster_cut_matches_single_qr(r):
-    # the rotated cluster state splits into a q-column and a p-column block
+    # the rotated cluster state's measured q rows are all orthogonal, and
+    # its kept rows split into a q-column and a p-column block; before the
+    # quarter turn, measured neighbours are coupled and the others are not
     A = lattice.expand(lattice.build_torus_supergraph(6))
     rotated, _ = cluster_state(A, r)
     measured = np.array([i for i in range(A.n) if i % 4 != 0])
-    outcomes = np.linspace(-1.0, 1.0, measured.size)
-    got = measure_q(rotated, measured, outcomes)
-    mean, factor = single_qr_measure(rotated, measured, outcomes)
-    cov = 0.5 * factor @ factor.T
-    assert np.abs(got.cov - cov).max() <= 1e-14 * np.abs(cov).max()
-    assert np.abs(got.mean - mean).max() <= 1e-14 * np.abs(mean).max()
+    cases = [(rotated, measured, np.linspace(-1.0, 1.0, measured.size), True)]
+    # random subsets at M = 10; the unturned state's coupled measured rows
+    # are ill conditioned at large r, which leaves its mean to their cond
+    A10 = lattice.expand(lattice.build_torus_supergraph(10))
+    rng = np.random.default_rng(int(10 * r))
+    for state, check_mean in ((cluster_state(A10, r)[0], True),
+                              (evolve(EvolutionParams(A10, r)), False)):
+        for _ in range(2):
+            k = int(rng.integers(1, A10.n))
+            nodes = np.sort(rng.choice(A10.n, size=k, replace=False))
+            cases.append((state, nodes, rng.normal(size=k), check_mean))
+    for state, nodes, outcomes, check_mean in cases:
+        got = measure_q(state, nodes, outcomes)
+        mean, factor = single_qr_measure(state, nodes, outcomes)
+        cov = 0.5 * factor @ factor.T
+        assert np.abs(got.cov - cov).max() <= 1e-14 * np.abs(cov).max()
+        if check_mean:
+            assert np.abs(got.mean - mean).max() <= 1e-14 * np.abs(mean).max()
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
-                         NullifierReport, PhysAdjacency, PrecisionLossError,
-                         best_phase_convention, bicoloring,
-                         build_torus_supergraph, cluster_state,
+                         GaussianState, NullifierReport, PhysAdjacency,
+                         PrecisionLossError, best_phase_convention, bicoloring,
+                         build_torus_supergraph, cluster_state, cluster_states,
                          effective_graph, effective_graph_dump,
                          evolution_symplectic, evolve, expand,
                          ideal_graph_delete, lattice_cut_nodes,
@@ -104,6 +104,44 @@ def test_evolution_purity_and_uncertainty(lattice6):
         st = evolve(EvolutionParams(lattice6.dense(), r))
         assert st.purity_defect() < 1e-9
         assert st.uncertainty_defect() < 1e-9
+
+
+def svd_purity_defect(state):
+    """|det(2 cov) - 1| through the symplectic spectrum: the doubled
+    symplectic values are the paired singular values of L^T Omega L."""
+    L = state.factor.toarray()
+    s = np.sort(np.linalg.svd(L.T @ omega(state.n) @ L, compute_uv=False))
+    return abs(np.expm1(2.0 * np.sum(np.log(s[::-1][:2 * state.n:2]))))
+
+
+def test_purity_defect_matches_the_symplectic_spectrum(lattice6):
+    rng = np.random.default_rng(11)
+    evolved = evolve(EvolutionParams(lattice6, 1.0))
+    rotated, _ = cluster_state(lattice6, 2.0)
+    measured = [i for i in range(lattice6.n) if i % 4]
+    # a wider factor: the evolved one times 2n orthonormal rows
+    rows = np.linalg.qr(rng.normal(size=(2 * lattice6.n + 9,
+                                          2 * lattice6.n)))[0].T
+    pure = [vacuum(3), evolved, rotated,
+            measure_q(rotated, measured, rng.normal(size=len(measured))),
+            GaussianState(evolved.mean, evolved.factor @ rows)]
+    mixed = [GaussianState(np.zeros(4), rng.normal(size=(4, 4))),
+             GaussianState(np.zeros(4), rng.normal(size=(4, 7)))]
+    for st in pure:
+        assert st.purity_defect() <= 1e-9
+        assert abs(st.purity_defect() - svd_purity_defect(st)) <= 1e-9
+    for st in mixed:
+        assert st.purity_defect() == pytest.approx(svd_purity_defect(st),
+                                                   rel=1e-10)
+
+
+def test_narrow_factor_has_zero_symplectic_values():
+    # a 6 x 4 factor has rank 4 < 2n: its covariance is singular
+    st = GaussianState(np.zeros(6), np.random.default_rng(5).normal(size=(6, 4)))
+    nus = st.symplectic_eigenvalues()
+    assert nus.shape == (3,) and nus[-1] == 0.0
+    assert st.purity_defect() == 1.0
+    assert st.uncertainty_defect() == 0.5
 
 
 # ============================================================
@@ -289,6 +327,29 @@ def test_cluster_state_rotates_once(monkeypatch, lattice6):
         rotated, conv = cluster_state(lattice6, r)
         assert len(calls) == 1
         assert rotated is conv.state
+
+
+def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
+                                                              lattice6):
+    # what depends on A alone runs once for all r, and each state equals a
+    # separate cluster_state call, bit for bit
+    import combcluster.gaussian as gaussian
+    rs = (0.5, 1.0, 2.0)
+    want = [cluster_state(lattice6, r) for r in rs]
+    calls = []
+    for owner, name in ((gaussian.lattice, "bicoloring"),
+                        (gaussian, "_is_orthogonal")):
+        def counting(*args, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counting)
+    got = list(cluster_states(lattice6, rs))
+    assert sorted(calls) == ["_is_orthogonal", "bicoloring"]
+    for (state, conv), (ref, ref_conv), r in zip(got, want, rs):
+        assert same_csr(state.factor, ref.factor)
+        assert np.array_equal(conv.nullifiers.variances,
+                              ref_conv.nullifiers.variances)
+        assert conv.nullifiers.squeeze_r == r
 
 
 def test_lattice_variance_shrinks_with_r(lattice6):

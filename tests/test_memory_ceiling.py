@@ -15,7 +15,11 @@ targets, and a single dense n x n target is 2 GiB, so a 300 MB ceiling
 catches any dense target copy.  `reduce --M 20 --r 1,2` peaks at ~125 MB
 conditioning the q-column and p-column blocks of the measured rows
 separately and at ~230 MB with one dense QR of all of them, so a 180 MB
-ceiling catches a fall-back to the single QR.
+ceiling catches a fall-back to the single QR.  `reduce --M 28 --r 1`
+(3136 modes) peaks at ~142 MB conditioning on the uncorrelated measured
+q rows by a sparse projection, so that each block's QR holds only the
+kept rows, and at ~258 MB when every measured row enters the blocks'
+QRs, so a 200 MB ceiling catches a fall-back to QRs of the measured rows.
 """
 
 import json
@@ -29,6 +33,7 @@ CEILING_MB = 200
 SIMULATE_CEILING_MB = 250
 SPARSE_TARGET_CEILING_MB = 300
 BLOCKED_QR_CEILING_MB = 180
+PROJECTED_QR_CEILING_MB = 200
 
 CHILD = """
 import json, resource, sys
@@ -91,3 +96,11 @@ def test_blocked_measurement_stays_under_ceiling(child_env, tmp_path):
     assert lines[1].startswith("r=1 max_residual=")
     assert lines[2].startswith("r=2 max_residual=")
     assert peak_mb < BLOCKED_QR_CEILING_MB
+
+
+def test_projected_measurement_stays_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["reduce", "--M", "28", "--r", "1"], child_env,
+                          tmp_path)
+    assert lines[0].startswith("ideal nodes=729 connected=true")
+    assert lines[1].startswith("r=1 max_residual=")
+    assert peak_mb < PROJECTED_QR_CEILING_MB
