@@ -36,7 +36,7 @@ from .hankel import (
     NotHankelError, PumpCompileError,
 )
 from .gaussian import (
-    GaussianState, vacuum, omega,
+    GaussianState, vacuum,
     EvolutionParams, evolve, evolution_symplectic,
     rotate_color_class, best_phase_convention, PhaseConvention,
     cluster_state, cluster_states,

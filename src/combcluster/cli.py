@@ -6,7 +6,8 @@ simulations and write deterministic text outputs suitable for regression
 diffing.  Exit codes: 0 success, 2 configuration error, 3 validation
 failure, 4 internal invariant breach or lost precision (PrecisionLossError:
 a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5, or
-an effective-graph error it cannot, seen from r near 2.2 to 2.5).
+an effective-graph error it cannot, seen from r between 2.2 and 2.5 at
+every M).
 `simulate` and `reduce` exit 2 before building the lattice when their
 estimated peak memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
@@ -16,6 +17,7 @@ error: code=<n> cause=<type> detail="...".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,12 +47,14 @@ def _parse_float_list(text: str):
 
 
 def _write(outdir, name, content, emitted):
+    """Write ``content`` (text, or a callable rendering it) to outdir/name;
+    without an outdir nothing is rendered or written."""
     if outdir is None:
         return
     path = Path(outdir)
     path.mkdir(parents=True, exist_ok=True)
     target = path / name
-    target.write_text(content)
+    target.write_text(content() if callable(content) else content)
     emitted.append(str(target))
 
 
@@ -146,9 +150,9 @@ def cmd_pump(args) -> int:
 def _emit(outdir, runs) -> None:
     """Print each run's line and write its files, then list the files.
 
-    ``runs`` holds (line, [(name, text)]) pairs.  Callers compute every run
-    before emitting any, so a refusal part-way through an --r list leaves
-    no output behind."""
+    ``runs`` holds (line, [(name, content)]) pairs, content as `_write`
+    takes it.  Callers compute every run before emitting any, so a refusal
+    part-way through an --r list leaves no output behind."""
     emitted = []
     for line, files in runs:
         for name, content in files:
@@ -160,7 +164,7 @@ def _emit(outdir, runs) -> None:
 
 def cmd_simulate(args) -> int:
     n = 4 * args.M ** 2
-    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n, "sparse")
+    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n)
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     runs = []
     for _, conv in gaussian.cluster_states(A, args.squeeze_r):
@@ -178,7 +182,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_reduce(args) -> int:
     n = 4 * args.M ** 2
-    gaussian.require_fit(n, gaussian._DENSE_PEAK_FACTORS * (2 * n) ** 2 * 8, "dense")
+    # the (M-1)^2 kept modes' dense V/U dump, when it is written
+    entries = (args.M - 1) ** 4 if args.output_dir else 0
+    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n
+                         + gaussian._DUMP_PEAK_PER_ENTRY * entries)
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     meridians = tuple(args.meridians)
     _, ideal_report = gaussian.reduce_and_cut(
@@ -203,7 +210,7 @@ def cmd_reduce(args) -> int:
         runs.append((f"r={_fmt(r)} {result}",
                      [(f"reduction_{tag}.txt", result + "\n"),
                       (f"effective_graph_{tag}.txt",
-                       gaussian.effective_graph_dump(eg))]))
+                       functools.partial(gaussian.effective_graph_dump, eg))]))
     _emit(args.output_dir, runs)
     return EXIT_OK
 

@@ -12,17 +12,17 @@ A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  L is one canonical scipy.sparse CSR array: the
 evolved factor has the sparsity of A, a quarter turn permutes and signs its
 rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
-float CSR target) are sparse products.  A q measurement first conditions
-on the measured q rows orthogonal to every other measured row by a sparse
-projection (all of them for the quarter-turned cluster state, whose q rows
-have Gram cosh(4r) 1).  Dense copies are taken only for QR (the rest of a
-q measurement, one QR per connected block of the coupled measured rows and
-the projected kept rows: after the quarter turn each row lies in the q or
-in the p columns, so a lattice cut is two blocks of kept rows; and purity
-checks, det(L L^T) from one QR of L^T), SVD (the symplectic spectrum) and
-solve (the effective graph, compared with a dense copy of its small kept
-target), and for the covariance, derived on access.  Reading the factor
-keeps these accurate where the covariance is stiff with e^{+-4r}
+float CSR target) are sparse products.  One step, `_condition`, projects
+rows off rows.  A q measurement projects the kept rows off the measured q
+rows, and the projected rows, every column kept, are the conditional
+factor.  The effective graph and the purity check project the p rows off
+the q rows: V is the gain, U the inverse Gram, and the purity defect the
+Schur residual of the projected p rows.  The quarter-turned cluster state's
+q rows have Gram cosh(4r) 1, so on its path every step is a sparse product.
+Dense copies remain only for one QR of coupled rows (the unturned state,
+random factors; never the cluster path), for the dump of V and U a chunk
+of rows at a time, and for the covariance, derived on access.  Reading the
+factor keeps these accurate where the covariance is stiff with e^{+-4r}
 eigenvalue pairs.
 
 The library imports numpy and scipy.sparse only, and every path but
@@ -68,21 +68,13 @@ _PRECISION_TOL = 1e-6
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
 # Peak RSS above the import baseline, bounded by at least twice what was
-# measured: `reduce` per float64 entry of a dense 2n x 2n matrix (0.90,
-# 0.50, 0.37 and 0.30 at M = 10, 14, 20 and 28, whose blocks' QRs hold only
-# the kept rows; 3.8 and 3.1 at M = 10 and 14 with one QR of every measured
-# and kept row, which a factor whose measured rows are all coupled still
-# takes), `simulate` per mode (CSR factor and targets; 7.0, 6.1 and 5.9 KB
-# at M = 20, 36 and 64).
-_DENSE_PEAK_FACTORS = 8
+# measured: per mode for `simulate` and `reduce`, which hold CSR arrays only
+# (factor, targets, V and U; `simulate` 7.0, 6.1 and 5.9 KB at M = 20, 36
+# and 64, `reduce` 7.1, 6.5 and 6.0 KB at M = 20, 28 and 64), and per pair
+# (i, j) of the m kept modes, whose V and U entries `reduce --output-dir`
+# renders as dense text (4.5 B at M = 64).
 _SPARSE_PEAK_PER_MODE = 16 * 1024
-
-
-def omega(n: int) -> np.ndarray:
-    """Symplectic form in (q.., p..) ordering: [[0, 1], [-1, 0]] blocks."""
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    return np.block([[Z, I], [-I, Z]])
+_DUMP_PEAK_PER_ENTRY = 16
 
 
 def _memory_limit() -> int:
@@ -96,14 +88,14 @@ def _memory_limit() -> int:
     return limit
 
 
-def require_fit(n: int, need: int, engine: str) -> None:
+def require_fit(n: int, need: int) -> None:
     """GaussianError unless ``need`` bytes, the caller's peak estimate for n
-    modes in the "dense" or "sparse" ``engine``, fit in memory."""
+    modes, fit in memory."""
     limit = _memory_limit()
     if need > limit:
         raise GaussianError(
-            f"{n} modes need ~{need / 2**30:.3g} GiB in the {engine} Gaussian "
-            f"engine, more than the {limit / 2**30:.3g} GiB of memory here")
+            f"{n} modes need ~{need / 2**30:.3g} GiB in the Gaussian engine, "
+            f"more than the {limit / 2**30:.3g} GiB of memory here")
 
 
 # ============================================================
@@ -157,38 +149,31 @@ class GaussianState:
         L = self.factor.toarray()
         return 0.5 * (L @ L.T)
 
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic spectrum (n values, 1/2 each for a pure state).
-
-        The singular values of L^T Omega L come in equal pairs, one pair
-        per value; a factor with fewer than 2n columns has fewer, and the
-        missing values are 0."""
-        if self.n == 0:
-            return np.zeros(0)
-        L = self.factor.toarray()
-        K = L.T @ omega(self.n) @ L
-        s = np.zeros(2 * self.n + K.shape[0])
-        s[:K.shape[0]] = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
-        return 0.5 * s[:2 * self.n:2]
+    @functools.cached_property
+    def _q_conditioning(self):
+        """`_condition` of the p rows on the q rows: (gain, projected p
+        rows, inverse Gram of the q rows), computed on the first use."""
+        return _condition(self.factor[:self.n], self.factor[self.n:],
+                          np.arange(self.n))
 
     def purity_defect(self) -> float:
-        """|det(2 cov) - 1|, where det(2 cov) = det(L L^T) = prod R_ii^2 for
-        one QR of L^T; 1 for a factor with fewer than 2n columns, whose
-        det(2 cov) is 0."""
-        if self.n == 0:
-            return 0.0
-        if self.factor.shape[1] < 2 * self.n:
-            return 1.0
-        R = np.linalg.qr(self.factor.T.toarray(), mode="r")
-        with np.errstate(divide="ignore"):
-            log_det = 2.0 * np.sum(np.log(np.abs(np.diagonal(R))))
-        return abs(np.expm1(log_det))
+        """Relative Schur residual max|R_p R_p^T - U| / max|U|.
 
-    def uncertainty_defect(self) -> float:
-        """How far below 1/2 the smallest symplectic eigenvalue falls (>= 0)."""
+        R_p is the p rows projected off the q rows and U = (L_q L_q^T)^-1.
+        A state is pure exactly when its covariance's Schur complement
+        cov_pp - cov_pq cov_qq^-1 cov_qp = R_p R_p^T / 2 equals
+        cov_qq^-1 / 4 = U / 2.  Projecting the rows before the product keeps
+        the e^{+-2r} terms from cancelling in it.  0 for the empty state;
+        inf where a q row is zero or dependent on the others (a singular
+        cov_qq, which no pure state has).
+        """
         if self.n == 0:
             return 0.0
-        return max(0.0, 0.5 - float(self.symplectic_eigenvalues().min()))
+        try:
+            _, Rp, U = self._q_conditioning
+        except GaussianError:
+            return math.inf
+        return float(abs(Rp @ Rp.T - U).max() / abs(U).max())
 
 
 def vacuum(n: int) -> GaussianState:
@@ -491,42 +476,6 @@ def _validate_nodes(n, nodes):
     return nodes
 
 
-def _dense_blocks(X: sp.csr_array):
-    """(rows, dense block) for each connected block of X's rows.
-
-    Rows are joined when they share a stored column: the components of the
-    bipartite row-column graph of X's pattern, labelled by the library's
-    breadth-first search.  Blocks come in the order of their lowest row;
-    each holds its rows in ascending order, densely on the columns they
-    alone use, in ascending column order.  A row without entries is a
-    block with no columns.
-    """
-    R, C = X.shape
-    T = X.T.tocsr()
-    graph = sp.csr_array(
-        (np.ones(2 * X.nnz), np.concatenate([X.indices + R, T.indices]),
-         np.concatenate([X.indptr, X.nnz + T.indptr[1:]])),
-        shape=(R + C, R + C))
-    component = lattice.bfs_depths(graph)[1]
-    # rows precede columns, so the blocks holding rows are labelled 0..b-1
-    row_block, col_block = component[:R], component[R:]
-    order = np.argsort(row_block, kind="stable")
-    bounds = np.searchsorted(row_block[order], np.arange(row_block.max() + 2))
-    col_order = np.argsort(col_block, kind="stable")
-    col_sorted = col_block[col_order]
-    local = np.empty(C, dtype=np.intp)       # column index within its block
-    local[col_order] = np.arange(C) - np.searchsorted(col_sorted, col_sorted)
-    widths = np.bincount(col_block, minlength=bounds.size)
-    X = X[order]
-    nz_row = np.repeat(np.arange(R), np.diff(X.indptr))
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        start, stop = X.indptr[lo], X.indptr[hi]
-        D = np.zeros((hi - lo, widths[b]))
-        D[nz_row[start:stop] - lo, local[X.indices[start:stop]]] = \
-            X.data[start:stop]
-        yield order[lo:hi], D
-
-
 def _uncorrelated_rows(X: sp.csr_array):
     """(mask, Gram diagonal) of the rows of X orthogonal to every other row.
 
@@ -549,32 +498,68 @@ def _uncorrelated_rows(X: sp.csr_array):
     return free, d
 
 
+def _placed(B, rows, cols, shape) -> sp.csr_array:
+    """CSR array of ``shape`` holding each nonzero B_ij at (rows[i], cols[j])."""
+    B = sp.coo_array(B)
+    return sp.csr_array((B.data, (rows[B.row], cols[B.col])), shape=shape)
+
+
+def _condition(Y: sp.csr_array, X: sp.csr_array, modes):
+    """Project the rows X off the rows Y: (gain, projected X, U).
+
+    gain = X Y^T (Y Y^T)^-1 has one column per row of Y, the projected rows
+    X - gain Y keep every column of X, and U = (Y Y^T)^-1; all three are
+    CSR.  The rows F of Y orthogonal to every other row
+    (`_uncorrelated_rows`; all of them for the quarter-turned cluster
+    state, whose q rows have Gram cosh(4r) 1) project sparsely, with gain
+    X Y_F^T diag(1/|Y_F|^2) and U diag(1/|Y_F|^2).  The other rows C are
+    orthogonal to F and take one Householder QR on the columns they use,
+    Y_C^T = Q R: X <- X - (X Q) Q^T, gain (X Q) R^-T and U = R^-1 R^-T,
+    without the normal equations, which square Y_C's condition number.  A
+    row of C whose pivot |R_ii| is within its QR rounding, |C| eps |row|,
+    is zero or dependent on the rows before it: GaussianError naming its
+    entry of ``modes``.
+    """
+    free, norms2 = _uncorrelated_rows(Y)
+    F, C = np.flatnonzero(free), np.flatnonzero(~free)
+    YF = Y[F] if C.size else Y
+    inverse = sp.diags_array(1.0 / norms2[F], format="csr")
+    gain = (X @ YF.T) @ inverse
+    X = X - gain @ YF
+    if not C.size:                       # already in the order of Y's rows
+        return gain, _canonical_csr(X), inverse
+    rows, k, YC = np.arange(X.shape[0]), Y.shape[0], Y[C]
+    cols = np.unique(YC.indices)
+    D = YC[:, cols].toarray()
+    Q, R = np.linalg.qr(D.T)
+    pivots = np.zeros(C.size)
+    pivots[:R.shape[0]] = np.abs(np.diagonal(R))
+    low = pivots <= C.size * np.finfo(float).eps * np.linalg.norm(D, axis=1)
+    if low.any():
+        raise GaussianError(
+            f"measured q row of mode {modes[C[np.argmax(low)]]} is zero or "
+            "dependent on the other measured rows")
+    XQ = X[:, cols] @ Q
+    Rinv = np.linalg.solve(R, np.eye(C.size))
+    UC = Rinv @ Rinv.T
+    gain = (_placed(gain, rows, F, (X.shape[0], k))
+            + _placed(XQ @ Rinv.T, rows, C, (X.shape[0], k)))
+    U = _placed(inverse, F, F, (k, k)) + _placed(0.5 * (UC + UC.T), C, C, (k, k))
+    X = X - _placed(XQ @ Q.T, rows, cols, X.shape)
+    return gain, _canonical_csr(X), U
+
+
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
-    Conditioning projects the kept rows L_r (kept q, then kept p) onto the
-    null space of the measured q rows L_y, in two steps.
-
-    First the measured rows F orthogonal to every other measured row
-    (`_uncorrelated_rows`; all of them for the quarter-turned cluster state,
-    whose q rows have Gram cosh(4r) 1) condition by a sparse projection:
-    gain W = L_r L_F^T diag(1/|L_F|^2), kept rows P = L_r - W L_F.
-
-    The other measured rows C are orthogonal to F, so conditioning on them
-    next conditions on all of L_y.  Rows of [L_C; P] that share no column
-    condition independently, so each connected block of them
-    (`_dense_blocks`) is conditioned alone; a fully coupled factor is one
-    block.  One Householder QR of the block's dense rows,
-    [L_C; P]^T = Q [[R_11, R_12], [0, R_22]], gives both results: the
-    projected factor P P_C = (Q_2 R_22)^T, so the block's conditional factor
-    is R_22^T and the kept covariance is outcome independent; and the mean
-    gain P L_C^T (L_C L_C^T)^-1 = R_12^T R_11^-T, without the normal
-    equations that square L_C's condition number.  The conditional factor
-    (2m x 2m, CSR) holds the blocks' R_22^T on its diagonal, with columns in
-    block order, and a kept row without entries stays a zero row.  Means
-    move by the gains for the given outcomes (default all zero).  A measured
-    row whose pivot |R_ii| is within its QR rounding, (block rows) eps |row|,
-    is zero or dependent on the measured rows before it: GaussianError
+    Conditioning projects the kept rows L_r (kept q, then kept p) off the
+    measured q rows L_y (`_condition`).  The projected rows
+    P = L_r - W L_y, W = L_r L_y^T (L_y L_y^T)^-1, are the conditional
+    factor: 2m x (columns of L), CSR, with every column kept, so the kept
+    covariance P P^T / 2 is outcome independent and a kept row without
+    entries stays a zero row.  Means move by the gain, W (outcomes -
+    measured means), for the given outcomes (default all zero).  A zero
+    measured row, or one dependent on the others, raises GaussianError
     naming its mode.  Measuring every mode returns the empty state.
     """
     given = [int(v) for v in nodes]
@@ -594,40 +579,9 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
     nodes = np.asarray(nodes)
-    shift = outcomes - state.mean[nodes]
-    # + 0.0: blocks without measured rows turn -0.0 means into +0.0 too
-    mean_c = state.mean[rest] + 0.0
-    Ly, Lr = state.factor[nodes], state.factor[rest]
-    free, norms2 = _uncorrelated_rows(Ly)
-    if free.any():
-        LF = Ly[np.flatnonzero(free)]
-        W = (Lr @ LF.T) @ sp.diags_array(1.0 / norms2[free])
-        mean_c += W @ shift[free]
-        Lr = Lr - W @ LF
-    coupled = np.flatnonzero(~free)
-    k = coupled.size
-    parts, width = [], 0
-    for block, D in _dense_blocks(sp.vstack([Ly[coupled], Lr], format="csr")):
-        kb = int(np.searchsorted(block, k))   # its measured rows come first
-        kept = block[kb:] - k
-        R = np.linalg.qr(D.T, mode="r")
-        pivots = np.zeros(kb)
-        pivots[:min(kb, R.shape[0])] = np.abs(np.diagonal(R[:kb, :kb]))
-        low = pivots <= (D.shape[0] * np.finfo(float).eps
-                         * np.linalg.norm(D[:kb], axis=1))
-        if low.any():
-            raise GaussianError(
-                f"measured q row of mode {nodes[coupled[block[np.argmax(low)]]]}"
-                " is zero or dependent on the other measured rows")
-        if kb and kept.size:
-            gain = np.linalg.solve(R[:kb, :kb], R[:kb, kb:]).T
-            mean_c[kept] += gain @ shift[coupled[block[:kb]]]
-        L = sp.coo_array(R[kb:, kb:].T)
-        parts.append((L.data, kept[L.row], width + L.col))
-        width += kept.size
-    data, rows, cols = (np.concatenate(a) for a in zip(*parts))
-    return GaussianState(mean_c, sp.csr_array((data, (rows, cols)),
-                                              shape=(rest.size, rest.size)))
+    gain, P, _ = _condition(state.factor[nodes], state.factor[rest], nodes)
+    return GaussianState(
+        state.mean[rest] + gain @ (outcomes - state.mean[nodes]), P)
 
 
 def ideal_graph_delete(A, nodes) -> sp.csr_array:
@@ -649,57 +603,52 @@ def ideal_graph_delete(A, nodes) -> sp.csr_array:
 
 @dataclass
 class EffectiveGraph:
-    """Complex-graph decomposition of a pure Gaussian state.
+    """Complex graph Z = V + iU of a pure Gaussian state, as canonical CSR.
 
     V is the (real, symmetric) graph actually carried by the state, U the
-    positive-definite error part; cov is recovered from (V, U) by
-    `reconstruct_cov`.  For the states built here V tends to the signed
-    target adjacency as r grows while U shrinks to zero.  ``V_rounding``
-    bounds the rounding error of every entry of V.
+    positive-definite error part.  For the states built here V tends to the
+    signed target adjacency as r grows while U shrinks to zero.
+    ``V_rounding`` bounds the rounding error of every entry of V.
     """
 
-    V: np.ndarray
-    U: np.ndarray
+    V: sp.csr_array
+    U: sp.csr_array
     V_rounding: float
-
-    def reconstruct_cov(self) -> np.ndarray:
-        Uinv = np.linalg.inv(self.U)
-        qq = 0.5 * Uinv
-        qp = 0.5 * (Uinv @ self.V)
-        pp = 0.5 * (self.U + self.V @ Uinv @ self.V)
-        return np.block([[qq, qp], [qp.T, pp]])
 
 
 def effective_graph(state: GaussianState) -> EffectiveGraph:
-    """Extract (V, U) with cov_qq = U^-1/2, cov_qp = U^-1 V / 2.
+    """(V, U) with cov_qq = U^-1 / 2 and cov_qp = U^-1 V / 2.
 
-    Requires a pure state (purity defect within _PRECISION_TOL).  Errors
-    gamma |qq|, gamma |qp| (gamma = (n+1) eps) move the solution V of
-    qq V = qp by at most gamma 2|U| (|qq| |V| + |qp|), whose largest entry
-    is ``V_rounding``.
+    Requires a pure state (purity defect within _PRECISION_TOL).  With
+    factor rows L_q and L_p, `_condition` of L_p on L_q gives both: U is
+    the inverse Gram (L_q L_q^T)^-1 and V the symmetrised transpose of the
+    gain L_p L_q^T U.  The sums the gain reads, X = L_p L_q^T and
+    G = L_q L_q^T, are off by at most gamma |L_p| |L_q|^T and
+    gamma |L_q| |L_q|^T, gamma = (k+1) eps for k the largest row count of
+    L_q; to first order they move the gain by at most
+    gamma (|L_p| |L_q|^T + |gain| |L_q| |L_q|^T) |U|.  That bound,
+    symmetrised, plus eps |V| for the symmetrising sum, bounds each entry of
+    V; its largest entry is ``V_rounding``.  It counts terms per row, not
+    modes, so it does not grow with the state.
     """
     defect = state.purity_defect()
     if not (defect <= _PRECISION_TOL):
         raise GaussianError(
             f"effective graph needs a pure state; purity defect {defect:.3e}")
-    n = state.n
-    L = state.factor.toarray()
-    Lq, Lp = L[:n], L[n:]
-    qq = 0.5 * (Lq @ Lq.T)
-    qp = 0.5 * (Lq @ Lp.T)
-    V = np.linalg.solve(qq, qp)
-    V = 0.5 * (V + V.T)
-    U = 0.5 * np.linalg.inv(qq)
-    U = 0.5 * (U + U.T)
-    gamma = (n + 1) * np.finfo(float).eps
-    rounding = gamma * 2 * np.abs(U) @ (np.abs(qq) @ np.abs(V) + np.abs(qp))
-    return EffectiveGraph(V=V, U=U, V_rounding=float(rounding.max(initial=0)))
+    gain, _, U = state._q_conditioning
+    Lq, Lp = abs(state.factor[:state.n]), abs(state.factor[state.n:])
+    gamma = (np.diff(Lq.indptr).max(initial=0) + 1) * np.finfo(float).eps
+    bound = gamma * (Lp @ Lq.T + abs(gain) @ (Lq @ Lq.T)) @ abs(U)
+    V = _canonical_csr(0.5 * (gain + gain.T))
+    rounding = 0.5 * (bound + bound.T) + np.finfo(float).eps * abs(V)
+    return EffectiveGraph(V=V, U=_canonical_csr(U),
+                          V_rounding=float(rounding.data.max(initial=0.0)))
 
 
 def effective_graph_error(eg: EffectiveGraph, target) -> float:
-    """max |V - target|, target densified; PrecisionLossError unless V's
-    rounding bound is within _PRECISION_TOL of it."""
-    error = float(np.abs(eg.V - _as_sparse_adjacency(target).toarray()).max())
+    """max |V - target|; PrecisionLossError unless V's rounding bound is
+    within _PRECISION_TOL of it."""
+    error = float(abs(eg.V - _as_sparse_adjacency(target)).max())
     if not eg.V_rounding <= _PRECISION_TOL * error:
         raise PrecisionLossError(
             f"effective graph error is {error:.12g} with rounding bound "
@@ -868,9 +817,14 @@ def format_resolved(value: float, rounding: float) -> str:
 
 
 def effective_graph_dump(eg: EffectiveGraph) -> str:
-    """Dense text dump of V and U with 12 significant digits."""
+    """Dense text dump of V and U with 12 significant digits, rendered a
+    chunk of rows at a time from the CSR arrays."""
     out = []
     for name, mat in (("V", eg.V), ("U", eg.U)):
-        out.append(f"{name} n={mat.shape[0]}\n")
-        out.extend(" ".join(row) + "\n" for row in _distinct_text(mat).tolist())
+        m = mat.shape[0]
+        out.append(f"{name} n={m}\n")
+        step = max(1, lattice._RENDER_CHUNK // max(1, m))
+        for start in range(0, m, step):
+            rows = _distinct_text(mat[start:start + step].toarray()).tolist()
+            out.extend(" ".join(row) + "\n" for row in rows)
     return "".join(out)

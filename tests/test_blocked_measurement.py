@@ -1,14 +1,13 @@
-"""q measurement by projection and connected blocks against one QR of all
-measured rows.
+"""q measurement by projection against one QR of all measured rows.
 
-`measure_q` conditions on the measured rows orthogonal to every other
-measured row by a sparse projection, then on the rest with one Householder
-QR per connected block of them and the projected kept rows.  The oracle is
-the single-QR algorithm: one QR of every measured and kept row,
-[L_y; L_r]^T = Q R, with conditional factor R_22^T and mean gain
-R_12^T R_11^-T.  Projecting on orthogonal rows one after another projects
-on their span, and rows in different blocks share no column, so both give
-the same covariance and mean up to rounding.
+`measure_q` projects the kept rows off the measured rows orthogonal to
+every other measured row by a sparse projection, then off the rest with one
+Householder QR of those rows alone; the projected kept rows, every column
+kept, are the conditional factor.  The oracle is the single-QR algorithm:
+one QR of every measured and kept row, [L_y; L_r]^T = Q R, with conditional
+factor R_22^T and mean gain R_12^T R_11^-T.  Projecting on orthogonal rows
+one after another projects on their span, so both give the same covariance
+and mean up to rounding, though their factors differ in shape.
 """
 
 import hypothesis.strategies as st
@@ -111,7 +110,7 @@ def test_blocked_measurement_matches_single_qr(case):
     got = measure_q(state, nodes, outcomes)
     order = np.argsort(nodes)
     mean, factor = single_qr_measure(state, nodes[order], outcomes[order])
-    assert got.factor.shape == factor.shape
+    assert got.n == state.n - nodes.size
     # relative to the kept rows' covariance before the measurement: where
     # the measured rows span the kept ones the result is 0 up to rounding
     n = state.n
@@ -126,9 +125,9 @@ def test_blocked_measurement_matches_single_qr(case):
 
 @pytest.mark.parametrize("r", [0.7, 1.3, 3.0, 4.5])
 def test_cluster_cut_matches_single_qr(r):
-    # the rotated cluster state's measured q rows are all orthogonal, and
-    # its kept rows split into a q-column and a p-column block; before the
-    # quarter turn, measured neighbours are coupled and the others are not
+    # the rotated cluster state's measured q rows are all orthogonal, so it
+    # is conditioned by the sparse projection alone; before the quarter
+    # turn, measured neighbours are coupled and take the QR
     A = lattice.expand(lattice.build_torus_supergraph(6))
     rotated, _ = cluster_state(A, r)
     measured = np.array([i for i in range(A.n) if i % 4 != 0])
@@ -154,8 +153,8 @@ def test_cluster_cut_matches_single_qr(r):
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
 def test_max_variance_rounding_covers_the_measurement(r):
-    # the crown-to-ring residual printed by verify-all: the blocked and the
-    # single QR give variances within the report's rounding bound
+    # the crown-to-ring residual printed by verify-all: the projection and
+    # the single QR give variances within the report's rounding bound
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = np.arange(0, 8, 2)
     rotated, conv = cluster_state(crown, r)
@@ -189,5 +188,6 @@ def test_degenerate_measurement_names_the_mode(diagonal, factor, nodes, mode):
 
 def test_kept_row_without_entries_stays_a_zero_row():
     red = measure_q(GaussianState(np.zeros(4), np.diag([1.0, 0, 1, 1])), [0])
-    assert red.factor.shape == (2, 2)
+    assert red.factor.shape == (2, 4)
+    assert np.diff(red.factor.indptr).tolist() == [0, 1]
     assert np.array_equal(red.cov, np.diag([0.0, 0.5]))

@@ -132,11 +132,14 @@ def test_reduce_command(capsys, tmp_path):
     assert res[1] < res[0]
 
 
-@pytest.mark.parametrize("r", ["0.5", "1", "2", "2.5", "3", "4", "4.5"])
-def test_reduce_is_right_or_refused(capsys, r):
+@pytest.mark.parametrize("M, r", [
+    pytest.param(M, r, id=r if M == "4" else f"M{M}-{r}")
+    for M in ("4", "24", "32")
+    for r in ("0.5", "1", "2", "2.5", "3", "4", "4.5")])
+def test_reduce_is_right_or_refused(capsys, M, r):
     # the kept layer's effective graph is tanh(4r) T, so the printed error
     # is 1/4 (1 - tanh(4r)) within 1e-6 relative, or exit 4 and one line
-    code, out, err = run_cli(capsys, "reduce", "--M", "4", "--r", r)
+    code, out, err = run_cli(capsys, "reduce", "--M", M, "--r", r)
     if code == 4:
         assert "effective_graph_error" not in out
         assert err.startswith("error: code=4 cause=PrecisionLossError ")
@@ -326,11 +329,10 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     import time
 
     import combcluster.gaussian as gaussian
-    # simulate's estimate is linear in the mode count, reduce's quadratic
-    M, engine = {"simulate": (4096, "sparse"), "reduce": (64, "dense")}[command]
+    # both estimates are linear in the mode count without --output-dir
+    M = 4096
     n = 4 * M * M
-    need = {"sparse": gaussian._SPARSE_PEAK_PER_MODE * n,
-            "dense": gaussian._DENSE_PEAK_FACTORS * (2 * n) ** 2 * 8}[engine]
+    need = gaussian._SPARSE_PEAK_PER_MODE * n
     if gaussian._memory_limit() >= need:
         pytest.skip(f"this machine has room for {command} at M={M}")
 
@@ -345,9 +347,34 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert re.fullmatch(rf'error: code=2 cause=GaussianError detail="{n} modes '
-                        rf'need ~\S+ GiB in the {engine} Gaussian engine, more '
-                        r'than the \S+ GiB of memory here"\n', proc.stderr)
+                        r'need ~\S+ GiB in the Gaussian engine, more than the '
+                        r'\S+ GiB of memory here"\n', proc.stderr)
     assert time.perf_counter() - start < 10
+
+
+def test_reduce_counts_the_dump_it_writes(capsys, monkeypatch, tmp_path):
+    # refused one byte below reduce's estimate for M = 6 with its V/U dump,
+    # run at it; without --output-dir the dump is neither counted nor made
+    import combcluster.gaussian as gaussian
+    need = (gaussian._SPARSE_PEAK_PER_MODE * 144
+            + gaussian._DUMP_PEAK_PER_ENTRY * 25 ** 2)
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
+    argv = ("reduce", "--M", "6", "--r", "1", "--output-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: code=2 cause=GaussianError detail=\"144 modes")
+    assert not any(tmp_path.iterdir())
+    dump = gaussian.effective_graph_dump
+
+    def unwanted_dump(eg):
+        raise AssertionError("dump rendered without --output-dir")
+
+    monkeypatch.setattr(gaussian, "effective_graph_dump", unwanted_dump)
+    assert run_cli(capsys, *argv[:-2])[0] == 0
+    monkeypatch.setattr(gaussian, "effective_graph_dump", dump)
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert (tmp_path / "effective_graph_M6_r1.txt").exists()
 
 
 def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):

@@ -14,9 +14,56 @@ from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
                          evolution_symplectic, evolve, expand,
                          ideal_graph_delete, lattice_cut_nodes,
                          measure_q, nullifier_records, nullifier_table,
-                         nullifier_variances, omega, rotate_color_class,
-                         support_graph_stats, vacuum)
+                         nullifier_variances, reduce_and_cut,
+                         rotate_color_class, support_graph_stats, vacuum)
 from combcluster.verify import ode_oracle_covariance
+
+
+def omega(n):
+    """Symplectic form in (q.., p..) ordering: [[0, 1], [-1, 0]] blocks."""
+    I, Z = np.eye(n), np.zeros((n, n))
+    return np.block([[Z, I], [-I, Z]])
+
+
+def symplectic_eigenvalues(state):
+    """Symplectic spectrum (n values, 1/2 each for a pure state).
+
+    The singular values of L^T Omega L come in equal pairs, one pair per
+    value; a factor with fewer than 2n columns has fewer, and the missing
+    values are 0."""
+    L = state.factor.toarray()
+    K = L.T @ omega(state.n) @ L
+    s = np.zeros(2 * state.n + K.shape[0])
+    s[:K.shape[0]] = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
+    return 0.5 * s[:2 * state.n:2]
+
+
+def uncertainty_defect(state):
+    """How far below 1/2 the smallest symplectic eigenvalue falls (>= 0)."""
+    return max(0.0, 0.5 - float(symplectic_eigenvalues(state).min()))
+
+
+def schur_purity_residual(state):
+    """Dense oracle of `purity_defect`: the Schur complement of the
+    covariance, 2 (cov_pp - cov_pq cov_qq^-1 cov_qp), against
+    U = (2 cov_qq)^-1, relative to max|U|."""
+    n = state.n
+    cov = state.cov
+    qq, qp, pp = cov[:n, :n], cov[:n, n:], cov[n:, n:]
+    U = np.linalg.inv(2 * qq)
+    schur = 2 * (pp - qp.T @ np.linalg.solve(qq, qp))
+    return np.abs(schur - U).max() / np.abs(U).max()
+
+
+def reconstruct_cov(eg):
+    """Covariance of the complex graph Z = V + iU: cov_qq = U^-1 / 2,
+    cov_qp = U^-1 V / 2, cov_pp = (U + V U^-1 V) / 2."""
+    V, U = eg.V.toarray(), eg.U.toarray()
+    Uinv = np.linalg.inv(U)
+    qq = 0.5 * Uinv
+    qp = 0.5 * (Uinv @ V)
+    pp = 0.5 * (U + V @ Uinv @ V)
+    return np.block([[qq, qp], [qp.T, pp]])
 
 
 def colors_of(A):
@@ -46,7 +93,7 @@ def test_vacuum_convention():
     assert np.array_equal(st.cov, 0.5 * np.eye(4))
     assert np.array_equal(st.mean, np.zeros(4))
     assert st.purity_defect() < 1e-12
-    assert st.uncertainty_defect() < 1e-12
+    assert uncertainty_defect(st) < 1e-12
 
 
 def test_vacuum_requires_positive_n():
@@ -103,18 +150,21 @@ def test_evolution_purity_and_uncertainty(lattice6):
     for r in (0.5, 1.0, 2.0):
         st = evolve(EvolutionParams(lattice6.dense(), r))
         assert st.purity_defect() < 1e-9
-        assert st.uncertainty_defect() < 1e-9
+        assert uncertainty_defect(st) < 1e-9
 
 
 def svd_purity_defect(state):
-    """|det(2 cov) - 1| through the symplectic spectrum: the doubled
-    symplectic values are the paired singular values of L^T Omega L."""
-    L = state.factor.toarray()
-    s = np.sort(np.linalg.svd(L.T @ omega(state.n) @ L, compute_uv=False))
-    return abs(np.expm1(2.0 * np.sum(np.log(s[::-1][:2 * state.n:2]))))
+    """|det(2 cov) - 1| through the symplectic spectrum: det(2 cov) is the
+    squared product of the doubled symplectic values."""
+    with np.errstate(divide="ignore"):
+        log_det = 2.0 * np.sum(np.log(2.0 * symplectic_eigenvalues(state)))
+    return abs(np.expm1(log_det))
 
 
-def test_purity_defect_matches_the_symplectic_spectrum(lattice6):
+def test_purity_defect_is_the_schur_residual(lattice6):
+    # pure states have a zero Schur residual and the symplectic spectrum
+    # 1/2; mixed ones have the dense covariance's residual and a spectrum
+    # that says so too
     rng = np.random.default_rng(11)
     evolved = evolve(EvolutionParams(lattice6, 1.0))
     rotated, _ = cluster_state(lattice6, 2.0)
@@ -129,19 +179,29 @@ def test_purity_defect_matches_the_symplectic_spectrum(lattice6):
              GaussianState(np.zeros(4), rng.normal(size=(4, 7)))]
     for st in pure:
         assert st.purity_defect() <= 1e-9
-        assert abs(st.purity_defect() - svd_purity_defect(st)) <= 1e-9
+        assert svd_purity_defect(st) <= 1e-9
     for st in mixed:
-        assert st.purity_defect() == pytest.approx(svd_purity_defect(st),
+        assert st.purity_defect() == pytest.approx(schur_purity_residual(st),
                                                    rel=1e-10)
+        assert st.purity_defect() > 1e-3 and svd_purity_defect(st) > 1e-3
+
+
+def test_singular_q_rows_are_not_pure():
+    # a zero q row: cov_qq is singular, which no pure state's is
+    st = GaussianState(np.zeros(4), np.diag([1.0, 0.0, 1.0, 1.0]))
+    assert st.purity_defect() == np.inf
+    with pytest.raises(GaussianError, match="purity defect inf"):
+        effective_graph(st)
 
 
 def test_narrow_factor_has_zero_symplectic_values():
     # a 6 x 4 factor has rank 4 < 2n: its covariance is singular
     st = GaussianState(np.zeros(6), np.random.default_rng(5).normal(size=(6, 4)))
-    nus = st.symplectic_eigenvalues()
+    nus = symplectic_eigenvalues(st)
     assert nus.shape == (3,) and nus[-1] == 0.0
-    assert st.purity_defect() == 1.0
-    assert st.uncertainty_defect() == 0.5
+    assert uncertainty_defect(st) == 0.5
+    assert st.purity_defect() == pytest.approx(schur_purity_residual(st),
+                                               rel=1e-10)
 
 
 # ============================================================
@@ -425,9 +485,10 @@ def test_formats_match_per_value_fstrings():
     values = np.concatenate([FORMAT_VALUES, rng.normal(size=64)
                              * 10.0 ** rng.integers(-300, 300, size=64)])
     square = values[:81].reshape(9, 9)
-    eg = EffectiveGraph(V=square, U=-square.T, V_rounding=0.0)
+    eg = EffectiveGraph(V=sp.csr_array(square), U=sp.csr_array(-square.T),
+                        V_rounding=0.0)
     expected = []
-    for name, mat in (("V", eg.V), ("U", eg.U)):
+    for name, mat in (("V", eg.V.toarray()), ("U", eg.U.toarray())):
         expected.append(f"{name} n={mat.shape[0]}")
         expected.extend(" ".join(f"{v:.12g}" for v in row) for row in mat)
     assert effective_graph_dump(eg) == "\n".join(expected) + "\n"
@@ -457,6 +518,8 @@ def test_measure_everything_gives_empty_state(two_mode):
     assert red.n == 0
     assert red.cov.shape == (0, 0)
     assert red.purity_defect() == 0.0
+    eg = effective_graph(red)
+    assert eg.V.shape == eg.U.shape == (0, 0) and eg.V_rounding == 0.0
 
 
 def test_measure_order_independence(crown8):
@@ -477,7 +540,7 @@ def test_measure_purity_preserved(lattice6):
     red = measure_q(rotated, [i for i in range(144) if i % 4 != 0])
     assert red.n == 36
     assert red.purity_defect() < 1e-9
-    assert red.uncertainty_defect() < 1e-9
+    assert uncertainty_defect(red) < 1e-9
 
 
 def test_measure_outcomes_shift_means_only(two_mode):
@@ -583,7 +646,7 @@ def test_measure_matches_svd_projection_oracle(case, r, crown8, lattice6):
     for state in states_of(A, r):
         red = measure_q(state, nodes, outcomes=outcomes)
         cov, mean = svd_projection_conditioning(state, nodes, outcomes)
-        assert red.factor.shape == (2 * m, 2 * m)
+        assert red.n == m
         assert relative_gap(red.cov, cov) <= 1e-12
         assert relative_gap(red.mean, mean) <= mean_tolerance(state, nodes)
 
@@ -603,7 +666,7 @@ def test_measure_in_two_steps_equals_one(case, r, crown8, lattice6):
         steps = measure_q(measure_q(state, a, outcomes[first]),
                           b_after_a, outcomes[~first])
         joint = measure_q(state, nodes, outcomes)
-        assert steps.factor.shape == joint.factor.shape == (2 * m, 2 * m)
+        assert steps.n == joint.n == m
         assert relative_gap(steps.cov, joint.cov) <= 1e-12
         assert relative_gap(steps.mean, joint.mean) <= mean_tolerance(state, nodes)
 
@@ -669,8 +732,8 @@ def test_ideal_delete_nothing_is_identity(crown8):
 
 def test_effective_graph_of_vacuum():
     eg = effective_graph(vacuum(3))
-    assert np.allclose(eg.V, np.zeros((3, 3)), atol=1e-14)
-    assert np.allclose(eg.U, np.eye(3), atol=1e-14)
+    assert eg.V.nnz == 0
+    assert same_csr(eg.U, sp.eye_array(3, format="csr"))
 
 
 def test_effective_graph_converges_to_signed_target(two_mode):
@@ -680,16 +743,39 @@ def test_effective_graph_converges_to_signed_target(two_mode):
     state = evolve(EvolutionParams(two_mode, 5.0))
     rotated = rotate_color_class(state, colors_of(two_mode), +1)
     eg = effective_graph(rotated)
-    assert np.abs(eg.V - -two_mode).max() < 1e-3
-    assert np.abs(eg.U).max() < 1e-3
+    assert np.abs(eg.V.toarray() - -two_mode).max() < 1e-3
+    assert abs(eg.U).max() < 1e-3
 
 
 def test_effective_graph_reconstruction(crown8):
     rotated, _ = optimal_rotation(crown8.dense(), 1.2)
     eg = effective_graph(rotated)
-    rebuilt = eg.reconstruct_cov()
+    rebuilt = reconstruct_cov(eg)
     scale = max(1.0, np.abs(rotated.cov).max())
     assert np.abs(rebuilt - rotated.cov).max() / scale < 1e-9
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("M, keep_layer, meridians", [(6, 0, (0, 0)),
+                                                      (10, 2, (3, 1))])
+def test_cut_effective_graph_is_the_closed_form(M, keep_layer, meridians, r):
+    # the cluster state's complex graph is tanh(4r) T + i sech(4r) 1, and a
+    # q measurement deletes nodes from it (Menicucci, Flammia & van Loock,
+    # arXiv:1007.0725): V within its rounding bound, U = 1/|L_q|^2 within
+    # the rounding of the row's (k+1)-term sum of squares and its inverse
+    A = expand(build_torus_supergraph(M))
+    rotated, conv = cluster_state(A, r)
+    reduced, rep = reduce_and_cut(rotated, M, keep_layer, meridians,
+                                  target=conv.nullifiers.target_adjacency,
+                                  squeeze_r=r)
+    T = conv.nullifiers.target_adjacency[rep.kept_nodes][:, rep.kept_nodes]
+    eg = effective_graph(reduced)
+    assert 0 < eg.V_rounding <= 1e-14
+    assert abs(eg.V - np.tanh(4 * r) * T).max() <= eg.V_rounding
+    k = np.diff(reduced.factor.indptr).max()
+    sech = 1 / np.cosh(4 * r)
+    assert abs(eg.U - sech * sp.eye_array(T.shape[0])).max() <= \
+        (k + 2) * np.finfo(float).eps * sech
 
 
 def test_effective_graph_rejects_mixed_state():
@@ -708,7 +794,7 @@ def test_reduced_effective_graph_converges(crown8):
         red = measure_q(rotated, top)
         target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
         eg = effective_graph(red)
-        errors.append(np.abs(eg.V - target).max())
+        errors.append(abs(eg.V - target).max())
     assert errors[0] > errors[1] > errors[2]
 
 

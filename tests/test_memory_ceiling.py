@@ -12,14 +12,15 @@ costs ~30 MB more.  `simulate --M 20`
 with a dense 2n x 2n one, so a 250 MB ceiling catches a fall-back to the
 dense factor.  `simulate --M 64` (16 384 modes) peaks at ~145 MB with CSR
 targets, and a single dense n x n target is 2 GiB, so a 300 MB ceiling
-catches any dense target copy.  `reduce --M 20 --r 1,2` peaks at ~125 MB
-conditioning the q-column and p-column blocks of the measured rows
-separately and at ~230 MB with one dense QR of all of them, so a 180 MB
-ceiling catches a fall-back to the single QR.  `reduce --M 28 --r 1`
-(3136 modes) peaks at ~142 MB conditioning on the uncorrelated measured
-q rows by a sparse projection, so that each block's QR holds only the
-kept rows, and at ~258 MB when every measured row enters the blocks'
-QRs, so a 200 MB ceiling catches a fall-back to QRs of the measured rows.
+catches any dense target copy.  `reduce` conditions by a sparse
+projection and keeps the projected rows as the factor: `reduce --M 20 --r
+1,2` peaks at ~63 MB, and at ~230 MB with one dense QR of all measured and
+kept rows, so a 180 MB ceiling catches a fall-back to that QR.
+`reduce --M 28 --r 1` peaks at ~72 MB, and the dense projected factor alone
+would be 73 MB (1458 x 6272), so a 120 MB ceiling catches densifying it.
+`reduce --M 64 --r 1,2` (16 384 modes), run without --output-dir, peaks at
+~150 MB; rendering its dense V/U text anyway takes it to ~221 MB, and one
+dense 3969 x 3969 V or U is 126 MB, so a 200 MB ceiling catches either.
 """
 
 import json
@@ -33,7 +34,8 @@ CEILING_MB = 200
 SIMULATE_CEILING_MB = 250
 SPARSE_TARGET_CEILING_MB = 300
 BLOCKED_QR_CEILING_MB = 180
-PROJECTED_QR_CEILING_MB = 200
+PROJECTED_QR_CEILING_MB = 120
+SPARSE_REDUCE_CEILING_MB = 200
 
 CHILD = """
 import json, resource, sys
@@ -49,10 +51,12 @@ def _cap():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
-def _run(argv, child_env, tmp_path):
-    """(stdout lines, peak MB) of one command in a fresh, capped interpreter."""
+def _run(argv, child_env, tmp_path, write=True):
+    """(stdout lines, peak MB) of one command in a fresh, capped interpreter,
+    writing its files to tmp_path unless ``write`` is false."""
+    outdir = ["--output-dir", str(tmp_path)] if write else []
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv, "--output-dir", str(tmp_path)],
+        [sys.executable, "-c", CHILD, *argv, *outdir],
         capture_output=True, text=True, env=child_env, preexec_fn=_cap,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -104,3 +108,12 @@ def test_projected_measurement_stays_under_ceiling(child_env, tmp_path):
     assert lines[0].startswith("ideal nodes=729 connected=true")
     assert lines[1].startswith("r=1 max_residual=")
     assert peak_mb < PROJECTED_QR_CEILING_MB
+
+
+def test_sparse_reduction_stays_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["reduce", "--M", "64", "--r", "1,2"], child_env,
+                          tmp_path, write=False)
+    assert lines[0].startswith("ideal nodes=3969 connected=true")
+    assert lines[1].startswith("r=1 max_residual=")
+    assert lines[2].startswith("r=2 max_residual=")
+    assert peak_mb < SPARSE_REDUCE_CEILING_MB
