@@ -41,7 +41,7 @@ from .gaussian import (
     rotate_color_class, best_phase_convention, PhaseConvention,
     cluster_state, cluster_states,
     NullifierReport, nullifier_variances,
-    measure_q, ideal_graph_delete,
+    measure_q, ideal_graph_delete, measure_and_delete,
     EffectiveGraph, effective_graph, effective_graph_error,
     GraphStats, support_graph_stats,
     ReductionReport, reduce_and_cut, lattice_cut_nodes,

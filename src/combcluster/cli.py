@@ -32,30 +32,39 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_int_list(text: str):
+def _parse_list(kind, name: str, text: str):
+    """Comma-separated values of ``kind``; refuses an empty list or entry."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [kind(tok) for tok in text.split(",")]
     except ValueError:
-        raise lattice.LatticeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {name} with no empty entry, "
+            f"got {text!r}")
 
 
-def _parse_float_list(text: str):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise lattice.LatticeError(f"expected comma-separated numbers, got {text!r}")
+_parse_int_list = functools.partial(_parse_list, int, "integers")
+_parse_float_list = functools.partial(_parse_list, float, "numbers")
 
 
-def _write(outdir, name, content, emitted):
-    """Write ``content`` (text, or a callable rendering it) to outdir/name;
-    without an outdir nothing is rendered or written."""
-    if outdir is None:
-        return
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / name
-    target.write_text(content() if callable(content) else content)
-    emitted.append(str(target))
+def _emit(outdir, runs) -> None:
+    """Print each run's line and write its files, then list the files.
+
+    ``runs`` holds (line, [(name, content)]) pairs, content as text or a
+    callable rendering it; without an outdir nothing is rendered or
+    written.  Callers compute every run before emitting any, so a refusal
+    part-way through an --r list leaves no output behind."""
+    emitted = []
+    for line, files in runs:
+        if outdir is not None:
+            for name, content in files:
+                path = Path(outdir)
+                path.mkdir(parents=True, exist_ok=True)
+                (path / name).write_text(
+                    content() if callable(content) else content)
+                emitted.append(path / name)
+        print(line)
+    for f in emitted:
+        print(f"wrote {f}")
 
 
 # ============================================================
@@ -71,20 +80,26 @@ def _lattice_pipeline(M: int):
     return S, A, ortho, colors, degrees
 
 
+_LATTICE_FORMATS = ("triplet", "dot", "report")
+
+
 def cmd_lattice(args) -> int:
+    formats = set(args.formats.split(","))
+    unknown = sorted(formats.difference(_LATTICE_FORMATS))
+    if unknown:
+        raise lattice.LatticeError(
+            f"unknown formats {', '.join(map(repr, unknown))}: expected a "
+            f"comma subset of {','.join(_LATTICE_FORMATS)}")
     S, A, ortho, colors, degrees = _lattice_pipeline(args.M)
     coords = lattice.coordinates(args.M)
     degree = degrees.pop() if len(degrees) == 1 else sorted(degrees)
-    emitted = []
-    formats = set(args.formats.split(","))
+    files = []
     if "triplet" in formats:
-        _write(args.output_dir, f"lattice_M{args.M}.triplets",
-               lattice.export_triplets(A), emitted)
-        _write(args.output_dir, f"supergraph_M{args.M}.triplets",
-               lattice.export_super_triplets(S), emitted)
+        files += [(f"lattice_M{args.M}.triplets", lattice.export_triplets(A)),
+                  (f"supergraph_M{args.M}.triplets",
+                   lattice.export_super_triplets(S))]
     if "dot" in formats:
-        _write(args.output_dir, f"lattice_M{args.M}.dot",
-               lattice.export_dot(A), emitted)
+        files.append((f"lattice_M{args.M}.dot", lattice.export_dot(A)))
     summary = (f"orthogonal={str(ortho.is_orthogonal).lower()} "
                f"bicolorable=true degree={degree}")
     if "report" in formats:
@@ -97,11 +112,8 @@ def cmd_lattice(args) -> int:
         for axis in ("x", "y"):
             cyc = coords.axis_cycles[axis]
             lines.append(f"axis={axis} cycle_length={len(cyc)} start={cyc[:4]}")
-        _write(args.output_dir, f"lattice_M{args.M}.report",
-               "\n".join(lines) + "\n", emitted)
-    print(summary)
-    for f in emitted:
-        print(f"wrote {f}")
+        files.append((f"lattice_M{args.M}.report", "\n".join(lines) + "\n"))
+    _emit(args.output_dir, [(summary, files)])
     return EXIT_OK
 
 
@@ -110,16 +122,12 @@ def cmd_ring(args) -> int:
     A = lattice.expand(S)
     ortho = lattice.check_orthogonal(A)
     lattice.bicoloring(A)
-    emitted = []
-    _write(args.output_dir, f"crown_n{args.n_macro}.triplets",
-           lattice.export_triplets(A), emitted)
-    _write(args.output_dir, f"ring_n{args.n_macro}.triplets",
-           lattice.export_super_triplets(S), emitted)
-    summary = (f"orthogonal={str(ortho.is_orthogonal).lower()} "
-               f"bicolorable=true n_physical={A.n}")
-    print(summary)
-    for f in emitted:
-        print(f"wrote {f}")
+    _emit(args.output_dir, [(
+        f"orthogonal={str(ortho.is_orthogonal).lower()} "
+        f"bicolorable=true n_physical={A.n}",
+        [(f"crown_n{args.n_macro}.triplets", lattice.export_triplets(A)),
+         (f"ring_n{args.n_macro}.triplets",
+          lattice.export_super_triplets(S))])])
     return EXIT_OK
 
 
@@ -135,31 +143,12 @@ def cmd_pump(args) -> int:
     A = lattice.expand(lattice.build_torus_supergraph(M))
     short = lattice.renumber_to_block_hankel(A, M).shorthand
     spectrum = hankel.compile_pump(short)
-    emitted = []
-    _write(args.output_dir, f"shorthand_M{M}.txt",
-           hankel.shorthand_file(short), emitted)
-    _write(args.output_dir, f"pump_M{M}.txt",
-           hankel.pump_file(spectrum), emitted)
-    print(f"pump_lines={len(spectrum.lines)} n_qumodes={spectrum.n_qumodes} "
-          f"bandwidth_span={spectrum.bandwidth_span}")
-    for f in emitted:
-        print(f"wrote {f}")
+    _emit(args.output_dir, [(
+        f"pump_lines={len(spectrum.lines)} n_qumodes={spectrum.n_qumodes} "
+        f"bandwidth_span={spectrum.bandwidth_span}",
+        [(f"shorthand_M{M}.txt", hankel.shorthand_file(short)),
+         (f"pump_M{M}.txt", hankel.pump_file(spectrum))])])
     return EXIT_OK
-
-
-def _emit(outdir, runs) -> None:
-    """Print each run's line and write its files, then list the files.
-
-    ``runs`` holds (line, [(name, content)]) pairs, content as `_write`
-    takes it.  Callers compute every run before emitting any, so a refusal
-    part-way through an --r list leaves no output behind."""
-    emitted = []
-    for line, files in runs:
-        for name, content in files:
-            _write(outdir, name, content, emitted)
-        print(line)
-    for f in emitted:
-        print(f"wrote {f}")
 
 
 def cmd_simulate(args) -> int:
@@ -187,27 +176,21 @@ def cmd_reduce(args) -> int:
     gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n
                          + gaussian._DUMP_PEAK_PER_ENTRY * entries)
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
-    meridians = tuple(args.meridians)
-    _, ideal_report = gaussian.reduce_and_cut(
-        A, args.M, args.keep_layer, meridians)
-    st = ideal_report.graph_stats
+    _, cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
+                                     tuple(args.meridians))
+    st = cut.graph_stats
     runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
              f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]
-    for rotated, conv in gaussian.cluster_states(A, args.squeeze_r):
-        r = conv.nullifiers.squeeze_r
-        target = conv.nullifiers.target_adjacency
-        reduced, rep = gaussian.reduce_and_cut(
-            rotated, args.M, args.keep_layer, meridians,
-            target=target, squeeze_r=r)
+    for reduced, target, rep in gaussian.measure_and_delete(
+            A, args.squeeze_r, cut.measured_nodes):
         eg = gaussian.effective_graph(reduced)
-        eg_err = gaussian.effective_graph_error(
-            eg, target[rep.kept_nodes][:, rep.kept_nodes])
-        tag = f"M{args.M}_r{_fmt(r)}"
+        eg_err = gaussian.effective_graph_error(eg, target)
+        tag = f"M{args.M}_r{_fmt(rep.squeeze_r)}"
         resolved = gaussian.format_resolved
         result = (f"max_residual="
-                  f"{resolved(rep.max_residual, rep.max_residual_rounding)} "
+                  f"{resolved(rep.max_variance, rep.max_variance_rounding)} "
                   f"effective_graph_error={resolved(eg_err, eg.V_rounding)}")
-        runs.append((f"r={_fmt(r)} {result}",
+        runs.append((f"r={_fmt(rep.squeeze_r)} {result}",
                      [(f"reduction_{tag}.txt", result + "\n"),
                       (f"effective_graph_{tag}.txt",
                        functools.partial(gaussian.effective_graph_dump, eg))]))
@@ -216,23 +199,16 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    rows = hankel.scaling_report(args.M_list)
-    table = hankel.scaling_table(rows)
-    emitted = []
-    _write(args.output_dir, "scaling.txt", table, emitted)
-    sys.stdout.write(table)
-    for f in emitted:
-        print(f"wrote {f}")
+    table = hankel.scaling_table(hankel.scaling_report(args.M_list))
+    _emit(args.output_dir,
+          [(table.removesuffix("\n"), [("scaling.txt", table)])])
     return EXIT_OK
 
 
 def cmd_verify_all(args) -> int:
-    results, report, all_passed = verify.verify_all(args.M)
-    emitted = []
-    _write(args.output_dir, "verify_report.txt", report, emitted)
-    sys.stdout.write(report)
-    for f in emitted:
-        print(f"wrote {f}")
+    _, report, all_passed = verify.verify_all(args.M)
+    _emit(args.output_dir,
+          [(report.removesuffix("\n"), [("verify_report.txt", report)])])
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 

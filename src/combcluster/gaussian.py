@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lattice
-from .lattice import Bicoloring, PhysAdjacency
+from .lattice import Bicoloring, PhysAdjacency, canonical_csr
 
 
 class GaussianError(ValueError):
@@ -102,17 +102,6 @@ def require_fit(n: int, need: int) -> None:
 # States
 # ============================================================
 
-def _canonical_csr(X) -> sp.csr_array:
-    """X as float64 CSR with sorted indices, no duplicates and no stored
-    zeros; copied only when X is not so already."""
-    X = sp.csr_array(X, dtype=float)
-    if not (X.has_canonical_format and X.data.all()):
-        X = X.copy()
-        X.sum_duplicates()
-        X.eliminate_zeros()
-    return X
-
-
 @dataclass
 class GaussianState:
     """Mean vector and factor L (cov = L @ L.T / 2) over 2n quadratures.
@@ -133,7 +122,7 @@ class GaussianState:
             raise GaussianError("factor rows do not match mean length")
         if self.mean.size % 2:
             raise GaussianError("state must have an even number of quadratures")
-        L = _canonical_csr(L)
+        L = canonical_csr(L)
         self.mean.setflags(write=False)
         for a in (L.data, L.indices, L.indptr):
             a.setflags(write=False)
@@ -196,7 +185,7 @@ def _as_sparse_adjacency(A) -> sp.csr_array:
         A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise GaussianError("adjacency must be a square matrix")
-    return _canonical_csr(A)
+    return canonical_csr(A)
 
 
 @dataclass(frozen=True)
@@ -366,7 +355,7 @@ def nullifier_variances(state: GaussianState, target,
         return report
     with np.errstate(over="ignore", invalid="ignore"):
         residual = Lp + X
-    return report, _resolved_report(_canonical_csr(-At), residual, bound,
+    return report, _resolved_report(canonical_csr(-At), residual, bound,
                                     squeeze_r)
 
 
@@ -465,15 +454,22 @@ def cluster_state(A: PhysAdjacency, r: float):
 # Measurement
 # ============================================================
 
-def _validate_nodes(n, nodes):
-    nodes = sorted(int(v) for v in nodes)
-    if not nodes:
-        raise GaussianError("node set must be nonempty")
-    if len(set(nodes)) != len(nodes):
-        raise GaussianError("node set has duplicates")
-    if nodes[0] < 0 or nodes[-1] >= n:
-        raise GaussianError(f"node index out of range for n={n}: {nodes}")
-    return nodes
+def _split_nodes(n: int, nodes):
+    """(sorted node set, the other modes of 0..n-1) as int arrays.
+
+    GaussianError naming a node given twice or outside 0..n-1.
+    """
+    nodes, counts = np.unique(np.asarray(nodes, dtype=np.int64),
+                              return_counts=True)
+    if (counts > 1).any():
+        raise GaussianError(f"node {nodes[np.argmax(counts > 1)]} is given "
+                            "more than once")
+    if nodes.size and not (0 <= nodes[0] and nodes[-1] < n):
+        bad = nodes[0] if nodes[0] < 0 else nodes[-1]
+        raise GaussianError(f"node {bad} is out of range for n={n}")
+    kept = np.ones(n, dtype=bool)
+    kept[nodes] = False
+    return nodes, np.flatnonzero(kept)
 
 
 def _uncorrelated_rows(X: sp.csr_array):
@@ -527,7 +523,7 @@ def _condition(Y: sp.csr_array, X: sp.csr_array, modes):
     gain = (X @ YF.T) @ inverse
     X = X - gain @ YF
     if not C.size:                       # already in the order of Y's rows
-        return gain, _canonical_csr(X), inverse
+        return gain, canonical_csr(X), inverse
     rows, k, YC = np.arange(X.shape[0]), Y.shape[0], Y[C]
     cols = np.unique(YC.indices)
     D = YC[:, cols].toarray()
@@ -546,7 +542,7 @@ def _condition(Y: sp.csr_array, X: sp.csr_array, modes):
             + _placed(XQ @ Rinv.T, rows, C, (X.shape[0], k)))
     U = _placed(inverse, F, F, (k, k)) + _placed(0.5 * (UC + UC.T), C, C, (k, k))
     X = X - _placed(XQ @ Q.T, rows, cols, X.shape)
-    return gain, _canonical_csr(X), U
+    return gain, canonical_csr(X), U
 
 
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
@@ -562,15 +558,16 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     measured row, or one dependent on the others, raises GaussianError
     naming its mode.  Measuring every mode returns the empty state.
     """
-    given = [int(v) for v in nodes]
-    nodes = _validate_nodes(state.n, given)
     n = state.n
-    keep = np.setdiff1d(np.arange(n), nodes, assume_unique=True)
+    given = np.asarray(nodes, dtype=np.int64)
+    nodes, keep = _split_nodes(n, given)
+    if not nodes.size:
+        raise GaussianError("node set must be nonempty")
     if outcomes is None:
-        outcomes = np.zeros(len(nodes))
+        outcomes = np.zeros(nodes.size)
     else:
         outcomes = np.asarray(outcomes, dtype=float)
-        if outcomes.shape != (len(given),):
+        if outcomes.shape != given.shape:
             raise GaussianError("outcomes must match the measured node count")
         # reorder outcomes to follow the internally sorted node order
         outcomes = outcomes[np.argsort(given, kind="stable")]
@@ -578,7 +575,6 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
         return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
     rest = np.concatenate([keep, n + keep])  # kept q then kept p rows
-    nodes = np.asarray(nodes)
     gain, P, _ = _condition(state.factor[nodes], state.factor[rest], nodes)
     return GaussianState(
         state.mean[rest] + gain @ (outcomes - state.mean[nodes]), P)
@@ -590,11 +586,21 @@ def ideal_graph_delete(A, nodes) -> sp.csr_array:
     Returns float CSR.  An empty node set is allowed and returns A unchanged.
     """
     At = _as_sparse_adjacency(A)
-    nodes = list(nodes)
-    if nodes:
-        nodes = _validate_nodes(At.shape[0], nodes)
-    keep = np.setdiff1d(np.arange(At.shape[0]), nodes, assume_unique=True)
+    keep = _split_nodes(At.shape[0], nodes)[1]
     return At[keep][:, keep]
+
+
+def measure_and_delete(A: PhysAdjacency, rs, nodes):
+    """q-measure nodes of A's cluster state at each r in ``rs`` and delete
+    them from its target.
+
+    Yields (reduced state, reduced signed target, its nullifier report).
+    """
+    for rotated, conv in cluster_states(A, rs):
+        reduced = measure_q(rotated, nodes)
+        target = ideal_graph_delete(conv.nullifiers.target_adjacency, nodes)
+        yield reduced, target, nullifier_variances(
+            reduced, target, squeeze_r=conv.nullifiers.squeeze_r)
 
 
 # ============================================================
@@ -639,9 +645,9 @@ def effective_graph(state: GaussianState) -> EffectiveGraph:
     Lq, Lp = abs(state.factor[:state.n]), abs(state.factor[state.n:])
     gamma = (np.diff(Lq.indptr).max(initial=0) + 1) * np.finfo(float).eps
     bound = gamma * (Lp @ Lq.T + abs(gain) @ (Lq @ Lq.T)) @ abs(U)
-    V = _canonical_csr(0.5 * (gain + gain.T))
+    V = canonical_csr(0.5 * (gain + gain.T))
     rounding = 0.5 * (bound + bound.T) + np.finfo(float).eps * abs(V)
-    return EffectiveGraph(V=V, U=_canonical_csr(U),
+    return EffectiveGraph(V=V, U=canonical_csr(U),
                           V_rounding=float(rounding.data.max(initial=0.0)))
 
 
@@ -698,17 +704,14 @@ class ReductionReport:
     M: int
     keep_layer: int
     meridians: tuple
-    kept_nodes: list
-    measured_count: int
+    kept_nodes: np.ndarray
+    measured_nodes: np.ndarray
     graph_stats: GraphStats
     expected_patch_macronodes: int
-    max_residual: float = float("nan")
-    squeeze_r: float = float("nan")
-    max_residual_rounding: float = float("nan")
 
 
 def lattice_cut_nodes(M: int, keep_layer: int, meridians):
-    """(measured, kept) physical-node lists for the layer + meridian cut.
+    """(measured, kept) physical-node arrays for the layer + meridian cut.
 
     Measured: every node outside keep_layer, plus the keep_layer nodes of
     macronodes on chart column x0 or row y0.
@@ -723,50 +726,31 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     cut[coords.column(x0) + coords.row(y0)] = True
     node = np.arange(4 * M * M)
     kept = (node % 4 == keep_layer) & ~cut[node // 4]
-    return node[~kept].tolist(), node[kept].tolist()
+    return node[~kept], node[kept]
 
 
-def reduce_and_cut(obj, M: int, keep_layer: int, meridians,
-                   target=None, squeeze_r: float = float("nan")):
+def reduce_and_cut(A, M: int, keep_layer: int, meridians):
     """Keep one layer minus the macronodes on chart column x0 and row y0.
 
-    The report gives the kept support graph's connectivity, degrees and
-    cycle rank; nothing checks that the cut opens the torus.
+    The measured nodes are deleted from the adjacency A (PhysAdjacency,
+    sparse or dense); `measure_and_delete` takes the report's
+    ``measured_nodes`` to q-measure them in the cluster state instead.  The
+    report gives the kept support graph's connectivity, degrees and cycle
+    rank; nothing checks that the cut opens the torus.
 
-    Ideal path: ``obj`` is an adjacency (PhysAdjacency, sparse or dense);
-    the measured nodes are deleted outright and the rest analyzed.
-
-    Gaussian path: ``obj`` is a GaussianState (already in the cluster-state
-    phase convention) and ``target`` its signed target adjacency; the
-    measured nodes are q-measured and the report carries the maximum
-    nullifier residual of the remaining modes against the reduced target.
-
-    Returns (reduced state or remaining CSR adjacency, ReductionReport).
+    Returns (remaining CSR adjacency, ReductionReport).
     """
     measured, kept = lattice_cut_nodes(M, keep_layer, meridians)
-    is_state = isinstance(obj, GaussianState)
-    if is_state and target is None:
-        raise GaussianError("gaussian reduction needs the signed target")
-    At = _as_sparse_adjacency(target if is_state else obj)
-    if At.shape[0] != 4 * M * M or is_state and obj.n != At.shape[0]:
-        raise GaussianError(f"{'state/target' if is_state else 'adjacency'} "
-                            "size does not match the lattice")
-    reduced = remaining = At[kept][:, kept]
-    residual = rounding = float("nan")
-    if is_state:
-        reduced = measure_q(obj, measured)
-        nullifiers = nullifier_variances(reduced, remaining,
-                                         squeeze_r=squeeze_r)
-        residual = nullifiers.max_variance
-        rounding = nullifiers.max_variance_rounding
+    At = _as_sparse_adjacency(A)
+    if At.shape[0] != 4 * M * M:
+        raise GaussianError("adjacency size does not match the lattice")
+    remaining = ideal_graph_delete(At, measured)
     report = ReductionReport(
         M=M, keep_layer=keep_layer, meridians=tuple(meridians),
-        kept_nodes=kept, measured_count=len(measured),
+        kept_nodes=kept, measured_nodes=measured,
         graph_stats=support_graph_stats(remaining),
-        expected_patch_macronodes=(M - 1) ** 2,
-        max_residual=residual, squeeze_r=squeeze_r,
-        max_residual_rounding=rounding)
-    return reduced, report
+        expected_patch_macronodes=(M - 1) ** 2)
+    return remaining, report
 
 
 # ============================================================

@@ -207,6 +207,17 @@ class SuperAdjacency:
         return len(self.pairs)
 
 
+def canonical_csr(X, dtype=float, kind=sp.csr_array):
+    """``kind(X, dtype=dtype)`` with sorted indices, no duplicates and no
+    stored zeros; copied only when the conversion is not so already."""
+    X = kind(X, dtype=dtype)
+    if not (X.has_canonical_format and X.data.all()):
+        X = X.copy()
+        X.sum_duplicates()
+        X.eliminate_zeros()
+    return X
+
+
 @dataclass(eq=False)
 class PhysAdjacency:
     """Physical-node adjacency: one CSR matrix of int64 quarters (entry/4).
@@ -225,13 +236,9 @@ class PhysAdjacency:
             q = np.asarray(q, dtype=np.int64)
             if q.ndim != 2:
                 raise LatticeError("adjacency must be square")
-        q = sp.csr_matrix(q, dtype=np.int64)
+        q = canonical_csr(q, np.int64, sp.csr_matrix)
         if q.shape[0] != q.shape[1]:
             raise LatticeError("adjacency must be square")
-        if not (q.has_canonical_format and q.data.all()):
-            q = q.copy()
-            q.sum_duplicates()
-            q.eliminate_zeros()
         self.csr = q
 
     @property

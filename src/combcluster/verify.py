@@ -318,27 +318,14 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
                            details)
 
 
-def _measure_and_delete(A: lattice.PhysAdjacency, rs, measured):
-    """q-measure nodes of A's cluster state at each r in ``rs`` and delete
-    them from its target.
-
-    Yields (reduced state, reduced signed target, its nullifier report).
-    """
-    for rotated, conv in gaussian.cluster_states(A, rs):
-        reduced = gaussian.measure_q(rotated, measured)
-        target = gaussian.ideal_graph_delete(conv.nullifiers.target_adjacency,
-                                              measured)
-        yield reduced, target, gaussian.nullifier_variances(
-            reduced, target, squeeze_r=conv.nullifiers.squeeze_r)
-
-
 def criterion_crown_to_ring() -> CriterionResult:
     """Measuring the crown's top layer leaves the bottom ring, better with r."""
     details = []
     residuals = []
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = [2 * k for k in range(4)]       # layer-0 node of each macronode
-    for _, target, rep in _measure_and_delete(crown, (1.0, 2.0, 3.0), top):
+    for _, target, rep in gaussian.measure_and_delete(crown, (1.0, 2.0, 3.0),
+                                                      top):
         r = rep.squeeze_r
         residuals.append(rep.max_variance)
         details.append(f"r={_fmt(r)} max_residual=" + gaussian.format_resolved(
@@ -363,7 +350,8 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
     residuals, eg_errors = [], []
     A = lattice.expand(lattice.build_torus_supergraph(M))
     measured = [i for i in range(A.n) if i % 4 != 0]
-    for reduced, target, rep in _measure_and_delete(A, (1.0, 2.0), measured):
+    for reduced, target, rep in gaussian.measure_and_delete(A, (1.0, 2.0),
+                                                            measured):
         r = rep.squeeze_r
         eg = gaussian.effective_graph(reduced)
         eg_err = gaussian.effective_graph_error(eg, target)
@@ -393,24 +381,21 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
     A = lattice.expand(lattice.build_torus_supergraph(M))
     meridians = (0, 0)
     # ideal path: the cut's graph statistics depend only on the support
-    _, ideal_report = gaussian.reduce_and_cut(A, M, 0, meridians)
-    st = ideal_report.graph_stats
+    _, cut = gaussian.reduce_and_cut(A, M, 0, meridians)
+    st = cut.graph_stats
     details.append(
         f"ideal nodes={st.n_nodes} expected_patch="
-        f"{ideal_report.expected_patch_macronodes} edges={st.n_edges} "
+        f"{cut.expected_patch_macronodes} edges={st.n_edges} "
         f"connected={str(st.is_connected).lower()} max_degree={st.max_degree} "
         f"cycle_rank={st.cycle_rank} "
         f"degree_histogram={sorted(st.degree_histogram.items())}")
     residuals = []
-    for rotated, conv in gaussian.cluster_states(A, (1.0, 2.0)):
-        r = conv.nullifiers.squeeze_r
-        _, rep = gaussian.reduce_and_cut(
-            rotated, M, 0, meridians,
-            target=conv.nullifiers.target_adjacency, squeeze_r=r)
-        residuals.append(rep.max_residual)
-        details.append(f"gaussian r={_fmt(r)} max_residual="
-                       + gaussian.format_resolved(rep.max_residual,
-                                                  rep.max_residual_rounding))
+    for _, _, rep in gaussian.measure_and_delete(A, (1.0, 2.0),
+                                                 cut.measured_nodes):
+        residuals.append(rep.max_variance)
+        details.append(f"gaussian r={_fmt(rep.squeeze_r)} max_residual="
+                       + gaussian.format_resolved(rep.max_variance,
+                                                  rep.max_variance_rounding))
     ok = (st.is_connected and st.max_degree <= 4
           and residuals[1] < residuals[0])
     details.append(f"residual_improves={str(residuals[1] < residuals[0]).lower()}")

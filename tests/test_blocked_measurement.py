@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from combcluster import (EvolutionParams, GaussianError, GaussianState,
-                         cluster_state, evolve, ideal_graph_delete, measure_q,
+                         cluster_state, evolve, measure_and_delete, measure_q,
                          nullifier_variances)
 from combcluster import lattice
 
@@ -157,10 +157,9 @@ def test_max_variance_rounding_covers_the_measurement(r):
     # the single QR give variances within the report's rounding bound
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = np.arange(0, 8, 2)
-    rotated, conv = cluster_state(crown, r)
-    target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
-    rep = nullifier_variances(measure_q(rotated, top), target)
-    mean, factor = single_qr_measure(rotated, top, np.zeros(top.size))
+    (_, target, rep), = measure_and_delete(crown, [r], top)
+    mean, factor = single_qr_measure(cluster_state(crown, r)[0], top,
+                                     np.zeros(top.size))
     want = nullifier_variances(GaussianState(mean, factor), target)
     assert 0 < rep.max_variance_rounding <= 1e-6 * rep.max_variance
     assert abs(rep.max_variance - want.max_variance) <= rep.max_variance_rounding

@@ -196,6 +196,35 @@ def test_refusal_in_r_list_leaves_no_partial_output(argv, capsys, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--M", "6", "--r", ""), ("simulate", "--M", "6", "--r", ","),
+    ("simulate", "--M", "6", "--r", "1,,2"), ("reduce", "--M", "6", "--r", ""),
+    ("reduce", "--M", "6", "--meridians", "1,"), ("scaling", "--M", ""),
+    ("scaling", "--M", "6,,8")])
+def test_empty_list_or_entry_is_refused(argv, capsys, tmp_path):
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--output-dir", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=2 cause=LatticeError ")
+    assert "no empty entry" in err and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("formats, unknown", [
+    ("bogus", ["'bogus'"]), ("triplet,dots,xml,report", ["'dots'", "'xml'"]),
+    ("", ["''"])])
+def test_lattice_refuses_unknown_formats(formats, unknown, capsys, tmp_path):
+    outdir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "lattice", "--M", "6", "--formats",
+                             formats, "--output-dir", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=2 cause=LatticeError ")
+    assert f"unknown formats {', '.join(unknown)}:" in err
+    assert not outdir.exists()
+
+
 def test_gaussian_path_never_enters_scipy_linalg(capsys, tmp_path):
     # scipy.linalg links a second BLAS whose idle threads compete with
     # numpy's on small hosts; the simulate and reduce paths stay on numpy

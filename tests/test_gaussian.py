@@ -13,8 +13,8 @@ from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
                          effective_graph, effective_graph_dump,
                          evolution_symplectic, evolve, expand,
                          ideal_graph_delete, lattice_cut_nodes,
-                         measure_q, nullifier_records, nullifier_table,
-                         nullifier_variances, reduce_and_cut,
+                         measure_and_delete, measure_q, nullifier_records,
+                         nullifier_table, nullifier_variances, reduce_and_cut,
                          rotate_color_class, support_graph_stats, vacuum)
 from combcluster.verify import ode_oracle_covariance
 
@@ -560,10 +560,19 @@ def test_measure_unsorted_nodes_pair_outcomes_correctly(crown8):
 
 
 def test_measure_validates_nodes(two_mode):
+    # lists and numpy int arrays alike; the error names the offending node
     st = evolve(EvolutionParams(two_mode, 1.0))
-    for bad in ([], [0, 0], [2], [-1]):
-        with pytest.raises(GaussianError):
-            measure_q(st, bad)
+    with pytest.raises(GaussianError, match="nonempty"):
+        measure_q(st, [])
+    for bad, message in (([0, 0], "node 0 is given more than once"),
+                         ([2], "node 2 is out of range for n=2"),
+                         ([-1], "node -1 is out of range for n=2"),
+                         (np.array([1, 0, 1]), "node 1 is given more than"),
+                         (np.array([0, 7]), "node 7 is out of range for n=2"),
+                         (np.array([-3, 1]), "node -3 is out of range")):
+        for reduce in (measure_q, ideal_graph_delete):
+            with pytest.raises(GaussianError, match=message):
+                reduce(st if reduce is measure_q else two_mode, bad)
 
 
 def schur_conditioning(state, nodes, outcomes):
@@ -672,14 +681,8 @@ def test_measure_in_two_steps_equals_one(case, r, crown8, lattice6):
 
 
 def test_crown_reduction_residual_decreases(crown8):
-    A = crown8.dense()
-    top = [0, 2, 4, 6]
-    residuals = []
-    for r in (1.0, 2.0, 3.0):
-        rotated, conv = optimal_rotation(A, r)
-        red = measure_q(rotated, top)
-        target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
-        residuals.append(nullifier_variances(red, target).max_variance)
+    residuals = [rep.max_variance for _, _, rep in
+                 measure_and_delete(crown8, (1.0, 2.0, 3.0), [0, 2, 4, 6])]
     assert residuals[0] > residuals[1] > residuals[2]
 
 
@@ -764,11 +767,9 @@ def test_cut_effective_graph_is_the_closed_form(M, keep_layer, meridians, r):
     # arXiv:1007.0725): V within its rounding bound, U = 1/|L_q|^2 within
     # the rounding of the row's (k+1)-term sum of squares and its inverse
     A = expand(build_torus_supergraph(M))
-    rotated, conv = cluster_state(A, r)
-    reduced, rep = reduce_and_cut(rotated, M, keep_layer, meridians,
-                                  target=conv.nullifiers.target_adjacency,
-                                  squeeze_r=r)
-    T = conv.nullifiers.target_adjacency[rep.kept_nodes][:, rep.kept_nodes]
+    remaining, cut = reduce_and_cut(A, M, keep_layer, meridians)
+    (reduced, T, _), = measure_and_delete(A, [r], cut.measured_nodes)
+    assert (abs(T) != abs(remaining)).nnz == 0   # the ideal cut, signed
     eg = effective_graph(reduced)
     assert 0 < eg.V_rounding <= 1e-14
     assert abs(eg.V - np.tanh(4 * r) * T).max() <= eg.V_rounding
@@ -786,15 +787,8 @@ def test_effective_graph_rejects_mixed_state():
 
 
 def test_reduced_effective_graph_converges(crown8):
-    A = crown8.dense()
-    top = [0, 2, 4, 6]
-    errors = []
-    for r in (1.0, 2.0, 3.0):
-        rotated, conv = optimal_rotation(A, r)
-        red = measure_q(rotated, top)
-        target = ideal_graph_delete(conv.nullifiers.target_adjacency, top)
-        eg = effective_graph(red)
-        errors.append(abs(eg.V - target).max())
+    errors = [abs(effective_graph(red).V - target).max() for red, target, _ in
+              measure_and_delete(crown8, (1.0, 2.0, 3.0), [0, 2, 4, 6])]
     assert errors[0] > errors[1] > errors[2]
 
 

@@ -3,25 +3,17 @@
 import numpy as np
 import pytest
 
-from combcluster import (EvolutionParams, GaussianError, best_phase_convention,
-                         bicoloring, evolve, lattice_cut_nodes, reduce_and_cut,
-                         rotate_color_class)
-
-
-def rotated_lattice_state(lattice6, r):
-    dense = lattice6.dense()
-    colors = bicoloring(lattice6)
-    state = evolve(EvolutionParams(dense, r))
-    conv = best_phase_convention(state, colors, dense)
-    return rotate_color_class(state, colors, conv.quarter_turns), conv
+from combcluster import (GaussianError, cluster_state, lattice_cut_nodes,
+                         measure_and_delete, measure_q, reduce_and_cut)
 
 
 def test_cut_node_partition():
     measured, kept = lattice_cut_nodes(6, 0, (0, 0))
     assert len(measured) + len(kept) == 144
     assert len(kept) == 25                    # (M-1)^2 macronodes, one layer
-    assert all(node % 4 == 0 for node in kept)
-    assert sorted(measured + kept) == list(range(144))
+    assert np.all(kept % 4 == 0)
+    assert np.array_equal(np.sort(np.concatenate([measured, kept])),
+                          np.arange(144))
 
 
 def test_cut_rejects_bad_parameters():
@@ -53,26 +45,19 @@ def test_ideal_cut_all_layers_and_meridians(lattice6):
 
 
 def test_gaussian_cut_residual_improves_with_r(lattice6):
+    _, report = reduce_and_cut(lattice6, 6, 0, (0, 0))
+    measured, kept = lattice_cut_nodes(6, 0, (0, 0))
+    assert np.array_equal(report.measured_nodes, measured)
+    assert np.array_equal(report.kept_nodes, kept)
     residuals = []
-    for r in (1.0, 2.0):
-        rotated, conv = rotated_lattice_state(lattice6, r)
-        reduced, report = reduce_and_cut(rotated, 6, 0, (0, 0),
-                                         target=conv.nullifiers.target_adjacency,
-                                         squeeze_r=r)
-        assert reduced.n == 25
+    for reduced, target, rep in measure_and_delete(lattice6, (1.0, 2.0),
+                                                   report.measured_nodes):
+        assert reduced.n == target.shape[0] == 25
         assert reduced.purity_defect() < 1e-9
-        residuals.append(report.max_residual)
+        residuals.append(rep.max_variance)
     assert residuals[1] < residuals[0]
 
 
-def test_gaussian_cut_requires_target(lattice6):
-    rotated, _ = rotated_lattice_state(lattice6, 1.0)
-    with pytest.raises(GaussianError):
-        reduce_and_cut(rotated, 6, 0, (0, 0))
-
-
 def test_measuring_everything_leaves_empty_state(lattice6):
-    from combcluster import measure_q
-    rotated, _ = rotated_lattice_state(lattice6, 1.0)
-    red = measure_q(rotated, list(range(144)))
-    assert red.n == 0
+    rotated, _ = cluster_state(lattice6, 1.0)
+    assert measure_q(rotated, np.arange(144)).n == 0
