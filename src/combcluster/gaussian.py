@@ -198,7 +198,7 @@ class EvolutionParams:
 
     def __post_init__(self):
         A = _as_sparse_adjacency(self.adjacency)
-        if (A != A.T).nnz:
+        if not lattice.is_symmetric(A):
             raise GaussianError("adjacency must be symmetric")
         if not (self.squeeze_r >= 0):
             raise GaussianError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
@@ -454,13 +454,29 @@ def cluster_state(A: PhysAdjacency, r: float):
 # Measurement
 # ============================================================
 
+def _node_array(nodes) -> np.ndarray:
+    """``nodes`` as an int64 array of mode indices, checked, not cast:
+    GaussianError for a boolean mask or a value that is not an integer."""
+    given = np.asarray(nodes)
+    if given.dtype == bool:
+        raise GaussianError("nodes must be mode indices, not a boolean mask")
+    if given.dtype.kind in "fc":
+        with np.errstate(invalid="ignore"):
+            exact = given.real.astype(np.int64)
+        bad = exact != given
+        if bad.any():
+            raise GaussianError(f"node {given[bad][0]} is not an integer")
+        given = exact
+    return np.asarray(given, dtype=np.int64)
+
+
 def _split_nodes(n: int, nodes):
     """(sorted node set, the other modes of 0..n-1) as int arrays.
 
-    GaussianError naming a node given twice or outside 0..n-1.
+    GaussianError naming a node that is not an integer (`_node_array`),
+    given twice or outside 0..n-1.
     """
-    nodes, counts = np.unique(np.asarray(nodes, dtype=np.int64),
-                              return_counts=True)
+    nodes, counts = np.unique(_node_array(nodes), return_counts=True)
     if (counts > 1).any():
         raise GaussianError(f"node {nodes[np.argmax(counts > 1)]} is given "
                             "more than once")
@@ -559,7 +575,7 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     naming its mode.  Measuring every mode returns the empty state.
     """
     n = state.n
-    given = np.asarray(nodes, dtype=np.int64)
+    given = _node_array(nodes)
     nodes, keep = _split_nodes(n, given)
     if not nodes.size:
         raise GaussianError("node set must be nonempty")

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import (BlockWeight, LatticeError, PhysAdjacency, _coo_of,
-                      block_label, build_torus_supergraph, expand,
-                      renumber_to_block_hankel)
+                      block_label, build_torus_supergraph, canonical_csr,
+                      expand, renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -121,7 +120,8 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
         offending block in row-major order.
     """
     Q = (A.csr if isinstance(A, PhysAdjacency)
-         else sp.csr_matrix(np.asarray(A, dtype=np.int64)))
+         else canonical_csr(np.atleast_2d(np.asarray(A, dtype=np.int64)),
+                            np.int64))
     n = Q.shape[0]
     if Q.shape[0] != Q.shape[1] or n == 0:
         raise NotHankelError(f"matrix must be square and nonempty, got {Q.shape}")

@@ -5,7 +5,9 @@ All edge weights in this module are quarter-integers.  A weight w is stored
 as the integer numerator of w = numerator/4 ("quarters"), so every matrix
 here holds int64 and all structural checks (symmetry, row norms,
 orthogonality A @ A = 1) are exact integer arithmetic, never floating point.
-The physical adjacency is one sparse CSR matrix: the torus has 32 M**2
+The physical adjacency is one canonical scipy.sparse CSR array
+(`canonical_csr`), the type every sparse matrix of the package has, so ``*``
+is element-wise and ``@`` the product throughout: the torus has 32 M**2
 edges over 4 M**2 modes, and every exact check costs O(edges).
 
 Two graph levels appear throughout:
@@ -207,38 +209,66 @@ class SuperAdjacency:
         return len(self.pairs)
 
 
-def canonical_csr(X, dtype=float, kind=sp.csr_array):
-    """``kind(X, dtype=dtype)`` with sorted indices, no duplicates and no
-    stored zeros; copied only when the conversion is not so already."""
-    X = kind(X, dtype=dtype)
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def canonical_csr(X, dtype=float) -> sp.csr_array:
+    """``sp.csr_array(X, dtype=dtype)`` with sorted indices, no duplicates,
+    no stored zeros, and int32 index arrays wherever they fit; copied only
+    when the conversion is not so already.
+
+    scipy's sparse arrays keep the int64 index arrays a conversion gives
+    them (`expand`'s block storage, coordinate input); with those,
+    `pump --M 200` peaked at ~180 MB instead of ~145 MB.
+    """
+    X = sp.csr_array(X, dtype=dtype)
     if not (X.has_canonical_format and X.data.all()):
         X = X.copy()
         X.sum_duplicates()
         X.eliminate_zeros()
+    if X.indptr.dtype != np.int32 and max(*X.shape, X.nnz) <= _INT32_MAX:
+        X.indices = X.indices.astype(np.int32)
+        X.indptr = X.indptr.astype(np.int32)
     return X
+
+
+def is_symmetric(X) -> bool:
+    """X == X.T entry for entry, for a square sparse array X."""
+    return (X != X.T).nnz == 0
 
 
 @dataclass(eq=False)
 class PhysAdjacency:
-    """Physical-node adjacency: one CSR matrix of int64 quarters (entry/4).
+    """Physical-node adjacency: one CSR array of int64 quarters (entry/4).
 
-    ``csr`` is canonical (sorted indices, no duplicates, no explicit
-    zeros), so ``nnz`` counts the nonzero entries and two adjacencies are
-    equal iff their matrices are.  Any square integer matrix, dense or
-    sparse, is accepted and converted.
+    ``csr`` is canonical (`canonical_csr`), so ``nnz`` counts the nonzero
+    entries and two adjacencies are equal iff their arrays are.  Any square
+    matrix of integer quarters, dense or sparse, is accepted and converted;
+    an entry that is not an integer (2.9, 0.5, nan) raises LatticeError
+    naming its position, while integral floats such as 4.0 are exact.
     """
 
-    csr: sp.csr_matrix
+    csr: sp.csr_array
 
     def __post_init__(self):
         q = self.csr
         if not sp.issparse(q):
-            q = np.asarray(q, dtype=np.int64)
+            q = np.asarray(q)
             if q.ndim != 2:
                 raise LatticeError("adjacency must be square")
-        q = canonical_csr(q, np.int64, sp.csr_matrix)
+        q = canonical_csr(q, q.dtype)
         if q.shape[0] != q.shape[1]:
             raise LatticeError("adjacency must be square")
+        if q.dtype != np.int64:
+            with np.errstate(invalid="ignore"):
+                bad = np.flatnonzero(q.data.real.astype(np.int64) != q.data)
+            if bad.size:
+                e = int(bad[0])
+                row = int(np.searchsorted(q.indptr, e, side="right")) - 1
+                raise LatticeError(
+                    f"adjacency entry ({row}, {q.indices[e]}) is {q.data[e]}, "
+                    "not an integer number of quarters")
+            q = q.astype(np.int64)
         self.csr = q
 
     @property
@@ -259,7 +289,7 @@ class PhysAdjacency:
         return self.csr.nnz
 
     def is_symmetric(self) -> bool:
-        return (self.csr != self.csr.T).nnz == 0
+        return is_symmetric(self.csr)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PhysAdjacency)
@@ -333,7 +363,7 @@ def expand(S: SuperAdjacency) -> PhysAdjacency:
     """Expand a supergraph to its physical-node adjacency.
 
     Physical node index = macronode * block_side + layer; the entry between
-    (i, layer a) and (j, layer b) is block(i, j)[a, b].  The CSR matrix is
+    (i, layer a) and (j, layer b) is block(i, j)[a, b].  The CSR array is
     converted from block-sparse-row storage of the blocks, looked up by
     label; no dense matrix is built.
     """
@@ -350,8 +380,7 @@ def expand(S: SuperAdjacency) -> PhysAdjacency:
     order = np.lexsort((bcol, brow))
     data = table[codes[order % S.n_superedges]]
     indptr = np.concatenate([[0], np.cumsum(S.degrees())])
-    bsr = sp.bsr_matrix((data, bcol[order], indptr), shape=(n, n))
-    return PhysAdjacency(bsr.tocsr())
+    return PhysAdjacency(sp.bsr_array((data, bcol[order], indptr), shape=(n, n)))
 
 
 # ============================================================
@@ -379,9 +408,8 @@ def check_orthogonal(A: PhysAdjacency) -> OrthogonalityReport:
         raise LatticeError("adjacency must be symmetric")
     Q = A.csr
     # A @ A in sixteenths, minus the identity (16 sixteenths)
-    D = Q @ Q - sp.identity(A.n, dtype=np.int64, format="csr") * 16
-    D.sum_duplicates()
-    D.eliminate_zeros()
+    D = canonical_csr(Q @ Q - 16 * sp.eye_array(A.n, dtype=np.int64,
+                                                format="csr"), np.int64)
     loops = bool(Q.diagonal().any())
     if not D.nnz:
         return OrthogonalityReport(True, Fraction(0), None, loops)
@@ -396,7 +424,9 @@ def two_path_weight(A: PhysAdjacency, j: int, k: int) -> Fraction:
     n = A.n
     if not (0 <= j < n and 0 <= k < n):
         raise LatticeError(f"node index out of range: ({j}, {k}) for n={n}")
-    return Fraction(int((A.csr[j] @ A.csr[:, k]).sum()), 16)
+    # 2-D slices: scipy 1.17's dot of a 1-D int64 row and column reads
+    # uninitialised memory (2**28 or 2**36 for a zero weight)
+    return Fraction(int((A.csr[[j]] @ A.csr[:, [k]]).sum()), 16)
 
 
 @dataclass
@@ -413,8 +443,8 @@ class Bicoloring:
         return np.flatnonzero(self.colors == c)
 
 
-def _coo_of(Q: sp.csr_matrix):
-    """Row, column and value arrays of a canonical CSR matrix, row-major."""
+def _coo_of(Q: sp.csr_array):
+    """Row, column and value arrays of a canonical CSR array, row-major."""
     rows = np.repeat(np.arange(Q.shape[0], dtype=Q.indices.dtype), np.diff(Q.indptr))
     return rows, Q.indices, Q.data
 
@@ -505,7 +535,7 @@ class RenumberResult:
                                        np.argsort(self.permutation)))
 
 
-def _permuted(Q: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
+def _permuted(Q: sp.csr_array, perm: np.ndarray) -> sp.csr_array:
     """B with B[a, b] = Q[perm[a], perm[b]], for a permutation perm."""
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.size)

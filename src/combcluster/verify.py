@@ -32,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gaussian, hankel, lattice
+from .lattice import canonical_csr
 
 
 @dataclass
@@ -91,21 +92,22 @@ def positions_from_run_lengths(M: int, s: int, t: int):
     return first + [corner] + [2 * M * M + p for p in first]
 
 
-def outer_support(B) -> sp.csr_matrix:
+def outer_support(B) -> sp.csr_array:
     """0/1 CSR occupancy of the 2x2 blocks of a physical matrix.
 
     B is a PhysAdjacency or any dense or sparse square matrix.
     """
-    Q = sp.coo_matrix(B.csr if isinstance(B, lattice.PhysAdjacency) else B)
-    Q.eliminate_zeros()
+    Q = B.csr if isinstance(B, lattice.PhysAdjacency) else canonical_csr(B, None)
+    rows, cols, _ = lattice._coo_of(Q)
     nb = Q.shape[0] // 2
-    S = sp.csr_matrix((np.ones(Q.nnz, dtype=np.int64), (Q.row // 2, Q.col // 2)),
-                      shape=(nb, nb))
+    S = canonical_csr(sp.coo_array((np.ones(rows.size, dtype=np.int64),
+                                    (rows // 2, cols // 2)), shape=(nb, nb)),
+                      np.int64)
     S.data[:] = 1                          # entries per block were summed
     return S
 
 
-def layout_outer_support(M: int, positions) -> sp.csr_matrix:
+def layout_outer_support(M: int, positions) -> sp.csr_array:
     """0/1 CSR occupancy of a 2x2 block-Hankel layout: i ~ j iff i + j in D."""
     nb = 2 * M * M
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -114,8 +116,8 @@ def layout_outer_support(M: int, positions) -> sp.csr_matrix:
         rows.append(i)
         cols.append(d - i)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
-                         shape=(nb, nb))
+    return canonical_csr(sp.coo_array((np.ones(rows.size, dtype=np.int64),
+                                       (rows, cols)), shape=(nb, nb)), np.int64)
 
 
 def _closed_walks(S):
@@ -129,10 +131,10 @@ def _closed_walks(S):
     and every partial sum of a product is non-negative and at most the
     trace, so nothing overflows while the trace itself fits in int64.
     """
-    S = sp.csr_matrix(S, dtype=np.int64)
-    St = S.T.tocsr()
-    symmetric = (S != St).nnz == 0
-    P, Q = S, sp.identity(S.shape[0], np.int64, format="csr")
+    S = canonical_csr(S, np.int64)
+    symmetric = lattice.is_symmetric(S)
+    St = S if symmetric else S.T.tocsr()
+    P, Q = S, sp.eye_array(S.shape[0], dtype=np.int64, format="csr")
     while True:                            # P = S^a, Q = (S^T)^(a-1)
         yield int(P.multiply(Q).sum())     # k = 2a - 1
         if symmetric:

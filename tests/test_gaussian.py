@@ -569,10 +569,19 @@ def test_measure_validates_nodes(two_mode):
                          ([-1], "node -1 is out of range for n=2"),
                          (np.array([1, 0, 1]), "node 1 is given more than"),
                          (np.array([0, 7]), "node 7 is out of range for n=2"),
-                         (np.array([-3, 1]), "node -3 is out of range")):
+                         (np.array([-3, 1]), "node -3 is out of range"),
+                         ([0.5], "node 0.5 is not an integer"),
+                         (np.array([0, 1.7]), "node 1.7 is not an integer"),
+                         ([np.nan], "node nan is not an integer"),
+                         ([True, False], "not a boolean mask"),
+                         (np.array([False, True]), "not a boolean mask")):
         for reduce in (measure_q, ideal_graph_delete):
             with pytest.raises(GaussianError, match=message):
                 reduce(st if reduce is measure_q else two_mode, bad)
+    # integral floats name their mode exactly
+    assert ideal_graph_delete(two_mode, [1.0]).shape == (1, 1)
+    assert np.array_equal(measure_q(st, np.array([1.0])).factor.toarray(),
+                          measure_q(st, [1]).factor.toarray())
 
 
 def schur_conditioning(state, nodes, outcomes):

@@ -72,6 +72,13 @@ def test_shorthand_rejects_bad_entry_shape():
         HankelShorthand(entries=np.zeros((3, 2, 2)), block_side=1)
 
 
+def test_shorthand_of_reads_a_vector_as_one_row():
+    # a 1-D input is one row, as for a 1x1 matrix, never a 1-D sparse array
+    with pytest.raises(NotHankelError, match=r"got \(1, 3\)"):
+        shorthand_of(np.array([1, 2, 3]))
+    assert shorthand_of(np.array(5)).entries.tolist() == [[[5]]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(nb=st.integers(1, 12), s=st.sampled_from([1, 2, 3, 4]), data=st.data())
 def test_codec_round_trip_and_first_violation(nb, s, data):

@@ -289,6 +289,27 @@ def test_renumber_block_row_structure(lattice6):
     assert np.array_equal(sq, np.full(144, 16))
 
 
+@pytest.mark.parametrize("convert", [np.asarray, sp.csr_array, sp.coo_matrix],
+                         ids=["dense", "csr_array", "coo_matrix"])
+def test_non_integral_quarters_are_refused(convert):
+    # checked, not cast: 2.9 would be stored as 2 and 0.5 as no edge
+    for Q, where in ((np.array([[0, 2.9], [2.9, 0]]), r"\(0, 1\) is 2\.9"),
+                     (np.array([[0, 0.5], [0.5, 0]]), r"\(0, 1\) is 0\.5"),
+                     (np.array([[0, 0, 0], [0, 0, 4], [0, -1.25, 0]]),
+                      r"\(2, 1\) is -1\.25"),
+                     (np.array([[0, np.nan], [np.nan, 0]]), r"\(0, 1\) is nan")):
+        with pytest.raises(LatticeError, match=where + ", not an integer"):
+            PhysAdjacency(convert(Q))
+    # integral floats are exact quarters
+    A = PhysAdjacency(convert(np.array([[0, 4.0], [4.0, 0]])))
+    assert A.csr.dtype == np.int64 and A.quarters.tolist() == [[0, 4], [4, 0]]
+
+
+def test_duplicate_sparse_quarters_are_summed_before_the_check():
+    halves = sp.coo_array(([0.5, 0.5, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+    assert PhysAdjacency(halves).quarters.tolist() == [[0, 1], [1, 0]]
+
+
 def test_renumber_rejects_unsupported_m(lattice6):
     with pytest.raises(LatticeError):
         renumber_to_block_hankel(expand(build_torus_supergraph(4)), 4)

@@ -27,6 +27,12 @@ DIGESTS = {
         "lattice_M16.triplets": "4cfc46c4120e7cd3b811a2a0c24a90e233aa605bcf4c7ee51da1cd7ff0b45bf5",
         "supergraph_M16.triplets": "58210238eb089f48372df2eceed88b04f3dc827657dc8be6b27f3654080be2da",
     },
+    ("lattice", "--M", "32", "--formats", "triplet,report"): {
+        "stdout": "d86caa04703247fe26a9bcdaa54ee95f5fb6ce2ae5552325c7192158eb8a82e1",
+        "lattice_M32.report": "5395e56a2dc5f5cc4ac83e3aad1f11d6868047e222cc93d9fffba71f070647fa",
+        "lattice_M32.triplets": "5b445acb00b63568257c847ae3c2e8d084f6a343b6b9d5c715a04321015abbe0",
+        "supergraph_M32.triplets": "134301db929e781b65da5efbc78877114409e175cbad634515169c7889d1c606",
+    },
     ("ring", "--n-macro", "4"): {
         "stdout": "22ffac09a010ca48a9eca190197eec809a1b02d85250957a5fc71059f49af8cd",
         "crown_n4.triplets": "1fa8d81f7f94cb50645ef40282c7f67144e690bfa5ec16226fc6a5df1688e3a5",
