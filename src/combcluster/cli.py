@@ -8,8 +8,8 @@ failure, 4 internal invariant breach or lost precision (PrecisionLossError:
 a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5, or
 an effective-graph error it cannot, seen from r between 2.2 and 2.5 at
 every M).
-`simulate` and `reduce` exit 2 before building the lattice when their
-estimated peak memory exceeds this machine's.
+Every command exits 2 before building the lattice when its estimated peak
+memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
 error: code=<n> cause=<type> detail="...".
 """
@@ -81,6 +81,18 @@ def _lattice_pipeline(M: int):
 
 
 _LATTICE_FORMATS = ("triplet", "dot", "report")
+# Peak RSS above the import baseline per mode in bytes, twice what was
+# measured: lattice 516 plus 236 / 438 for the triplet / DOT text, pump 569
+# and scaling 585 (all at M = 362), ring 434 (600 000 modes), verify-all
+# 6307 (M = 128).  simulate and reduce use the Gaussian engine's estimates.
+_PEAK_PER_MODE = {"lattice": 1040, "report": 0, "triplet": 480, "dot": 880,
+                  "ring": 880, "pump": 1180, "verify-all": 12800}
+
+
+def _require_fit(n: int, *parts: str) -> None:
+    """LatticeError unless n modes at the parts' per-mode peaks fit."""
+    gaussian.require_fit(n, n * sum(_PEAK_PER_MODE[p] for p in parts),
+                         lattice.LatticeError)
 
 
 def cmd_lattice(args) -> int:
@@ -90,6 +102,7 @@ def cmd_lattice(args) -> int:
         raise lattice.LatticeError(
             f"unknown formats {', '.join(map(repr, unknown))}: expected a "
             f"comma subset of {','.join(_LATTICE_FORMATS)}")
+    _require_fit(4 * args.M ** 2, "lattice", *formats)
     S, A, ortho, colors, degrees = _lattice_pipeline(args.M)
     coords = lattice.coordinates(args.M)
     degree = degrees.pop() if len(degrees) == 1 else sorted(degrees)
@@ -118,6 +131,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_ring(args) -> int:
+    _require_fit(2 * args.n_macro, "ring")
     S = lattice.build_ring_supergraph(args.n_macro)
     A = lattice.expand(S)
     ortho = lattice.check_orthogonal(A)
@@ -140,6 +154,7 @@ def cmd_pump(args) -> int:
             f"pump compilation requires even M >= 6: the long zero run "
             f"t = M^2-4M-3 = {M * M - 4 * M - 3} of the 2x2 layout is "
             f"negative at M={M}")
+    _require_fit(4 * M * M, "pump")
     A = lattice.expand(lattice.build_torus_supergraph(M))
     short = lattice.renumber_to_block_hankel(A, M).shorthand
     spectrum = hankel.compile_pump(short)
@@ -199,6 +214,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    _require_fit(4 * max(args.M_list) ** 2, "pump")
     table = hankel.scaling_table(hankel.scaling_report(args.M_list))
     _emit(args.output_dir,
           [(table.removesuffix("\n"), [("scaling.txt", table)])])
@@ -206,6 +222,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    _require_fit(4 * args.M ** 2, "verify-all")
     _, report, all_passed = verify.verify_all(args.M)
     _emit(args.output_dir,
           [(report.removesuffix("\n"), [("verify_report.txt", report)])])

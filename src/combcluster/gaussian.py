@@ -88,14 +88,13 @@ def _memory_limit() -> int:
     return limit
 
 
-def require_fit(n: int, need: int) -> None:
-    """GaussianError unless ``need`` bytes, the caller's peak estimate for n
+def require_fit(n: int, need: int, error=GaussianError) -> None:
+    """``error`` unless ``need`` bytes, the caller's peak estimate for n
     modes, fit in memory."""
     limit = _memory_limit()
     if need > limit:
-        raise GaussianError(
-            f"{n} modes need ~{need / 2**30:.3g} GiB in the Gaussian engine, "
-            f"more than the {limit / 2**30:.3g} GiB of memory here")
+        raise error(f"{n} modes need ~{need / 2**30:.3g} GiB, more than the "
+                    f"{limit / 2**30:.3g} GiB of memory here")
 
 
 # ============================================================

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import (BlockWeight, LatticeError, PhysAdjacency, _coo_of,
                       block_label, build_torus_supergraph, canonical_csr,
@@ -51,6 +52,12 @@ SIGN_CONVENTION = "pol:+45=pi+,-45=pi-;yphase:180=negated-block"
 # Shorthand encoding
 # ============================================================
 
+def _check_block_side(s) -> int:
+    if not isinstance(s, (int, np.integer)) or s < 1:
+        raise NotHankelError(f"block_side must be a positive integer, got {s!r}")
+    return int(s)
+
+
 @dataclass
 class HankelShorthand:
     """Shorthand vector of a (block-)Hankel matrix.
@@ -65,7 +72,7 @@ class HankelShorthand:
     block_side: int
 
     def __post_init__(self):
-        s = self.block_side
+        s = _check_block_side(self.block_side)
         try:
             e = np.asarray(self.entries, dtype=np.int64)
         except ValueError as exc:           # a ragged list of blocks
@@ -105,30 +112,24 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     every nonzero slot is stored in all N - |d - N + 1| blocks of its
     diagonal, so a block left empty on a nonzero diagonal is caught.
 
-    Parameters
-    ----------
-    A : PhysAdjacency or int ndarray
-        Square matrix of quarter numerators; side divisible by block_side.
-    block_side : int
-        Block granularity (1, 2 or 4).
-
-    Raises
-    ------
-    NotHankelError
-        If some block skew-diagonal is not constant.  ``first_violation``
-        pairs the block its diagonal's entry was read from with the first
-        offending block in row-major order.
+    A is a PhysAdjacency or a square integer matrix, dense or sparse, of
+    quarter numerators, and block_side (1, 2 or 4) divides its side;
+    NotHankelError otherwise, or when some block skew-diagonal is not
+    constant.  Then ``first_violation`` pairs the block its diagonal's
+    entry was read from with the first block, in row-major order, where A
+    differs from `matrix_of` of the entries read.
     """
-    Q = (A.csr if isinstance(A, PhysAdjacency)
-         else canonical_csr(np.atleast_2d(np.asarray(A, dtype=np.int64)),
-                            np.int64))
+    s = _check_block_side(block_side)
+    try:
+        Q = (A if isinstance(A, PhysAdjacency) else PhysAdjacency(
+            A if sp.issparse(A) else np.atleast_2d(A))).csr
+    except LatticeError as exc:
+        raise NotHankelError(str(exc)) from None
     n = Q.shape[0]
-    if Q.shape[0] != Q.shape[1] or n == 0:
-        raise NotHankelError(f"matrix must be square and nonempty, got {Q.shape}")
-    if n % block_side:
-        raise NotHankelError(
-            f"side {n} not divisible by block_side {block_side}")
-    s = block_side
+    if n == 0:
+        raise NotHankelError(f"matrix must be nonempty, got {Q.shape}")
+    if n % s:
+        raise NotHankelError(f"side {n} not divisible by block_side {s}")
     nb = n // s
     rows, cols, vals = _coo_of(Q)
     if 2 * n * s >= np.iinfo(rows.dtype).max:
@@ -147,6 +148,7 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     del b
     entries = np.zeros((2 * nb - 1) * s * s, dtype=np.int64)
     entries[slot[first]] = vals[first]
+    short = HankelShorthand(entries=entries.reshape(-1, s, s), block_side=s)
     # compared a chunk at a time: one int64 gather of every slot's entry
     # would add 8 bytes per nonzero to the peak
     ok = np.empty(vals.size, dtype=bool)
@@ -159,31 +161,9 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     # lies in a nonzero slot) the slots are full iff the totals agree
     expected = nb - np.abs(nonzero // (s * s) - (nb - 1))
     if ok.all() and vals.size == expected.sum():
-        return HankelShorthand(entries=entries.reshape(-1, s, s), block_side=s)
-    # Offending blocks: those holding a value other than their slot's
-    # entry, and per short slot the first block (in i) not holding it,
-    # i.e. the first gap in its sorted blocks or the one after its last.
-    # Later gaps of a slot may name good blocks, but never before its first.
-    rows = _coo_of(Q)[0].astype(np.int64)
-    i, j = rows // s, cols.astype(np.int64) // s
-    stored = np.bincount(slot[ok], minlength=entries.size)
-    candidates = [i[~ok] * nb + j[~ok]]
-    short = np.zeros(entries.size, dtype=bool)
-    short[nonzero] = stored[nonzero] < expected
-    sel = ok & short[slot]
-    ks, ki = slot[sel].astype(np.int64), i[sel]
-    order = np.lexsort((ki, ks))
-    ks, ki = ks[order], ki[order]
-    kd = ks // (s * s)
-    want = (np.maximum(kd - (nb - 1), 0) + np.arange(ks.size)
-            - np.searchsorted(ks, ks))
-    gap = ki != want
-    candidates.append(want[gap] * nb + kd[gap] - want[gap])
-    short = np.flatnonzero(short)
-    sd = short // (s * s)
-    after = np.maximum(sd - (nb - 1), 0) + stored[short]
-    candidates.append(after * nb + sd - after)
-    bi, bj = divmod(int(np.concatenate(candidates).min()), nb)
+        return short
+    rows, cols, _ = _coo_of(canonical_csr(Q - matrix_of(short), np.int64))
+    bi, bj = divmod(int((rows.astype(np.int64) // s * nb + cols // s).min()), nb)
     d = bi + bj
     i0 = max(0, d - nb + 1)
     raise NotHankelError(
@@ -192,15 +172,22 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
         first_violation=((i0, d - i0), (bi, bj)))
 
 
-def matrix_of(short: HankelShorthand) -> np.ndarray:
-    """Rebuild the full matrix from a shorthand (exact inverse of shorthand_of)."""
-    nb = short.n_blocks
-    s = short.block_side
-    # W[i, a, b, j] = entries[i + j, a, b], a read-only view
-    W = np.lib.stride_tricks.sliding_window_view(short.entries, nb, axis=0)
-    Q = np.empty((nb, s, nb, s), dtype=np.int64)
-    Q[...] = W.transpose(0, 1, 3, 2)
-    return Q.reshape(nb * s, nb * s)
+def matrix_of(short: HankelShorthand) -> sp.csr_array:
+    """The matrix of a shorthand as a canonical int64 CSR array (the exact
+    inverse of shorthand_of).
+
+    Each nonzero slot (d, a, b) fills entry (a, b) of the N - |d - N + 1|
+    blocks (i, d - i) on its skew-diagonal; no dense matrix is built.
+    """
+    nb, s = short.n_blocks, short.block_side
+    d, a, b = np.nonzero(short.entries)
+    lo = np.maximum(d - nb + 1, 0)         # each slot's first block row
+    count = np.minimum(d, nb - 1) - lo + 1
+    slot = np.repeat(np.arange(d.size), count)
+    i = np.arange(slot.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    coords = (i * s + a[slot], (d[slot] - i) * s + b[slot])
+    return canonical_csr(sp.coo_array((short.entries[d, a, b][slot], coords),
+                                      shape=(nb * s, nb * s)), np.int64)
 
 
 # ============================================================
@@ -221,7 +208,6 @@ class PumpLine:
 class PumpSpectrum:
     lines: list
     n_qumodes: int
-    sign_convention: str = SIGN_CONVENTION
 
     @property
     def bandwidth_span(self) -> int:
@@ -345,10 +331,10 @@ def scaling_table(rows) -> str:
 # File formats
 # ============================================================
 
-def pump_file(spectrum: PumpSpectrum, block_side: int = 2) -> str:
+def pump_file(spectrum: PumpSpectrum) -> str:
     """Machine-readable pump spectrum, deterministically ordered by d."""
-    lines = [f"n_qumodes={spectrum.n_qumodes} block_side={block_side} "
-             f"sign_convention={spectrum.sign_convention}"]
+    lines = [f"n_qumodes={spectrum.n_qumodes} block_side=2 "
+             f"sign_convention={SIGN_CONVENTION}"]
     for ln in spectrum.lines:
         lines.append(f"d={ln.frequency_index} amp={ln.amplitude:.12g} "
                      f"pol={ln.polarization} yphase={ln.y_phase}")

@@ -251,14 +251,10 @@ class PhysAdjacency:
     csr: sp.csr_array
 
     def __post_init__(self):
-        q = self.csr
-        if not sp.issparse(q):
-            q = np.asarray(q)
-            if q.ndim != 2:
-                raise LatticeError("adjacency must be square")
+        q = self.csr if sp.issparse(self.csr) else np.asarray(self.csr)
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise LatticeError(f"adjacency must be square, got {q.shape}")
         q = canonical_csr(q, q.dtype)
-        if q.shape[0] != q.shape[1]:
-            raise LatticeError("adjacency must be square")
         if q.dtype != np.int64:
             with np.errstate(invalid="ignore"):
                 bad = np.flatnonzero(q.data.real.astype(np.int64) != q.data)
@@ -304,19 +300,40 @@ def _check_even_size(name, value, minimum):
         raise LatticeError(f"{name} must be even and >= {minimum}, got {value}")
 
 
+def constructed_run_lengths(M: int):
+    """Run lengths (s, t) of the M-lattice's skeleton."""
+    return M - 1, M * M - 2 * M - 3
+
+
+def positions_from_run_lengths(M: int, s: int, t: int):
+    """The 15 nonzero skew-diagonal positions of the 2x2 skeleton.
+
+    Skeleton per half: 0^s B 0^t B 0^s B 0 B 0^s B 0^t B 0^s B 0, corner
+    block, then the same half again; valid whenever s, t >= 0 and
+    4s + 2t = 2M**2 - 10.  LatticeError otherwise.
+    """
+    if s < 0 or t < 0:
+        raise LatticeError(f"run lengths ({s}, {t}) must not be negative")
+    # each block follows its run of zeros: the k-th sits at run sum + k
+    first = (np.cumsum([s, t, s, 1, s, t, s]) + np.arange(7)).tolist()
+    if first[-1] + 2 != 2 * M * M - 1:
+        raise LatticeError(f"run lengths ({s}, {t}) do not fit M={M}")
+    return first + [2 * M * M - 1] + [2 * M * M + p for p in first]
+
+
 def torus_block_diagonals(M: int):
     """The seven nonzero 4x4-block skew-diagonals of the M-lattice.
 
     Returns [(d, label), ...] with d the block skew-diagonal index
-    (0 .. 2*M**2-2) and label the `BLOCK_LABELS` key of its block.  Derived
-    from the run lengths u = M-1 and v = M**2-2*M-3 of the block-Hankel
-    shorthand; the single negated P3 diagonal is the twist that makes the
-    later 2x2 regrouping consistent.
+    (0 .. 2*M**2-2) and label the `BLOCK_LABELS` key of its block.  The
+    positions are the first half of the skeleton: the renumbering keeps
+    4x4 block (m, m') within 2x2 blocks (m + M**2 x, m' + M**2 x'), so the
+    x = x' = 0 blocks lie on the same diagonals.  The single negated P3
+    diagonal is the twist that makes the 2x2 regrouping consistent.
     """
     _check_even_size("M", M, 4)
-    N = M * M
-    return [(M - 1, "P1"), (N - M - 3, "P0"), (N - 3, "P3"), (N - 1, "P2"),
-            (N + M - 1, "P1"), (2 * N - M - 3, "P0"), (2 * N - 3, "-P3")]
+    first = positions_from_run_lengths(M, *constructed_run_lengths(M))[:7]
+    return list(zip(first, ("P1", "P0", "P3", "P2", "P1", "P0", "-P3")))
 
 
 def build_torus_supergraph(M: int) -> SuperAdjacency:
@@ -569,8 +586,8 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     Requires even M >= 6 and A = expand(build_torus_supergraph(M)).
     The result is validated: the permutation is a bijection onto
     range(A.n), so ``restore()`` gives back A exactly, and the renumbered
-    matrix has constant 2x2 block skew-diagonals with exactly 15 nonzero
-    blocks.
+    matrix has constant 2x2 block skew-diagonals, nonzero exactly at the 15
+    positions of the skeleton with `constructed_run_lengths`.
     """
     _check_even_size("M", M, 6)
     if A.n != 4 * M * M:
@@ -584,8 +601,9 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     B = PhysAdjacency(_permuted(A.csr, perm))
     from .hankel import shorthand_of  # local import to avoid a module cycle
     short = shorthand_of(B, block_side=2)
-    if len(short.nonzero_indices()) != 15:
-        raise RuntimeError("renumbering lost the 15-diagonal structure")
+    if short.nonzero_indices() != positions_from_run_lengths(
+            M, *constructed_run_lengths(M)):
+        raise RuntimeError("renumbered layout is not the lattice's skeleton")
     return RenumberResult(permutation=perm, renumbered=B, shorthand=short)
 
 

@@ -69,29 +69,6 @@ def claimed_run_lengths(M: int):
     return 2 * M - 1, M * M - 4 * M - 3
 
 
-def constructed_run_lengths(M: int):
-    """Run lengths actually produced by the tensor-factor renumbering."""
-    return M - 1, M * M - 2 * M - 3
-
-
-def positions_from_run_lengths(M: int, s: int, t: int):
-    """The 15 nonzero skew-diagonal positions of the standard skeleton.
-
-    Skeleton per half: 0^s B 0^t B 0^s B 0 B 0^s B 0^t B 0^s B 0, corner
-    block, then the same half again; valid whenever 4s + 2t = 2M**2 - 10.
-    """
-    runs = (s, t, s, 1, s, t, s)
-    first = []
-    pos = -1
-    for run in runs:
-        pos += run + 1
-        first.append(pos)
-    corner = pos + 2
-    if corner != 2 * M * M - 1:
-        raise ValueError(f"run lengths ({s}, {t}) do not fit M={M}")
-    return first + [corner] + [2 * M * M + p for p in first]
-
-
 def outer_support(B) -> sp.csr_array:
     """0/1 CSR occupancy of the 2x2 blocks of a physical matrix.
 
@@ -108,16 +85,17 @@ def outer_support(B) -> sp.csr_array:
 
 
 def layout_outer_support(M: int, positions) -> sp.csr_array:
-    """0/1 CSR occupancy of a 2x2 block-Hankel layout: i ~ j iff i + j in D."""
-    nb = 2 * M * M
-    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for d in set(positions):
-        i = np.arange(max(0, d - nb + 1), min(d, nb - 1) + 1)   # blocks (i, d - i)
-        rows.append(i)
-        cols.append(d - i)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return canonical_csr(sp.coo_array((np.ones(rows.size, dtype=np.int64),
-                                       (rows, cols)), shape=(nb, nb)), np.int64)
+    """0/1 CSR occupancy of a 2x2 block-Hankel layout: i ~ j iff i + j in D.
+
+    LatticeError for a position outside the 4M**2 - 1 skew-diagonals.
+    """
+    entries = np.zeros((4 * M * M - 1, 1, 1), dtype=np.int64)
+    for d in positions:
+        if not 0 <= d < len(entries):
+            raise lattice.LatticeError(
+                f"skew-diagonal {d} is outside 0..{len(entries) - 1}")
+    entries[list(positions)] = 1
+    return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
 
 
 def _closed_walks(S):
@@ -175,14 +153,14 @@ def criterion_block_hankel_structure(M: int = 6) -> CriterionResult:
     roundtrip = result.restore() == A
     all_pi = all(hankel.is_pi_block(short.entries[d]) for d in nonzero)
     s_ref, t_ref = claimed_run_lengths(M)
-    ref_positions = positions_from_run_lengths(M, s_ref, t_ref)
+    ref_positions = lattice.positions_from_run_lengths(M, s_ref, t_ref)
     positions_match = nonzero == ref_positions
     details.append(f"block_hankel=true nonzero_blocks={len(nonzero)} "
                    f"all_pi_proportional={str(all_pi).lower()} "
                    f"roundtrip_exact={str(roundtrip).lower()}")
     details.append(f"claimed_positions(s={s_ref},t={t_ref})={ref_positions}")
-    details.append(f"achieved_positions(s={constructed_run_lengths(M)[0]},"
-                   f"t={constructed_run_lengths(M)[1]})={nonzero}")
+    details.append("achieved_positions(s={},t={})={}".format(
+        *lattice.constructed_run_lengths(M), nonzero))
     if not positions_match:
         # Both supports are full-block 2x2 layouts, so comparing their
         # block-occupancy graphs is equivalent to comparing the physical

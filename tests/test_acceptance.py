@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from combcluster import verify
+from combcluster import lattice, verify
 from combcluster import (EvolutionParams, best_phase_convention, bicoloring,
                          build_torus_supergraph, evolve, expand,
                          nullifier_variances, rotate_color_class)
@@ -133,7 +133,7 @@ def test_no_renumbering_reaches_pinned_layout():
         A = expand(build_torus_supergraph(M))
         renum = renumber_to_block_hankel(A, M)
         s_ref, t_ref = verify.claimed_run_lengths(M)
-        ref_positions = verify.positions_from_run_lengths(M, s_ref, t_ref)
+        ref_positions = lattice.positions_from_run_lengths(M, s_ref, t_ref)
         src = verify.outer_support(renum.renumbered.quarters)
         ref = verify.layout_outer_support(M, ref_positions)
         cert = verify.walk_refutation(src, ref, k_max=2 * M)
@@ -154,18 +154,17 @@ def dense_walk_certificate(Sa, Sb, k_max):
 
 @pytest.mark.parametrize("M", [6, 8, 14])
 def test_sparse_walk_certificate_matches_dense_loop(M):
-    from combcluster import HankelShorthand, matrix_of, renumber_to_block_hankel
+    from combcluster import renumber_to_block_hankel
     renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
-    positions = verify.positions_from_run_lengths(M, *verify.claimed_run_lengths(M))
+    positions = lattice.positions_from_run_lengths(M, *verify.claimed_run_lengths(M))
     src = verify.outer_support(renum.renumbered)
     ref = verify.layout_outer_support(M, positions)
     # dense oracles: 2x2 block occupancy and the 0/1 Hankel layout
     nb = 2 * M * M
     Q = renum.renumbered.quarters.reshape(nb, 2, nb, 2)
     src_dense = Q.any(axis=(1, 3)).astype(np.int64)
-    entries = np.zeros((2 * nb - 1, 1, 1), dtype=np.int64)
-    entries[positions] = 1
-    ref_dense = matrix_of(HankelShorthand(entries, block_side=1))
+    blocks = np.arange(nb)
+    ref_dense = np.isin(np.add.outer(blocks, blocks), positions).astype(np.int64)
     assert np.array_equal(src.toarray(), src_dense)
     assert np.array_equal(ref.toarray(), ref_dense)
     cert = verify.walk_refutation(src, ref, k_max=2 * M)
@@ -227,13 +226,20 @@ def test_constructed_layout_has_same_skeleton():
     """The achieved layout uses the pinned skeleton with run lengths (M-1, M**2-2M-3)."""
     from combcluster import renumber_to_block_hankel
     for M in (6, 8):
-        s_alt, t_alt = verify.constructed_run_lengths(M)
-        positions = verify.positions_from_run_lengths(M, s_alt, t_alt)
+        s_alt, t_alt = lattice.constructed_run_lengths(M)
+        positions = lattice.positions_from_run_lengths(M, s_alt, t_alt)
         renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
         assert positions == renum.shorthand.nonzero_indices()
         # both run-length choices satisfy the skeleton length identity
         s_ref, t_ref = verify.claimed_run_lengths(M)
         assert 4 * s_alt + 2 * t_alt == 4 * s_ref + 2 * t_ref
+
+
+@pytest.mark.parametrize("position", [500, 143, -1])
+def test_layout_refuses_a_position_outside_the_layout(position):
+    # M = 6 has skew-diagonals 0..142; 500 used to be dropped silently
+    with pytest.raises(ValueError, match=f"skew-diagonal {position} is outside 0..142"):
+        verify.layout_outer_support(6, [5, position])
 
 
 def test_engine_uniform_decay_is_exp_minus_4r(lattice6, crown8, two_mode):

@@ -376,7 +376,7 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert re.fullmatch(rf'error: code=2 cause=GaussianError detail="{n} modes '
-                        r'need ~\S+ GiB in the Gaussian engine, more than the '
+                        r'need ~\S+ GiB, more than the '
                         r'\S+ GiB of memory here"\n', proc.stderr)
     assert time.perf_counter() - start < 10
 
@@ -418,3 +418,41 @@ def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):
     assert err.count("\n") == 1
     monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
     assert run_cli(capsys, "simulate", "--M", "6")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", "--M", "1000000"),
+    ("ring", "--n-macro", "10000000000000000000"),
+    ("pump", "--M", "1000000"),
+    ("scaling", "--M", "6,100000000"),
+    ("verify-all", "--M", "100000000"),
+])
+def test_lattice_commands_refuse_sizes_that_cannot_fit(capsys, argv):
+    # refused by the estimate alone, before anything is built: each of
+    # these used to end in a numpy traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r'error: code=2 cause=LatticeError detail="\d+ modes '
+                        r'need ~\S+ GiB, more than the \S+ GiB of memory '
+                        r'here"\n', err)
+
+
+@pytest.mark.parametrize("argv,n,parts", [
+    (("lattice", "--M", "6"), 144, ("lattice", "triplet", "dot", "report")),
+    (("lattice", "--M", "6", "--formats", "report"), 144, ("lattice", "report")),
+    (("ring", "--n-macro", "4"), 8, ("ring",)),
+    (("pump", "--M", "6"), 144, ("pump",)),
+    (("scaling", "--M", "8,6"), 256, ("pump",)),
+    (("verify-all", "--M", "6"), 144, ("verify-all",)),
+])
+def test_lattice_commands_refuse_one_byte_below_their_estimate(
+        capsys, monkeypatch, argv, n, parts):
+    import combcluster.cli as cli
+    import combcluster.gaussian as gaussian
+    need = n * sum(cli._PEAK_PER_MODE[p] for p in parts)
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f'error: code=2 cause=LatticeError detail="{n} modes')
+    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    assert run_cli(capsys, *argv)[0] in (0, 3)       # verify-all exits 3

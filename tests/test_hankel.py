@@ -4,6 +4,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
 from combcluster import (HankelShorthand, NotHankelError, PhysAdjacency,
@@ -29,7 +30,7 @@ def test_scalar_hankel_round_trip():
                          [a, 0, b, 0],
                          [0, b, 0, a],
                          [b, 0, a, 0]])
-    assert np.array_equal(M, expected)
+    assert np.array_equal(M.toarray(), expected)
     back = shorthand_of(M, block_side=1)
     assert [int(e[0, 0]) for e in back.entries] == [0, a, 0, b, 0, a, 0]
 
@@ -43,7 +44,7 @@ def test_zero_matrix_shorthand():
 def test_round_trip_on_renumbered_lattice(lattice6):
     result = renumber_to_block_hankel(lattice6, 6)
     short = shorthand_of(result.renumbered, block_side=2)
-    assert np.array_equal(matrix_of(short), result.renumbered.quarters)
+    assert np.array_equal(matrix_of(short).toarray(), result.renumbered.quarters)
 
 
 @pytest.mark.parametrize("n,side", [(37, 1), (10, 3)])
@@ -79,12 +80,53 @@ def test_shorthand_of_reads_a_vector_as_one_row():
     assert shorthand_of(np.array(5)).entries.tolist() == [[[5]]]
 
 
+@pytest.mark.parametrize("A,block_side,match", [
+    (np.array([[0.5]]), 1, r"entry \(0, 0\) is 0.5, not an integer"),
+    (np.array([[1.9, 0], [0, 1.9]]), 1, r"entry \(0, 0\) is 1.9, not an integer"),
+    (np.eye(2, dtype=np.int64), 0, "block_side must be a positive integer, got 0"),
+    (np.eye(2, dtype=np.int64), -1, "block_side must be a positive integer, got -1"),
+    (np.eye(2, dtype=np.int64), 1.0, "block_side must be a positive integer, got 1.0"),
+])
+def test_shorthand_of_refuses_what_it_cannot_read(A, block_side, match):
+    # non-integer values used to be truncated and a bad block side raised
+    # ZeroDivisionError or numpy's negative-dimensions error
+    with pytest.raises(NotHankelError, match=match):
+        shorthand_of(A, block_side=block_side)
+
+
+def test_shorthand_refuses_a_bad_block_side():
+    with pytest.raises(NotHankelError, match="block_side must be a positive"):
+        HankelShorthand(np.zeros((3, 0, 0)), 0)
+
+
+def test_shorthand_of_reads_a_sparse_array():
+    # the package's own matrix type; it used to raise TypeError
+    back = shorthand_of(sp.csr_array(np.eye(2, dtype=np.int64)))
+    assert back.entries.ravel().tolist() == [1, 0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb=st.integers(1, 12), s=st.sampled_from([1, 2, 3, 4]), data=st.data())
+def test_matrix_of_is_the_sparse_block_hankel_matrix(nb, s, data):
+    entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
+                                   elements=st.sampled_from([0, 0, 1, -3])))
+    short = HankelShorthand(entries=entries, block_side=s)
+    Q = matrix_of(short)
+    # dense oracle: block (i, j) is entries[i + j]
+    blocks = np.arange(nb)
+    dense = entries[np.add.outer(blocks, blocks)].transpose(0, 2, 1, 3)
+    assert isinstance(Q, sp.csr_array) and Q.dtype == np.int64
+    assert Q.has_canonical_format and Q.nnz == np.count_nonzero(dense)
+    assert np.array_equal(Q.toarray(), dense.reshape(nb * s, nb * s))
+    assert np.array_equal(shorthand_of(Q, short.block_side).entries, entries)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nb=st.integers(1, 12), s=st.sampled_from([1, 2, 3, 4]), data=st.data())
 def test_codec_round_trip_and_first_violation(nb, s, data):
     entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
                                    elements=st.integers(-3, 3)))
-    Q = matrix_of(HankelShorthand(entries=entries, block_side=s))
+    Q = matrix_of(HankelShorthand(entries=entries, block_side=s)).toarray()
     assert np.array_equal(shorthand_of(Q, block_side=s).entries, entries)
     # one perturbed entry breaks its block's skew-diagonal, unless that
     # diagonal holds a single block
@@ -290,7 +332,7 @@ def test_first_violation_matches_dense_scan(nb, s, data):
     # sparse entries, then whole blocks emptied or single values changed
     entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
                                    elements=st.sampled_from([0, 0, 1, -2])))
-    Q = matrix_of(HankelShorthand(entries=entries, block_side=s))
+    Q = matrix_of(HankelShorthand(entries=entries, block_side=s)).toarray()
     for _ in range(data.draw(st.integers(1, 3))):
         i, j = data.draw(st.integers(0, nb - 1)), data.draw(st.integers(0, nb - 1))
         if data.draw(st.booleans()):
@@ -301,6 +343,19 @@ def test_first_violation_matches_dense_scan(nb, s, data):
     want = dense_first_violation(Q, s)
     assert first_violation_or_none(Q, s) == want
     assert first_violation_or_none(PhysAdjacency(Q), s) == want
+
+
+def test_first_violation_is_first_in_block_row_major_order():
+    # the first differing element, row by row, lies in block (1, 2); the
+    # first offending block in row-major order is (1, 0)
+    entries = np.ones((7, 2, 2), dtype=np.int64)
+    Q = matrix_of(HankelShorthand(entries, block_side=2)).toarray()
+    Q[3, 0] += 1                        # block (1, 0), its second row
+    Q[2, 4] += 1                        # block (1, 2), its first row
+    with pytest.raises(NotHankelError) as err:
+        shorthand_of(Q, block_side=2)
+    assert err.value.first_violation == ((0, 1), (1, 0))
+    assert dense_first_violation(Q, 2) == ((0, 1), (1, 0))
 
 
 def test_shorthand_sees_an_emptied_block(lattice6):

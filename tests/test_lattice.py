@@ -17,7 +17,7 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          export_triplets, label_census,
                          renumber_permutation, renumber_to_block_hankel,
                          torus_block_diagonals, two_path_weight)
-from combcluster import lattice, verify
+from combcluster import lattice
 from combcluster.lattice import bfs_depths, block_label
 
 
@@ -253,10 +253,39 @@ def test_renumber_produces_block_hankel(lattice6):
     short = shorthand_of(result.renumbered, block_side=2)
     nonzero = short.nonzero_indices()
     assert len(nonzero) == 15
-    assert nonzero == verify.positions_from_run_lengths(
-        6, *verify.constructed_run_lengths(6))
+    assert nonzero == lattice.positions_from_run_lengths(
+        6, *lattice.constructed_run_lengths(6))
     assert nonzero == [5, 27, 33, 35, 41, 63, 69, 71,
                        77, 99, 105, 107, 113, 135, 141]
+
+
+@pytest.mark.parametrize("M", range(6, 41, 2))
+def test_renumbered_positions_are_the_skeleton(M):
+    renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
+    skeleton = lattice.positions_from_run_lengths(
+        M, *lattice.constructed_run_lengths(M))
+    assert renum.shorthand.nonzero_indices() == skeleton
+    # read off the matrix itself: the skew-diagonals of its 2x2 blocks
+    rows, cols = renum.renumbered.csr.nonzero()
+    assert np.unique(rows // 2 + cols // 2).tolist() == skeleton
+
+
+def test_renumber_refuses_a_layout_off_the_skeleton(lattice6, monkeypatch):
+    # any 15 positions used to pass; the claimed runs give other ones
+    monkeypatch.setattr(lattice, "constructed_run_lengths",
+                        lambda M: (2 * M - 1, M * M - 4 * M - 3))
+    with pytest.raises(RuntimeError, match="skeleton"):
+        renumber_to_block_hankel(lattice6, 6)
+
+
+@pytest.mark.parametrize("M,s,t,match", [
+    (4, 7, -3, "must not be negative"),      # the claimed runs at M = 4
+    (6, -1, 33, "must not be negative"),
+    (6, 5, 9, "do not fit M=6"),
+])
+def test_skeleton_refuses_runs_that_do_not_fit(M, s, t, match):
+    with pytest.raises(LatticeError, match=match):
+        lattice.positions_from_run_lengths(M, s, t)
 
 
 def test_renumber_blocks_are_signed_pi_halves(lattice6):
@@ -443,7 +472,7 @@ def test_expand_equals_torus_shorthand_matrix(M):
     want = matrix_of(HankelShorthand(entries=entries, block_side=4))
     A = expand(build_torus_supergraph(M))
     assert A.csr.has_canonical_format and A.csr.data.all()
-    assert np.array_equal(A.quarters, want)
+    assert np.array_equal(A.quarters, want.toarray())
 
 
 def dense_orthogonality(Q):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from combcluster import gaussian, lattice, verify
+from combcluster import gaussian, hankel, lattice, verify
 
 
 def torus(M=6):
@@ -35,7 +35,8 @@ OUTPUTS = {
     "restore": lambda: renumbered().restore().csr,
     "outer_support": lambda: verify.outer_support(renumbered().renumbered),
     "layout_outer_support": lambda: verify.layout_outer_support(
-        6, verify.positions_from_run_lengths(6, *verify.claimed_run_lengths(6))),
+        6, lattice.positions_from_run_lengths(6, *verify.claimed_run_lengths(6))),
+    "matrix_of": lambda: hankel.matrix_of(renumbered().shorthand),
     "factor": lambda: gaussian.cluster_state(torus(), 1.0)[0].factor,
     "signed_target": lambda: gaussian.cluster_state(
         torus(), 1.0)[1].nullifiers.target_adjacency,
