@@ -71,13 +71,13 @@ def _emit(outdir, runs) -> None:
 # Commands
 # ============================================================
 
-def _lattice_pipeline(M: int):
-    S = lattice.build_torus_supergraph(M)
+def _checked_expansion(S):
+    """(A, bicoloring, summary head) of the expanded supergraph S."""
     A = lattice.expand(S)
     ortho = lattice.check_orthogonal(A)
     colors = lattice.bicoloring(A)
-    degrees = set(S.degrees().tolist())
-    return S, A, ortho, colors, degrees
+    return A, colors, (f"orthogonal={str(ortho.is_orthogonal).lower()} "
+                       "bicolorable=true")
 
 
 _LATTICE_FORMATS = ("triplet", "dot", "report")
@@ -103,18 +103,20 @@ def cmd_lattice(args) -> int:
             f"unknown formats {', '.join(map(repr, unknown))}: expected a "
             f"comma subset of {','.join(_LATTICE_FORMATS)}")
     _require_fit(4 * args.M ** 2, "lattice", *formats)
-    S, A, ortho, colors, degrees = _lattice_pipeline(args.M)
-    coords = lattice.coordinates(args.M)
+    S = lattice.build_torus_supergraph(args.M)
+    A, colors, checked = _checked_expansion(S)
+    degrees = set(S.degrees().tolist())
     degree = degrees.pop() if len(degrees) == 1 else sorted(degrees)
     files = []
     if "triplet" in formats:
-        files += [(f"lattice_M{args.M}.triplets", lattice.export_triplets(A)),
+        files += [(f"lattice_M{args.M}.triplets",
+                   functools.partial(lattice.export_triplets, A)),
                   (f"supergraph_M{args.M}.triplets",
-                   lattice.export_super_triplets(S))]
+                   functools.partial(lattice.export_super_triplets, S))]
     if "dot" in formats:
-        files.append((f"lattice_M{args.M}.dot", lattice.export_dot(A)))
-    summary = (f"orthogonal={str(ortho.is_orthogonal).lower()} "
-               f"bicolorable=true degree={degree}")
+        files.append((f"lattice_M{args.M}.dot",
+                      functools.partial(lattice.export_dot, A)))
+    summary = f"{checked} degree={degree}"
     if "report" in formats:
         lines = [summary,
                  f"n_macro={S.n_macro} block_side={S.block_side} "
@@ -122,6 +124,7 @@ def cmd_lattice(args) -> int:
                  f"physical_edges={A.nnz // 2}",
                  f"color_counts={np.bincount(colors.colors).tolist()}",
                  "axis_convention x=P2/P3 y=P1/P0 chart=row-major-walk"]
+        coords = lattice.coordinates(args.M)
         for axis in ("x", "y"):
             cyc = coords.axis_cycles[axis]
             lines.append(f"axis={axis} cycle_length={len(cyc)} start={cyc[:4]}")
@@ -133,15 +136,12 @@ def cmd_lattice(args) -> int:
 def cmd_ring(args) -> int:
     _require_fit(2 * args.n_macro, "ring")
     S = lattice.build_ring_supergraph(args.n_macro)
-    A = lattice.expand(S)
-    ortho = lattice.check_orthogonal(A)
-    lattice.bicoloring(A)
-    _emit(args.output_dir, [(
-        f"orthogonal={str(ortho.is_orthogonal).lower()} "
-        f"bicolorable=true n_physical={A.n}",
-        [(f"crown_n{args.n_macro}.triplets", lattice.export_triplets(A)),
-         (f"ring_n{args.n_macro}.triplets",
-          lattice.export_super_triplets(S))])])
+    A, _, checked = _checked_expansion(S)
+    _emit(args.output_dir, [(f"{checked} n_physical={A.n}", [
+        (f"crown_n{args.n_macro}.triplets",
+         functools.partial(lattice.export_triplets, A)),
+        (f"ring_n{args.n_macro}.triplets",
+         functools.partial(lattice.export_super_triplets, S))])])
     return EXIT_OK
 
 

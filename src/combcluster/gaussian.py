@@ -5,8 +5,8 @@ Conventions (fixed once, used everywhere): hbar = 1, [q, p] = i, vacuum
 covariance = identity/2, quadrature ordering (q_1..q_n, p_1..p_n).  Under
 the coupling Hamiltonian with symmetric adjacency A and overall squeezing
 parameter r, the Heisenberg equations give q(t) = exp(2 r A) q(0) and
-p(t) = exp(-2 r A) p(0); for orthogonal A the exponential collapses to
-cosh(2r) 1 + sinh(2r) A.
+p(t) = exp(-2 r A) p(0); `EvolutionParams` admits only involutions,
+A @ A = 1, for which exp(2 r A) = cosh(2r) 1 + sinh(2r) A.
 
 A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  L is one canonical scipy.sparse CSR array: the
@@ -25,14 +25,8 @@ of rows at a time, and for the covariance, derived on access.  Reading the
 factor keeps these accurate where the covariance is stiff with e^{+-4r}
 eigenvalue pairs.
 
-The library imports numpy and scipy.sparse only, and every path but
-criterion 4's oracle calls numpy.linalg and scipy.sparse alone.
-scipy.linalg links a second OpenBLAS with its own thread pool, whose
-threads keep spinning after each call and take the cores from numpy's: on
-a 2-core host, one scipy.linalg.solve_triangular before each
-`simulate --M 10` made it ~1.8x slower (0.06 s to 0.11 s).  So it is
-imported only inside `evolution_symplectic`, for the expm of a
-non-orthogonal adjacency (criterion 4).
+The library imports numpy and scipy.sparse only, never scipy.linalg, whose
+second OpenBLAS thread pool spins against numpy's on small hosts.
 """
 
 from __future__ import annotations
@@ -190,7 +184,8 @@ def _as_sparse_adjacency(A) -> sp.csr_array:
 @dataclass(frozen=True)
 class EvolutionParams:
     """Adjacency (stored as float CSR) plus overall squeezing parameter
-    r = coupling * time."""
+    r = coupling * time.  GaussianError unless A is square, symmetric and
+    an involution: max|A @ A - 1| <= _ORTHOGONAL_TOL."""
 
     adjacency: sp.csr_array
     squeeze_r: float
@@ -199,52 +194,50 @@ class EvolutionParams:
         A = _as_sparse_adjacency(self.adjacency)
         if not lattice.is_symmetric(A):
             raise GaussianError("adjacency must be symmetric")
-        if not (self.squeeze_r >= 0):
-            raise GaussianError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
-        if not (self.squeeze_r <= _MAX_SQUEEZE_R):
+        _check_squeeze_r(self.squeeze_r)
+        residual = _involution_residual(A)
+        if not residual <= _ORTHOGONAL_TOL:
             raise GaussianError(
-                f"squeeze_r={self.squeeze_r} overflows cosh(4r) in float64 "
-                f"(largest allowed r is {_MAX_SQUEEZE_R:.12g})")
+                f"adjacency must satisfy A @ A = 1: max|A @ A - 1| = "
+                f"{residual:.3g} > {_ORTHOGONAL_TOL:g}")
         object.__setattr__(self, "adjacency", A)
 
+    def _at(self, r: float) -> EvolutionParams:
+        """The same adjacency at squeezing r; checks r only."""
+        _check_squeeze_r(r)
+        params = object.__new__(EvolutionParams)
+        object.__setattr__(params, "adjacency", self.adjacency)
+        object.__setattr__(params, "squeeze_r", r)
+        return params
 
-def _is_orthogonal(A: sp.csr_array) -> bool:
-    """A @ A = 1 to _ORTHOGONAL_TOL, by the sparse product."""
+
+def _check_squeeze_r(r) -> None:
+    if not (r >= 0):
+        raise GaussianError(f"squeeze_r must be >= 0, got {r}")
+    if not (r <= _MAX_SQUEEZE_R):
+        raise GaussianError(f"squeeze_r={r} overflows cosh(4r) in float64 "
+                            f"(largest allowed r is {_MAX_SQUEEZE_R:.12g})")
+
+
+def _involution_residual(A: sp.csr_array) -> float:
+    """max|A @ A - 1|, by the sparse product."""
     I = sp.eye_array(A.shape[0], format="csr")
-    return np.abs((A @ A - I).data).max(initial=0.0) <= _ORTHOGONAL_TOL
+    return float(np.abs((A @ A - I).data).max(initial=0.0))
 
 
-def evolution_symplectic(A, r: float,
-                         orthogonal: bool | None = None) -> sp.csr_array:
-    """Symplectic matrix blkdiag(exp(2rA), exp(-2rA)) of the evolution, CSR.
-
-    For orthogonal A (A @ A = 1, exact for the quarter-integer lattices
-    here) the closed form cosh(2r) 1 +- sinh(2r) A is used; it has the
-    sparsity of A and keeps the q and p blocks exactly inverse to each
-    other, which protects state purity at large r.  Otherwise scipy's
-    scaling-and-squaring expm runs on a dense copy.  ``orthogonal`` is
-    `_is_orthogonal(A)`, computed here unless the caller passes it
-    (`cluster_states` computes it once for all r).
-    """
-    A = _as_sparse_adjacency(A)
+def evolution_symplectic(params: EvolutionParams) -> sp.csr_array:
+    """Symplectic blkdiag(exp(2rA), exp(-2rA)) of the evolution, as CSR: for
+    the involution A the closed form cosh(2r) 1 +- sinh(2r) A, which has
+    the sparsity of A and q and p blocks exactly inverse to each other."""
+    A, r = params.adjacency, params.squeeze_r
     I = sp.eye_array(A.shape[0], format="csr")
-    if _is_orthogonal(A) if orthogonal is None else orthogonal:
-        ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-        Sq = ch * I + sh * A
-        Sp = ch * I - sh * A
-    else:
-        from scipy.linalg import expm
-        A = A.toarray()
-        Sq = sp.csr_array(expm(2 * r * A))
-        Sp = sp.csr_array(expm(-2 * r * A))
-    return sp.block_diag((Sq, Sp), format="csr")
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    return sp.block_diag((ch * I + sh * A, ch * I - sh * A), format="csr")
 
 
-def evolve(params: EvolutionParams,
-           orthogonal: bool | None = None) -> GaussianState:
-    """Evolve vacuum (factor 1) under the coupling: the factor becomes S
-    (`evolution_symplectic`, which takes ``orthogonal``)."""
-    S = evolution_symplectic(params.adjacency, params.squeeze_r, orthogonal)
+def evolve(params: EvolutionParams) -> GaussianState:
+    """Evolve vacuum (factor 1): the factor becomes `evolution_symplectic`."""
+    S = evolution_symplectic(params)
     return GaussianState(np.zeros(S.shape[0]), S)
 
 
@@ -431,15 +424,13 @@ def cluster_states(A: PhysAdjacency, rs):
     `best_phase_convention`, whose color-1 rotation is the yielded state:
     (rotated state, PhaseConvention), the convention's ``nullifiers``
     report carrying squeeze_r = r.  The bicoloring, the float adjacency
-    and its orthogonality depend on A alone and are computed once.
+    and its involution check depend on A alone and are computed once.
     """
     colors = lattice.bicoloring(A)
-    At = _as_sparse_adjacency(A)
-    orthogonal = _is_orthogonal(At)
+    checked = EvolutionParams(A, 0.0)
     for r in rs:
-        params = EvolutionParams(At, r)
-        conv = best_phase_convention(evolve(params, orthogonal), colors,
-                                     params.adjacency)
+        conv = best_phase_convention(evolve(checked._at(r)), colors,
+                                     checked.adjacency)
         conv.nullifiers.squeeze_r = r
         yield conv.state, conv
 

@@ -66,6 +66,7 @@ class HankelShorthand:
     construction (NotHankelError otherwise): block (i, j) of the encoded
     N x N block matrix is entries[i + j], the quarters block on
     skew-diagonal i + j.  The corner (top-right block) is entry N - 1.
+    Entries are checked, not cast: the first non-integer one is named.
     """
 
     entries: np.ndarray
@@ -74,12 +75,19 @@ class HankelShorthand:
     def __post_init__(self):
         s = _check_block_side(self.block_side)
         try:
-            e = np.asarray(self.entries, dtype=np.int64)
+            given = np.asarray(self.entries)
         except ValueError as exc:           # a ragged list of blocks
             raise NotHankelError(f"shorthand blocks differ in shape: {exc}")
-        if e.shape[1:] != (s, s) or len(e) % 2 == 0:
+        if given.shape[1:] != (s, s) or len(given) % 2 == 0:
             raise NotHankelError(f"shorthand must be 2N-1 blocks of side {s}, "
-                                 f"got entries of shape {e.shape}")
+                                 f"got entries of shape {given.shape}")
+        with np.errstate(invalid="ignore"):
+            e = given.real.astype(np.int64, copy=False)
+        bad = np.argwhere(e != given)
+        if bad.size:
+            at = tuple(bad[0].tolist())
+            raise NotHankelError(f"shorthand entry {at} is {given[at]}, "
+                                 "not an integer number of quarters")
         self.entries = e
 
     @property

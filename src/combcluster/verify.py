@@ -5,7 +5,11 @@ Each criterion function checks one documented guarantee of the toolchain at
 a pinned tolerance and returns a CriterionResult with deterministic detail
 lines; `verify_all` runs them all (plus a determinism check that re-runs
 the suite and compares rendered bytes) and renders one PASS/FAIL line per
-criterion.  Two criteria are expected to FAIL and say why in their details:
+criterion.  Criterion 4 checks the closed-form evolution every command uses
+against an RK4 oracle on 24 involutions: 20 random sym(Q diag(+-1) Q^T), Q
+from the QR of a Gaussian n x n matrix, n in 2..6, at r in [0.1, 1]; the
+two-mode X at r = 0.5, 1, 2; crown-8 at r = 2.  Two criteria are expected
+to FAIL and say why in their details:
 
 * criterion 2 pins the renumbered pump layout to run lengths
   (2M-1, M**2-4M-3).  That layout is not reachable by any node
@@ -212,12 +216,15 @@ def _rk4_propagator(F: np.ndarray, t: float, steps: int) -> np.ndarray:
     return S
 
 
-def ode_oracle_covariance(A: np.ndarray, r: float, tol: float = 1e-12):
+_ORACLE_TOL = 1e-12
+
+
+def ode_oracle_covariance(A: np.ndarray, r: float):
     """Vacuum covariance after integrating the quadrature equations of motion.
 
     Integrates dq/dt = 2A q, dp/dt = -2A p with RK4, halving the step until
-    two successive propagators agree to tol (relative to the matrix scale),
-    then returns S (1/2) S^T.
+    two successive propagators agree to _ORACLE_TOL (relative to the matrix
+    scale), then returns S (1/2) S^T.
     """
     n = A.shape[0]
     Z = np.zeros((n, n))
@@ -228,36 +235,29 @@ def ode_oracle_covariance(A: np.ndarray, r: float, tol: float = 1e-12):
         steps *= 2
         cur = _rk4_propagator(F, r, steps)
         scale = max(1.0, float(np.abs(cur).max()))
-        if np.abs(cur - prev).max() <= tol * scale:
+        if np.abs(cur - prev).max() <= _ORACLE_TOL * scale:
             return 0.5 * cur @ cur.T, steps
         prev = cur
     raise RuntimeError("ODE oracle did not converge")
 
 
 def criterion_evolution_oracle(seed: int = 20240915) -> CriterionResult:
-    """Closed-form evolution vs RK4 oracle, 1e-10, on 20 random cases + two-mode."""
+    """Closed-form evolution vs RK4 oracle, 1e-10, on 24 involutions."""
     rng = np.random.default_rng(seed)
-    details = []
-    worst = 0.0
-    for case in range(20):
+    cases = []
+    for _ in range(20):
         n = int(rng.integers(2, 7))
-        A = rng.uniform(-1.0, 1.0, size=(n, n))
-        A = 0.5 * (A + A.T)
-        np.fill_diagonal(A, 0.0)
-        radius = max(abs(np.linalg.eigvalsh(A)).max(), 1e-3)
-        A *= 0.5 / radius          # keep exp(4rA) in comfortable range
-        r = float(rng.uniform(0.1, 2.0))
-        state = gaussian.evolve(gaussian.EvolutionParams(A, r))
-        V_ode, _ = ode_oracle_covariance(A, r)
-        worst = max(worst, float(np.abs(state.cov - V_ode).max()))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * rng.choice((-1.0, 1.0), size=n)) @ Q.T
+        cases.append((0.5 * (A + A.T), float(rng.uniform(0.1, 1.0))))
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for r in (0.5, 1.0, 2.0):
-        state = gaussian.evolve(gaussian.EvolutionParams(X, r))
-        V_ode, _ = ode_oracle_covariance(X, r)
-        worst = max(worst, float(np.abs(state.cov - V_ode).max()))
-    ok = worst <= 1e-10
-    details.append(f"cases=23 worst_abs_difference={_fmt(worst)} tol=1e-10")
-    return CriterionResult(4, "evolution-oracle", ok, details)
+    crown8 = lattice.expand(lattice.build_ring_supergraph(4)).dense()
+    cases += [(X, 0.5), (X, 1.0), (X, 2.0), (crown8, 2.0)]
+    worst = max(float(np.abs(gaussian.evolve(gaussian.EvolutionParams(A, r)).cov
+                             - ode_oracle_covariance(A, r)[0]).max())
+                for A, r in cases)
+    return CriterionResult(4, "evolution-oracle", worst <= 1e-10, [
+        f"cases={len(cases)} worst_abs_difference={_fmt(worst)} tol=1e-10"])
 
 
 def _convention_cases(M: int):

@@ -35,6 +35,31 @@ def test_ring_command(capsys):
     assert "orthogonal=true" in out
 
 
+@pytest.mark.parametrize("argv, exports", [
+    (("lattice", "--M", "6"),
+     ["export_triplets", "export_super_triplets", "export_dot"]),
+    (("lattice", "--M", "6", "--formats", "triplet,report"),
+     ["export_triplets", "export_super_triplets"]),
+    (("ring", "--n-macro", "4"), ["export_triplets", "export_super_triplets"])])
+def test_text_exports_render_only_for_an_output_dir(argv, exports, monkeypatch,
+                                                     capsys, tmp_path):
+    # the triplet and DOT text of a large lattice is the bulk of its peak
+    # memory; without --output-dir nothing reads it
+    from combcluster import lattice
+    calls = []
+    for name in ("export_triplets", "export_super_triplets", "export_dot"):
+        def counting(*args, _fn=getattr(lattice, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(lattice, name, counting)
+    bare = run_cli(capsys, *argv)
+    assert calls == []
+    written = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+    assert sorted(calls) == sorted(exports)
+    assert bare[0] == written[0] == 0
+    assert written[1].startswith(bare[1])
+
+
 def test_pump_command_writes_fifteen_lines(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "pump", "--M", "6",
                            "--output-dir", str(tmp_path))
@@ -252,7 +277,8 @@ import json, sys
 from combcluster.cli import main
 commands = [["simulate", "--M", "4"], ["reduce", "--M", "4", "--r", "1"],
             ["lattice", "--M", "4"], ["ring", "--n-macro", "4"],
-            ["pump", "--M", "6"], ["scaling", "--M", "6,8"]]
+            ["pump", "--M", "6"], ["scaling", "--M", "6,8"],
+            ["verify-all", "--M", "6"]]
 codes = [main(argv + ["--output-dir", sys.argv[1]]) for argv in commands]
 heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 print(json.dumps({"codes": codes,
@@ -261,14 +287,14 @@ print(json.dumps({"codes": codes,
 
 
 def test_commands_run_without_scipy_linalg_or_csgraph(child_env, tmp_path):
-    # every command but verify-all runs on numpy and scipy.sparse alone:
-    # scipy.linalg and its second BLAS load only for a non-orthogonal expm
+    # every command, verify-all included, runs on numpy and scipy.sparse
+    # alone: scipy.linalg and its second BLAS are never loaded
     proc = subprocess.run([sys.executable, "-c", FRESH_CHILD, str(tmp_path)],
                           capture_output=True, text=True, env=child_env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 6, "loaded": []}
+    assert result == {"codes": [0] * 6 + [3], "loaded": []}
 
 
 def test_verify_all_exit_reflects_failures(capsys):

@@ -118,8 +118,39 @@ def test_evolve_rejects_asymmetric():
         EvolutionParams(np.array([[0.0, 1.0], [1.0, 0.0]]), -0.5)
 
 
-def test_orthogonal_fast_path_matches_general(two_mode):
-    S = evolution_symplectic(two_mode, 0.7).toarray()
+def old_oracle_case():
+    """A symmetric matrix of spectral radius 0.5, as the evolution oracle
+    drew them when it also evolved non-involutions."""
+    A = np.random.default_rng(20240915).uniform(-1.0, 1.0, size=(4, 4))
+    A = 0.5 * (A + A.T)
+    np.fill_diagonal(A, 0.0)
+    return A * (0.5 / abs(np.linalg.eigvalsh(A)).max())
+
+
+@pytest.mark.parametrize("A", [np.array([[0.0, 0.5], [0.5, 0.0]]),
+                               old_oracle_case()])
+def test_evolution_params_refuse_a_non_involution(A):
+    residual = abs(A @ A - np.eye(len(A))).max()
+    assert residual > 0.1
+    with pytest.raises(GaussianError, match=re.escape(
+            f"max|A @ A - 1| = {residual:.3g} > 1e-12")):
+        EvolutionParams(A, 1.0)
+
+
+def test_evolution_params_accept_an_involution_with_a_diagonal():
+    # a Householder reflection 1 - 2 v v^T, v = (1, 1, 1, 1)/2: exact in
+    # binary, with 1/2 on its diagonal
+    H = np.eye(4) - 0.5 * np.ones((4, 4))
+    S = evolution_symplectic(EvolutionParams(H, 0.6)).toarray()
+    ch, sh = np.cosh(1.2), np.sinh(1.2)
+    assert np.array_equal(S[:4, :4], ch * np.eye(4) + sh * H)
+    assert np.array_equal(S[4:, 4:], ch * np.eye(4) - sh * H)
+    V_ode, _ = ode_oracle_covariance(H, 0.6)
+    assert np.allclose(evolve(EvolutionParams(H, 0.6)).cov, V_ode, atol=1e-10)
+
+
+def test_evolution_symplectic_is_the_closed_form(two_mode):
+    S = evolution_symplectic(EvolutionParams(two_mode, 0.7)).toarray()
     ch, sh = np.cosh(1.4), np.sinh(1.4)
     expected_q = ch * np.eye(2) + sh * two_mode
     assert np.allclose(S[:2, :2], expected_q, atol=1e-14)
@@ -398,13 +429,13 @@ def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
     want = [cluster_state(lattice6, r) for r in rs]
     calls = []
     for owner, name in ((gaussian.lattice, "bicoloring"),
-                        (gaussian, "_is_orthogonal")):
+                        (gaussian, "_involution_residual")):
         def counting(*args, _fn=getattr(owner, name), _name=name):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(owner, name, counting)
     got = list(cluster_states(lattice6, rs))
-    assert sorted(calls) == ["_is_orthogonal", "bicoloring"]
+    assert sorted(calls) == ["_involution_residual", "bicoloring"]
     for (state, conv), (ref, ref_conv), r in zip(got, want, rs):
         assert same_csr(state.factor, ref.factor)
         assert np.array_equal(conv.nullifiers.variances,

@@ -94,6 +94,24 @@ def test_shorthand_of_refuses_what_it_cannot_read(A, block_side, match):
         shorthand_of(A, block_side=block_side)
 
 
+@pytest.mark.parametrize("entries,block_side,match", [
+    ([[[1.9]]], 1, r"entry \(0, 0, 0\) is 1.9, not an integer"),
+    ([[[0]], [[2.5]], [[0]]], 1, r"entry \(1, 0, 0\) is 2.5, not an integer"),
+    (np.array([[[0, 0], [0, 4]], [[0, 0], [np.nan, 1]], [[0, 0], [0, 0]]]),
+     2, r"entry \(1, 1, 0\) is nan, not an integer"),
+])
+def test_shorthand_refuses_a_non_integer_entry(entries, block_side, match):
+    # entries used to be cast: [[[1.9]]] became [[[1]]]
+    with pytest.raises(NotHankelError, match=match):
+        HankelShorthand(entries, block_side)
+
+
+def test_shorthand_keeps_integral_floats_exact():
+    short = HankelShorthand([[[4.0]], [[-2.0]], [[0.0]]], 1)
+    assert short.entries.dtype == np.int64
+    assert short.entries.ravel().tolist() == [4, -2, 0]
+
+
 def test_shorthand_refuses_a_bad_block_side():
     with pytest.raises(NotHankelError, match="block_side must be a positive"):
         HankelShorthand(np.zeros((3, 0, 0)), 0)
