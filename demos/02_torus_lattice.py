@@ -34,7 +34,7 @@ assert all(c == {"P0": 1, "P1": 1, "P2": 1, "P3": 1} for c in census.values())
 print("every macronode touches each projector label exactly once")
 
 coords = coordinates(M)
-print(f"torus chart: macronode 0 at {coords.to_xy[0]}, "
+print(f"torus chart: macronode 0 at ({coords.x[0]}, {coords.y[0]}), "
       f"x-axis cycle length {len(coords.axis_cycles['x'])}, "
       f"y-axis cycle length {len(coords.axis_cycles['y'])}")
-print("first x-axis steps:", coords.axis_cycles["x"][:8])
+print("first x-axis steps:", coords.axis_cycles["x"][:8].tolist())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -81,18 +82,47 @@ def _checked_expansion(S):
 
 
 _LATTICE_FORMATS = ("triplet", "dot", "report")
-# Peak RSS above the import baseline per mode in bytes, twice what was
-# measured: lattice 516 plus 236 / 438 for the triplet / DOT text, pump 569
-# and scaling 585 (all at M = 362), ring 434 (600 000 modes), verify-all
-# 6307 (M = 128).  simulate and reduce use the Gaussian engine's estimates.
-_PEAK_PER_MODE = {"lattice": 1040, "report": 0, "triplet": 480, "dot": 880,
-                  "ring": 880, "pump": 1180, "verify-all": 12800}
+# Peak RSS above the import baseline in bytes per mode, at least twice what
+# ru_maxrss of a fresh child measured on a 2-core host: lattice 516 at
+# M = 362 (642 with the triplet text written, 899 with the DOT text), ring
+# 177 at 600 000 modes (180 with its text), pump 570 and scaling 585 at
+# M = 362, simulate 6735 and reduce 7276 at M = 20 (under 6300 at M = 64),
+# verify-all 6115 at M = 128.  Text parts are charged only when written.
+_PEAK_PER_MODE = {"lattice": 1040, "triplet": 260, "dot": 880,
+                  "ring": 360, "ring-text": 40, "pump": 1180,
+                  "scaling": 1180, "simulate": 16 * 1024,
+                  "reduce": 16 * 1024, "verify-all": 12800}
+# Per pair (i, j) of reduce's m kept modes, whose V and U entries
+# --output-dir renders as dense text (3.4 B at M = 64).
+_DUMP_PEAK_PER_ENTRY = 16
 
 
-def _require_fit(n: int, *parts: str) -> None:
-    """LatticeError unless n modes at the parts' per-mode peaks fit."""
-    gaussian.require_fit(n, n * sum(_PEAK_PER_MODE[p] for p in parts),
-                         lattice.LatticeError)
+def _memory_limit() -> int:
+    """Physical memory in bytes, or the cgroup v2 memory.max if smaller."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            limit = min(limit, int(fh.read()))
+    except (OSError, ValueError):          # no cgroup v2 file, or "max"
+        pass
+    return limit
+
+
+def _require_fit(n: int, command: str, outdir=None, text=(),
+                 entries: int = 0) -> None:
+    """LatticeError unless the command's peak for n modes fits in memory.
+
+    The per-mode cost of the ``text`` parts and the dump's ``entries`` are
+    charged only when ``outdir`` is given: without it nothing is rendered."""
+    need = n * _PEAK_PER_MODE[command]
+    if outdir is not None:
+        need += (n * sum(_PEAK_PER_MODE[part] for part in text)
+                 + _DUMP_PEAK_PER_ENTRY * entries)
+    limit = _memory_limit()
+    if need > limit:
+        raise lattice.LatticeError(
+            f"{n} modes need ~{need / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of memory here")
 
 
 def cmd_lattice(args) -> int:
@@ -102,7 +132,8 @@ def cmd_lattice(args) -> int:
         raise lattice.LatticeError(
             f"unknown formats {', '.join(map(repr, unknown))}: expected a "
             f"comma subset of {','.join(_LATTICE_FORMATS)}")
-    _require_fit(4 * args.M ** 2, "lattice", *formats)
+    _require_fit(4 * args.M ** 2, "lattice", args.output_dir,
+                 formats.difference({"report"}))
     S = lattice.build_torus_supergraph(args.M)
     A, colors, checked = _checked_expansion(S)
     degrees = set(S.degrees().tolist())
@@ -126,7 +157,7 @@ def cmd_lattice(args) -> int:
                  "axis_convention x=P2/P3 y=P1/P0 chart=row-major-walk"]
         coords = lattice.coordinates(args.M)
         for axis in ("x", "y"):
-            cyc = coords.axis_cycles[axis]
+            cyc = coords.axis_cycles[axis].tolist()
             lines.append(f"axis={axis} cycle_length={len(cyc)} start={cyc[:4]}")
         files.append((f"lattice_M{args.M}.report", "\n".join(lines) + "\n"))
     _emit(args.output_dir, [(summary, files)])
@@ -134,7 +165,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    _require_fit(2 * args.n_macro, "ring")
+    _require_fit(2 * args.n_macro, "ring", args.output_dir, ["ring-text"])
     S = lattice.build_ring_supergraph(args.n_macro)
     A, _, checked = _checked_expansion(S)
     _emit(args.output_dir, [(f"{checked} n_physical={A.n}", [
@@ -167,8 +198,7 @@ def cmd_pump(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    n = 4 * args.M ** 2
-    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n)
+    _require_fit(4 * args.M ** 2, "simulate")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     runs = []
     for _, conv in gaussian.cluster_states(A, args.squeeze_r):
@@ -185,11 +215,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    n = 4 * args.M ** 2
     # the (M-1)^2 kept modes' dense V/U dump, when it is written
-    entries = (args.M - 1) ** 4 if args.output_dir else 0
-    gaussian.require_fit(n, gaussian._SPARSE_PEAK_PER_MODE * n
-                         + gaussian._DUMP_PEAK_PER_ENTRY * entries)
+    _require_fit(4 * args.M ** 2, "reduce", args.output_dir,
+                 entries=(args.M - 1) ** 4)
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     _, cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
                                      tuple(args.meridians))
@@ -214,7 +242,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    _require_fit(4 * max(args.M_list) ** 2, "pump")
+    _require_fit(4 * max(args.M_list) ** 2, "scaling")
     table = hankel.scaling_table(hankel.scaling_report(args.M_list))
     _emit(args.output_dir,
           [(table.removesuffix("\n"), [("scaling.txt", table)])])

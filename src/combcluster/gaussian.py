@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,34 +60,6 @@ _PRECISION_TOL = 1e-6
 # Largest r whose cosh(4r) is a finite float64: the evolved covariance
 # holds (cosh(4r) 1 + sinh(4r) A) / 2 in its q and p blocks.
 _MAX_SQUEEZE_R = 0.25 * math.acosh(np.finfo(float).max)
-# Peak RSS above the import baseline, bounded by at least twice what was
-# measured: per mode for `simulate` and `reduce`, which hold CSR arrays only
-# (factor, targets, V and U; `simulate` 7.0, 6.1 and 5.9 KB at M = 20, 36
-# and 64, `reduce` 7.1, 6.5 and 6.0 KB at M = 20, 28 and 64), and per pair
-# (i, j) of the m kept modes, whose V and U entries `reduce --output-dir`
-# renders as dense text (4.5 B at M = 64).
-_SPARSE_PEAK_PER_MODE = 16 * 1024
-_DUMP_PEAK_PER_ENTRY = 16
-
-
-def _memory_limit() -> int:
-    """Physical memory in bytes, or the cgroup v2 memory.max if smaller."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        with open("/sys/fs/cgroup/memory.max") as fh:
-            limit = min(limit, int(fh.read()))
-    except (OSError, ValueError):          # no cgroup v2 file, or "max"
-        pass
-    return limit
-
-
-def require_fit(n: int, need: int, error=GaussianError) -> None:
-    """``error`` unless ``need`` bytes, the caller's peak estimate for n
-    modes, fit in memory."""
-    limit = _memory_limit()
-    if need > limit:
-        raise error(f"{n} modes need ~{need / 2**30:.3g} GiB, more than the "
-                    f"{limit / 2**30:.3g} GiB of memory here")
 
 
 # ============================================================
@@ -728,8 +699,7 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     if not (0 <= x0 < M and 0 <= y0 < M):
         raise GaussianError(f"meridians {meridians} out of range for M={M}")
     coords = lattice.coordinates(M)
-    cut = np.zeros(M * M, dtype=bool)
-    cut[coords.column(x0) + coords.row(y0)] = True
+    cut = (coords.x == x0) | (coords.y == y0)
     node = np.arange(4 * M * M)
     kept = (node % 4 == keep_layer) & ~cut[node // 4]
     return node[~kept], node[kept]

@@ -624,18 +624,21 @@ class MacronodeCoords:
     direction; in this chart its steps are the (1, 1) diagonal, with the
     one-unit twist showing up as shifted steps at the wrap rows.  Both
     label-pair subgraphs are single cycles covering every macronode.
+    ``x`` and ``y`` hold each macronode's chart coordinates and
+    ``axis_cycles`` each axis's walk, all as int arrays; ``column`` and
+    ``row`` return the sorted macronodes on one chart line.
     """
 
     M: int
-    to_xy: dict
-    to_index: dict
+    x: np.ndarray
+    y: np.ndarray
     axis_cycles: dict
 
-    def column(self, x0: int):
-        return sorted(m for m, (x, _) in self.to_xy.items() if x == x0)
+    def column(self, x0: int) -> np.ndarray:
+        return np.flatnonzero(self.x == x0)
 
-    def row(self, y0: int):
-        return sorted(m for m, (_, y) in self.to_xy.items() if y == y0)
+    def row(self, y0: int) -> np.ndarray:
+        return np.flatnonzero(self.y == y0)
 
 
 def coordinates(M: int) -> MacronodeCoords:
@@ -656,15 +659,15 @@ def coordinates(M: int) -> MacronodeCoords:
         # diagonal[second] - diagonal[first]
         k = np.arange(N)
         shift = k // 2 * (diagonal[second] - diagonal[first])
-        return (np.where(k % 2, diagonal[first] - shift, shift) % N).tolist()
+        return np.where(k % 2, diagonal[first] - shift, shift) % N
 
     x_cycle = walk(*AXIS_LABELS["x"])
     y_cycle = walk(*AXIS_LABELS["y"])
-    if len(set(x_cycle)) != N or len(set(y_cycle)) != N:
+    if np.unique(x_cycle).size != N or np.unique(y_cycle).size != N:
         raise RuntimeError("axis label pairs do not cover all macronodes")
-    to_xy = {m: (k % M, k // M) for k, m in enumerate(x_cycle)}
-    to_index = {xy: m for m, xy in to_xy.items()}
-    return MacronodeCoords(M=M, to_xy=to_xy, to_index=to_index,
+    step = np.empty(N, dtype=np.int64)
+    step[x_cycle] = np.arange(N)
+    return MacronodeCoords(M=M, x=step % M, y=step // M,
                            axis_cycles={"x": x_cycle, "y": y_cycle})
 
 
@@ -726,7 +729,5 @@ def export_dot(A: PhysAdjacency) -> str:
 
 def export_super_triplets(S: SuperAdjacency) -> str:
     """Triplets at block granularity with named block payloads."""
-    i, j = S.pairs.T.astype(str)
-    rows = np.char.add(np.char.add(i, " "), np.char.add(np.char.add(j, " "), S.labels))
-    header = f"n={S.n_macro} block_side={S.block_side}"
-    return "\n".join([header, *rows.tolist()]) + "\n"
+    return (f"n={S.n_macro} block_side={S.block_side}\n"
+            + _render_rows("%d %d %s\n", *S.pairs.T, S.labels))

@@ -383,12 +383,12 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     import sys
     import time
 
-    import combcluster.gaussian as gaussian
+    import combcluster.cli as cli
     # both estimates are linear in the mode count without --output-dir
     M = 4096
     n = 4 * M * M
-    need = gaussian._SPARSE_PEAK_PER_MODE * n
-    if gaussian._memory_limit() >= need:
+    need = cli._PEAK_PER_MODE[command] * n
+    if cli._memory_limit() >= need:
         pytest.skip(f"this machine has room for {command} at M={M}")
 
     def cap():
@@ -401,7 +401,7 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
         timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert re.fullmatch(rf'error: code=2 cause=GaussianError detail="{n} modes '
+    assert re.fullmatch(rf'error: code=2 cause=LatticeError detail="{n} modes '
                         r'need ~\S+ GiB, more than the '
                         r'\S+ GiB of memory here"\n', proc.stderr)
     assert time.perf_counter() - start < 10
@@ -410,14 +410,15 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
 def test_reduce_counts_the_dump_it_writes(capsys, monkeypatch, tmp_path):
     # refused one byte below reduce's estimate for M = 6 with its V/U dump,
     # run at it; without --output-dir the dump is neither counted nor made
+    import combcluster.cli as cli
     import combcluster.gaussian as gaussian
-    need = (gaussian._SPARSE_PEAK_PER_MODE * 144
-            + gaussian._DUMP_PEAK_PER_ENTRY * 25 ** 2)
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
+    need = (cli._PEAK_PER_MODE["reduce"] * 144
+            + cli._DUMP_PEAK_PER_ENTRY * 25 ** 2)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
     argv = ("reduce", "--M", "6", "--r", "1", "--output-dir", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: code=2 cause=GaussianError detail=\"144 modes")
+    assert err.startswith("error: code=2 cause=LatticeError detail=\"144 modes")
     assert not any(tmp_path.iterdir())
     dump = gaussian.effective_graph_dump
 
@@ -427,22 +428,22 @@ def test_reduce_counts_the_dump_it_writes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(gaussian, "effective_graph_dump", unwanted_dump)
     assert run_cli(capsys, *argv[:-2])[0] == 0
     monkeypatch.setattr(gaussian, "effective_graph_dump", dump)
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
     assert run_cli(capsys, *argv)[0] == 0
     assert (tmp_path / "effective_graph_M6_r1.txt").exists()
 
 
 def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):
     # refused one byte below simulate's estimate for 144 modes, run at it
-    import combcluster.gaussian as gaussian
-    need = gaussian._SPARSE_PEAK_PER_MODE * 144
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
+    import combcluster.cli as cli
+    need = cli._PEAK_PER_MODE["simulate"] * 144
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
     code, out, err = run_cli(capsys, "simulate", "--M", "6")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: code=2 cause=GaussianError detail=\"144 modes")
+    assert err.startswith("error: code=2 cause=LatticeError detail=\"144 modes")
     assert err.count("\n") == 1
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
     assert run_cli(capsys, "simulate", "--M", "6")[0] == 0
 
 
@@ -464,21 +465,78 @@ def test_lattice_commands_refuse_sizes_that_cannot_fit(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,n,parts", [
-    (("lattice", "--M", "6"), 144, ("lattice", "triplet", "dot", "report")),
-    (("lattice", "--M", "6", "--formats", "report"), 144, ("lattice", "report")),
+    (("lattice", "--M", "6"), 144, ("lattice",)),
+    (("lattice", "--M", "6", "--formats", "report"), 144, ("lattice",)),
     (("ring", "--n-macro", "4"), 8, ("ring",)),
     (("pump", "--M", "6"), 144, ("pump",)),
-    (("scaling", "--M", "8,6"), 256, ("pump",)),
+    (("scaling", "--M", "8,6"), 256, ("scaling",)),
     (("verify-all", "--M", "6"), 144, ("verify-all",)),
 ])
 def test_lattice_commands_refuse_one_byte_below_their_estimate(
         capsys, monkeypatch, argv, n, parts):
     import combcluster.cli as cli
-    import combcluster.gaussian as gaussian
     need = n * sum(cli._PEAK_PER_MODE[p] for p in parts)
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need - 1)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f'error: code=2 cause=LatticeError detail="{n} modes')
-    monkeypatch.setattr(gaussian, "_memory_limit", lambda: need)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
     assert run_cli(capsys, *argv)[0] in (0, 3)       # verify-all exits 3
+
+
+@pytest.mark.parametrize("argv,n,parts", [
+    (("lattice", "--M", "6"), 144, ("lattice", "triplet", "dot")),
+    (("lattice", "--M", "6", "--formats", "triplet,report"), 144,
+     ("lattice", "triplet")),
+    (("ring", "--n-macro", "4"), 8, ("ring", "ring-text")),
+])
+def test_written_text_is_charged(capsys, monkeypatch, tmp_path, argv, n,
+                                 parts):
+    # --output-dir adds each written format's share to the base cost that
+    # test_lattice_commands_refuse_one_byte_below_their_estimate charges
+    import combcluster.cli as cli
+    argv = (*argv, "--output-dir", str(tmp_path))
+    need = n * sum(cli._PEAK_PER_MODE[p] for p in parts)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f'error: code=2 cause=LatticeError detail="{n} modes')
+    assert not any(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert any(tmp_path.iterdir())
+
+
+def test_every_command_reads_its_own_memory_estimate(capsys, monkeypatch,
+                                                     tmp_path):
+    # with no memory at all each subcommand, run with --output-dir, must be
+    # refused by its estimate; every table key must be read by some command
+    import combcluster.cli as cli
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(cli, "_PEAK_PER_MODE", Recording(cli._PEAK_PER_MODE))
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 0)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if a.dest == "command").choices
+    every_read = set()
+    for name, sub in commands.items():
+        if name == "verify_all":            # alias of verify-all
+            continue
+        argv = [name, "--output-dir", str(tmp_path)]
+        for action in sub._actions:
+            if action.required:
+                argv += [action.option_strings[0], "6"]
+        read = set()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), name
+        assert re.fullmatch(r'error: code=2 cause=LatticeError detail="\d+ '
+                            r'modes need ~\S+ GiB, more than the \S+ GiB of '
+                            r'memory here"\n', err), name
+        assert name in read, f"{name} has no per-mode memory estimate"
+        every_read |= read
+    assert every_read == set(cli._PEAK_PER_MODE)

@@ -361,9 +361,9 @@ def test_renumber_permutation_groups_tensor_factor():
 
 def test_coordinates_bijective():
     coords = coordinates(4)
-    assert len(coords.to_xy) == 16
-    assert len(coords.to_index) == 16
-    assert all(coords.to_index[xy] == m for m, xy in coords.to_xy.items())
+    assert coords.x.dtype.kind == coords.y.dtype.kind == "i"
+    assert coords.x.shape == coords.y.shape == (16,)
+    assert sorted((coords.y * 4 + coords.x).tolist()) == list(range(16))
 
 
 @pytest.mark.parametrize("M", [4, 6, 8])
@@ -391,6 +391,58 @@ def test_column_row_selectors():
     row = coords.row(0)
     assert len(col) == 6 and len(row) == 6
     assert len(set(col) & set(row)) == 1    # they intersect in one macronode
+
+
+def _dict_chart(M):
+    """Oracle: the x walk and the dict-based column and row selectors that
+    the chart's int arrays replaced."""
+    N = M * M
+    diagonal = {label.lstrip("-"): d % N
+                for d, label in torus_block_diagonals(M)}
+    k = np.arange(N)
+    shift = k // 2 * (diagonal["P3"] - diagonal["P2"])
+    x_cycle = (np.where(k % 2, diagonal["P2"] - shift, shift) % N).tolist()
+    to_xy = {m: (k % M, k // M) for k, m in enumerate(x_cycle)}
+
+    def column(x0):
+        return sorted(m for m, (x, _) in to_xy.items() if x == x0)
+
+    def row(y0):
+        return sorted(m for m, (_, y) in to_xy.items() if y == y0)
+
+    return x_cycle, column, row
+
+
+def _dict_cut_nodes(M, keep_layer, meridians):
+    """Oracle for lattice_cut_nodes, on the dict-based selectors."""
+    _, column, row = _dict_chart(M)
+    x0, y0 = meridians
+    cut = np.zeros(M * M, dtype=bool)
+    cut[column(x0) + row(y0)] = True
+    node = np.arange(4 * M * M)
+    kept = (node % 4 == keep_layer) & ~cut[node // 4]
+    return node[~kept], node[kept]
+
+
+@pytest.mark.parametrize("M", [4, 6, 8, 16])
+def test_chart_arrays_match_the_dict_selectors(M):
+    from combcluster import lattice_cut_nodes
+    coords = coordinates(M)
+    x_cycle, column, row = _dict_chart(M)
+    assert coords.axis_cycles["x"].tolist() == x_cycle
+    for i in range(M):
+        for selector, oracle in ((coords.column, column), (coords.row, row)):
+            got = selector(i)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == oracle(i)
+    # every meridian pair at M = 6, a few at the other sizes
+    pairs = ([(x0, y0) for x0 in range(M) for y0 in range(M)] if M == 6
+             else [(0, 0), (M - 1, 1), (M // 2, M - 1)])
+    for t, meridians in enumerate(pairs):
+        measured, kept = lattice_cut_nodes(M, t % 4, meridians)
+        want_measured, want_kept = _dict_cut_nodes(M, t % 4, meridians)
+        assert np.array_equal(measured, want_measured)
+        assert np.array_equal(kept, want_kept)
 
 
 # ============================================================
