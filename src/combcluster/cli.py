@@ -51,17 +51,20 @@ def _emit(outdir, runs) -> None:
     """Print each run's line and write its files, then list the files.
 
     ``runs`` holds (line, [(name, content)]) pairs, content as text or a
-    callable rendering it; without an outdir nothing is rendered or
-    written.  Callers compute every run before emitting any, so a refusal
-    part-way through an --r list leaves no output behind."""
+    writer called with the open file; without an outdir nothing is
+    rendered or written.  Callers compute every run before emitting any, so
+    a refusal part-way through an --r list leaves no output behind."""
     emitted = []
     for line, files in runs:
         if outdir is not None:
             for name, content in files:
                 path = Path(outdir)
                 path.mkdir(parents=True, exist_ok=True)
-                (path / name).write_text(
-                    content() if callable(content) else content)
+                with open(path / name, "w") as fh:
+                    if callable(content):
+                        content(fh)
+                    else:
+                        fh.write(content)
                 emitted.append(path / name)
         print(line)
     for f in emitted:
@@ -83,18 +86,14 @@ def _checked_expansion(S):
 
 _LATTICE_FORMATS = ("triplet", "dot", "report")
 # Peak RSS above the import baseline in bytes per mode, at least twice what
-# ru_maxrss of a fresh child measured on a 2-core host: lattice 516 at
-# M = 362 (642 with the triplet text written, 899 with the DOT text), ring
-# 177 at 600 000 modes (180 with its text), pump 570 and scaling 585 at
-# M = 362, simulate 6735 and reduce 7276 at M = 20 (under 6300 at M = 64),
-# verify-all 6115 at M = 128.  Text parts are charged only when written.
-_PEAK_PER_MODE = {"lattice": 1040, "triplet": 260, "dot": 880,
-                  "ring": 360, "ring-text": 40, "pump": 1180,
+# ru_maxrss of a fresh child measured with --output-dir on a 2-core host:
+# lattice 516 at M = 362 (all three formats), ring 177 at 600 000 modes,
+# pump 569 and scaling 586 at M = 362, simulate 7098 and reduce 7164 at
+# M = 20 (6236 at M = 64), verify-all 6029 at M = 128.  Every file is
+# written a chunk at a time, so writing it adds no per-mode cost.
+_PEAK_PER_MODE = {"lattice": 1040, "ring": 360, "pump": 1180,
                   "scaling": 1180, "simulate": 16 * 1024,
                   "reduce": 16 * 1024, "verify-all": 12800}
-# Per pair (i, j) of reduce's m kept modes, whose V and U entries
-# --output-dir renders as dense text (3.4 B at M = 64).
-_DUMP_PEAK_PER_ENTRY = 16
 
 
 def _memory_limit() -> int:
@@ -108,16 +107,9 @@ def _memory_limit() -> int:
     return limit
 
 
-def _require_fit(n: int, command: str, outdir=None, text=(),
-                 entries: int = 0) -> None:
-    """LatticeError unless the command's peak for n modes fits in memory.
-
-    The per-mode cost of the ``text`` parts and the dump's ``entries`` are
-    charged only when ``outdir`` is given: without it nothing is rendered."""
+def _require_fit(n: int, command: str) -> None:
+    """LatticeError unless the command's peak for n modes fits in memory."""
     need = n * _PEAK_PER_MODE[command]
-    if outdir is not None:
-        need += (n * sum(_PEAK_PER_MODE[part] for part in text)
-                 + _DUMP_PEAK_PER_ENTRY * entries)
     limit = _memory_limit()
     if need > limit:
         raise lattice.LatticeError(
@@ -132,8 +124,7 @@ def cmd_lattice(args) -> int:
         raise lattice.LatticeError(
             f"unknown formats {', '.join(map(repr, unknown))}: expected a "
             f"comma subset of {','.join(_LATTICE_FORMATS)}")
-    _require_fit(4 * args.M ** 2, "lattice", args.output_dir,
-                 formats.difference({"report"}))
+    _require_fit(4 * args.M ** 2, "lattice")
     S = lattice.build_torus_supergraph(args.M)
     A, colors, checked = _checked_expansion(S)
     degrees = set(S.degrees().tolist())
@@ -165,7 +156,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    _require_fit(2 * args.n_macro, "ring", args.output_dir, ["ring-text"])
+    _require_fit(2 * args.n_macro, "ring")
     S = lattice.build_ring_supergraph(args.n_macro)
     A, _, checked = _checked_expansion(S)
     _emit(args.output_dir, [(f"{checked} n_physical={A.n}", [
@@ -180,11 +171,6 @@ def cmd_pump(args) -> int:
     M = args.M
     if M % 2:
         raise lattice.LatticeError(f"M must be even, got {M}")
-    if M < 6:
-        raise lattice.LatticeError(
-            f"pump compilation requires even M >= 6: the long zero run "
-            f"t = M^2-4M-3 = {M * M - 4 * M - 3} of the 2x2 layout is "
-            f"negative at M={M}")
     _require_fit(4 * M * M, "pump")
     A = lattice.expand(lattice.build_torus_supergraph(M))
     short = lattice.renumber_to_block_hankel(A, M).shorthand
@@ -208,16 +194,16 @@ def cmd_simulate(args) -> int:
         runs.append((
             f"r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
             f"convention=({conv.quarter_turns:+d},{conv.target_sign:+d}A)",
-            [(f"nullifiers_{tag}.txt", gaussian.nullifier_table(rep)),
-             (f"nullifiers_{tag}.kv", gaussian.nullifier_records(rep))]))
+            [(f"nullifiers_{tag}.txt",
+              functools.partial(gaussian.nullifier_table, rep)),
+             (f"nullifiers_{tag}.kv",
+              functools.partial(gaussian.nullifier_records, rep))]))
     _emit(args.output_dir, runs)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    # the (M-1)^2 kept modes' dense V/U dump, when it is written
-    _require_fit(4 * args.M ** 2, "reduce", args.output_dir,
-                 entries=(args.M - 1) ** 4)
+    _require_fit(4 * args.M ** 2, "reduce")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     _, cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
                                      tuple(args.meridians))
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("pump", help="renumber the lattice and compile its pump")
-    p.add_argument("--M", type=int, required=True, help="even lattice size >= 6")
+    p.add_argument("--M", type=int, required=True, help="even lattice size >= 4")
     add_common(p)
     p.set_defaults(func=cmd_pump)
 
@@ -316,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="scaling table over lattice sizes")
     p.add_argument("--M", type=_parse_int_list, required=True, dest="M_list",
-                   help="comma list of even sizes >= 6")
+                   help="comma list of even sizes >= 4")
     add_common(p)
     p.set_defaults(func=cmd_scaling)
 
@@ -343,7 +329,8 @@ def main(argv=None) -> int:
             raise lattice.LatticeError("meridians must be x0,y0")
         return args.func(args)
     except (lattice.LatticeError, gaussian.GaussianError,
-            hankel.NotHankelError, hankel.PumpCompileError) as exc:
+            hankel.NotHankelError, hankel.PumpCompileError,
+            OSError) as exc:               # OSError: an unusable --output-dir
         return _fail(EXIT_CONFIG, type(exc).__name__, str(exc))
     except RuntimeError as exc:
         return _fail(EXIT_INTERNAL, type(exc).__name__, str(exc))

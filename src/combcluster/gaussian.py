@@ -747,24 +747,24 @@ def _distinct_text(values: np.ndarray) -> np.ndarray:
     return text[which].reshape(v.shape)
 
 
-def _render_variances(row_format: str, report: NullifierReport) -> str:
-    """One ``row_format`` line (mode index, variance text) per mode."""
-    return lattice._render_rows(row_format, np.arange(report.variances.size),
-                                _distinct_text(report.variances))
+def _write_variances(fh, row_format: str, report: NullifierReport,
+                     prefix: str) -> None:
+    """One ``row_format`` line (mode index, variance text) per mode, then
+    a summary line of r, the maximum and the target hash after ``prefix``."""
+    lattice._render_rows(fh, row_format, np.arange(report.variances.size),
+                         _distinct_text(report.variances))
+    fh.write(f"{prefix}r={report.squeeze_r:.12g} "
+             f"max={report.max_variance:.12g} target={report.target_hash()}\n")
 
 
-def nullifier_table(report: NullifierReport) -> str:
+def nullifier_table(report: NullifierReport, fh) -> None:
     """Plain text table 'i variance' with a trailing summary line."""
-    return (_render_variances("%d %s\n", report)
-            + f"r={report.squeeze_r:.12g} max={report.max_variance:.12g} "
-            f"target={report.target_hash()}\n")
+    _write_variances(fh, "%d %s\n", report, "")
 
 
-def nullifier_records(report: NullifierReport) -> str:
+def nullifier_records(report: NullifierReport, fh) -> None:
     """Machine-readable key-value variant of the nullifier table."""
-    return (_render_variances("node=%d variance=%s\n", report)
-            + f"summary r={report.squeeze_r:.12g} "
-            f"max={report.max_variance:.12g} target={report.target_hash()}\n")
+    _write_variances(fh, "node=%d variance=%s\n", report, "summary ")
 
 
 def format_resolved(value: float, rounding: float) -> str:
@@ -776,15 +776,13 @@ def format_resolved(value: float, rounding: float) -> str:
     return f"{value:.{digits}g}"
 
 
-def effective_graph_dump(eg: EffectiveGraph) -> str:
-    """Dense text dump of V and U with 12 significant digits, rendered a
+def effective_graph_dump(eg: EffectiveGraph, fh) -> None:
+    """Dense text dump of V and U with 12 significant digits, written a
     chunk of rows at a time from the CSR arrays."""
-    out = []
     for name, mat in (("V", eg.V), ("U", eg.U)):
         m = mat.shape[0]
-        out.append(f"{name} n={m}\n")
+        fh.write(f"{name} n={m}\n")
         step = max(1, lattice._RENDER_CHUNK // max(1, m))
         for start in range(0, m, step):
             rows = _distinct_text(mat[start:start + step].toarray()).tolist()
-            out.extend(" ".join(row) + "\n" for row in rows)
-    return "".join(out)
+            fh.write("".join(" ".join(row) + "\n" for row in rows))

@@ -302,7 +302,7 @@ class ScalingRow:
 
 
 def scaling_report(M_list) -> list:
-    """Scaling table rows for the given lattice sizes (even M >= 6).
+    """Scaling table rows for the given lattice sizes (even M >= 4).
 
     Mode, edge and bandwidth counts grow linearly with N = M**2 while the
     pump line count stays constant; all columns are computed from the

@@ -573,7 +573,7 @@ def renumber_permutation(M: int) -> np.ndarray:
     skew-diagonal constant; the negated P3 diagonal of the construction is
     exactly what makes the two wrapped skew-diagonals consistent.
     """
-    _check_even_size("M", M, 6)
+    _check_even_size("M", M, 4)
     m = np.arange(M * M, dtype=np.int64)
     # new = 2*(m + M**2 * x) + z is the row-major position of (x, m, z)
     return (4 * m[None, :, None] + 2 * np.arange(2)[:, None, None]
@@ -583,13 +583,13 @@ def renumber_permutation(M: int) -> np.ndarray:
 def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     """Renumber the expanded M-lattice so it is 2x2 block-Hankel.
 
-    Requires even M >= 6 and A = expand(build_torus_supergraph(M)).
+    Requires even M >= 4 and A = expand(build_torus_supergraph(M)).
     The result is validated: the permutation is a bijection onto
     range(A.n), so ``restore()`` gives back A exactly, and the renumbered
     matrix has constant 2x2 block skew-diagonals, nonzero exactly at the 15
     positions of the skeleton with `constructed_run_lengths`.
     """
-    _check_even_size("M", M, 6)
+    _check_even_size("M", M, 4)
     if A.n != 4 * M * M:
         raise LatticeError(
             f"adjacency size {A.n} does not match an M={M} lattice "
@@ -688,9 +688,9 @@ def label_census(S: SuperAdjacency):
 _RENDER_CHUNK = 1 << 14
 
 
-def _render_rows(row_format: str, *columns) -> str:
-    """``row_format % row`` for every row of the equal-length columns,
-    concatenated: the bytes of one %-format per row.
+def _render_rows(fh, row_format: str, *columns) -> None:
+    """Write ``row_format % row`` for every row of the equal-length columns
+    to the text stream ``fh``: the bytes of one %-format per row.
 
     Each chunk of rows is one %-format: the row format repeated once per
     row, applied to the chunk's values interleaved row by row as Python
@@ -698,14 +698,12 @@ def _render_rows(row_format: str, *columns) -> str:
     """
     n = len(columns[0])
     width = len(columns)
-    parts = []
     for start in range(0, n, _RENDER_CHUNK):
         stop = min(start + _RENDER_CHUNK, n)
         values = [None] * ((stop - start) * width)
         for c, column in enumerate(columns):
             values[c::width] = column[start:stop].tolist()
-        parts.append(row_format * (stop - start) % tuple(values))
-    return "".join(parts)
+        fh.write(row_format * (stop - start) % tuple(values))
 
 
 def _upper_edges(A: PhysAdjacency):
@@ -715,19 +713,20 @@ def _upper_edges(A: PhysAdjacency):
     return rows[upper], cols[upper], vals[upper]
 
 
-def export_triplets(A: PhysAdjacency) -> str:
+def export_triplets(A: PhysAdjacency, fh) -> None:
     """Sparse triplet text: header 'n=<count> denom=4', lines 'i j num/4'."""
-    return f"n={A.n} denom=4\n" + _render_rows("%d %d %d/4\n", *_upper_edges(A))
+    fh.write(f"n={A.n} denom=4\n")
+    _render_rows(fh, "%d %d %d/4\n", *_upper_edges(A))
 
 
-def export_dot(A: PhysAdjacency) -> str:
+def export_dot(A: PhysAdjacency, fh) -> None:
     """GraphViz DOT rendering with weights as edge labels."""
-    return ("graph adjacency {\n"
-            + _render_rows('  %d -- %d [label="%d/4"];\n', *_upper_edges(A))
-            + "}\n")
+    fh.write("graph adjacency {\n")
+    _render_rows(fh, '  %d -- %d [label="%d/4"];\n', *_upper_edges(A))
+    fh.write("}\n")
 
 
-def export_super_triplets(S: SuperAdjacency) -> str:
+def export_super_triplets(S: SuperAdjacency, fh) -> None:
     """Triplets at block granularity with named block payloads."""
-    return (f"n={S.n_macro} block_side={S.block_side}\n"
-            + _render_rows("%d %d %s\n", *S.pairs.T, S.labels))
+    fh.write(f"n={S.n_macro} block_side={S.block_side}\n")
+    _render_rows(fh, "%d %d %s\n", *S.pairs.T, S.labels)

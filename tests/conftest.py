@@ -1,3 +1,4 @@
+import io
 import os
 from pathlib import Path
 
@@ -8,6 +9,13 @@ import combcluster
 
 from combcluster import (build_ring_supergraph, build_torus_supergraph,
                          expand)
+
+
+def written(writer, *args) -> str:
+    """The text that ``writer(*args, fh)`` writes to its text stream fh."""
+    fh = io.StringIO()
+    writer(*args, fh)
+    return fh.getvalue()
 
 
 @pytest.fixture(scope="session")

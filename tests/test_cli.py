@@ -40,24 +40,47 @@ def test_ring_command(capsys):
      ["export_triplets", "export_super_triplets", "export_dot"]),
     (("lattice", "--M", "6", "--formats", "triplet,report"),
      ["export_triplets", "export_super_triplets"]),
-    (("ring", "--n-macro", "4"), ["export_triplets", "export_super_triplets"])])
+    (("ring", "--n-macro", "4"), ["export_triplets", "export_super_triplets"]),
+    (("simulate", "--M", "4", "--r", "1,2"),
+     ["nullifier_table", "nullifier_records"] * 2),
+    (("reduce", "--M", "4", "--r", "1,2"), ["effective_graph_dump"] * 2)])
 def test_text_exports_render_only_for_an_output_dir(argv, exports, monkeypatch,
                                                      capsys, tmp_path):
-    # the triplet and DOT text of a large lattice is the bulk of its peak
-    # memory; without --output-dir nothing reads it
-    from combcluster import lattice
+    # each writer runs only with --output-dir, once per file, and returns
+    # nothing: its text goes straight to the open file
+    from combcluster import gaussian, lattice
     calls = []
-    for name in ("export_triplets", "export_super_triplets", "export_dot"):
-        def counting(*args, _fn=getattr(lattice, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(lattice, name, counting)
+    for module, names in (
+            (lattice, ("export_triplets", "export_super_triplets",
+                       "export_dot")),
+            (gaussian, ("nullifier_table", "nullifier_records",
+                        "effective_graph_dump"))):
+        for name in names:
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                assert _fn(*args) is None
+            monkeypatch.setattr(module, name, counting)
     bare = run_cli(capsys, *argv)
     assert calls == []
     written = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert sorted(calls) == sorted(exports)
+    assert all(f.stat().st_size for f in tmp_path.iterdir())
     assert bare[0] == written[0] == 0
     assert written[1].startswith(bare[1])
+
+
+@pytest.mark.parametrize("child, cause", [
+    ("", "FileExistsError"), ("sub", "NotADirectoryError")])
+def test_unusable_output_dir_is_one_line(capsys, tmp_path, child, cause):
+    # a file where the output directory or its parent should be
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "lattice", "--M", "4",
+                             "--output-dir", str(taken / child))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf'error: code=2 cause={cause} detail="[^"\n]*"\n',
+                        err)
+    assert taken.read_text() == ""
 
 
 def test_pump_command_writes_fifteen_lines(capsys, tmp_path):
@@ -71,12 +94,17 @@ def test_pump_command_writes_fifteen_lines(capsys, tmp_path):
                for ln in pump[1:])
 
 
-def test_pump_m4_cites_negative_run_length(capsys):
-    code, out, err = run_cli(capsys, "pump", "--M", "4")
-    assert code == 2
-    assert err.count("\n") == 1           # single machine-parsable line
-    assert re.match(r'^error: code=2 cause=\w+ detail=".*"$', err.strip())
-    assert "-3" in err and "M^2-4M-3" in err
+def test_pump_m4_is_the_skeleton(capsys, tmp_path):
+    # the renumbered M = 4 lattice is the (s, t) = (3, 5) skeleton
+    code, out, err = run_cli(capsys, "pump", "--M", "4",
+                             "--output-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("pump_lines=15 n_qumodes=64 bandwidth_span=58\n")
+    pump = (tmp_path / "pump_M4.txt").read_text().splitlines()
+    assert [int(ln.split()[0][2:]) for ln in pump[1:]] == [
+        3, 9, 13, 15, 19, 25, 29, 31, 35, 41, 45, 47, 51, 57, 61]
+    code, out, _ = run_cli(capsys, "scaling", "--M", "4")
+    assert (code, out.splitlines()[1]) == (0, "4 16 64 32 512 15 58")
 
 
 def test_odd_m_is_config_error(capsys):
@@ -407,32 +435,6 @@ def test_sizes_that_cannot_fit_are_refused(command, child_env):
     assert time.perf_counter() - start < 10
 
 
-def test_reduce_counts_the_dump_it_writes(capsys, monkeypatch, tmp_path):
-    # refused one byte below reduce's estimate for M = 6 with its V/U dump,
-    # run at it; without --output-dir the dump is neither counted nor made
-    import combcluster.cli as cli
-    import combcluster.gaussian as gaussian
-    need = (cli._PEAK_PER_MODE["reduce"] * 144
-            + cli._DUMP_PEAK_PER_ENTRY * 25 ** 2)
-    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
-    argv = ("reduce", "--M", "6", "--r", "1", "--output-dir", str(tmp_path))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: code=2 cause=LatticeError detail=\"144 modes")
-    assert not any(tmp_path.iterdir())
-    dump = gaussian.effective_graph_dump
-
-    def unwanted_dump(eg):
-        raise AssertionError("dump rendered without --output-dir")
-
-    monkeypatch.setattr(gaussian, "effective_graph_dump", unwanted_dump)
-    assert run_cli(capsys, *argv[:-2])[0] == 0
-    monkeypatch.setattr(gaussian, "effective_graph_dump", dump)
-    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
-    assert run_cli(capsys, *argv)[0] == 0
-    assert (tmp_path / "effective_graph_M6_r1.txt").exists()
-
-
 def test_simulate_refuses_when_memory_is_small(capsys, monkeypatch):
     # refused one byte below simulate's estimate for 144 modes, run at it
     import combcluster.cli as cli
@@ -464,18 +466,19 @@ def test_lattice_commands_refuse_sizes_that_cannot_fit(capsys, argv):
                         r'here"\n', err)
 
 
-@pytest.mark.parametrize("argv,n,parts", [
-    (("lattice", "--M", "6"), 144, ("lattice",)),
-    (("lattice", "--M", "6", "--formats", "report"), 144, ("lattice",)),
-    (("ring", "--n-macro", "4"), 8, ("ring",)),
-    (("pump", "--M", "6"), 144, ("pump",)),
-    (("scaling", "--M", "8,6"), 256, ("scaling",)),
-    (("verify-all", "--M", "6"), 144, ("verify-all",)),
+@pytest.mark.parametrize("argv,n", [
+    (("lattice", "--M", "6"), 144),
+    (("lattice", "--M", "6", "--formats", "report"), 144),
+    (("ring", "--n-macro", "4"), 8),
+    (("pump", "--M", "6"), 144),
+    (("scaling", "--M", "8,6"), 256),
+    (("reduce", "--M", "6"), 144),
+    (("verify-all", "--M", "6"), 144),
 ])
 def test_lattice_commands_refuse_one_byte_below_their_estimate(
-        capsys, monkeypatch, argv, n, parts):
+        capsys, monkeypatch, argv, n):
     import combcluster.cli as cli
-    need = n * sum(cli._PEAK_PER_MODE[p] for p in parts)
+    need = n * cli._PEAK_PER_MODE[argv[0]]
     monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -484,33 +487,11 @@ def test_lattice_commands_refuse_one_byte_below_their_estimate(
     assert run_cli(capsys, *argv)[0] in (0, 3)       # verify-all exits 3
 
 
-@pytest.mark.parametrize("argv,n,parts", [
-    (("lattice", "--M", "6"), 144, ("lattice", "triplet", "dot")),
-    (("lattice", "--M", "6", "--formats", "triplet,report"), 144,
-     ("lattice", "triplet")),
-    (("ring", "--n-macro", "4"), 8, ("ring", "ring-text")),
-])
-def test_written_text_is_charged(capsys, monkeypatch, tmp_path, argv, n,
-                                 parts):
-    # --output-dir adds each written format's share to the base cost that
-    # test_lattice_commands_refuse_one_byte_below_their_estimate charges
-    import combcluster.cli as cli
-    argv = (*argv, "--output-dir", str(tmp_path))
-    need = n * sum(cli._PEAK_PER_MODE[p] for p in parts)
-    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f'error: code=2 cause=LatticeError detail="{n} modes')
-    assert not any(tmp_path.iterdir())
-    monkeypatch.setattr(cli, "_memory_limit", lambda: need)
-    assert run_cli(capsys, *argv)[0] == 0
-    assert any(tmp_path.iterdir())
-
-
 def test_every_command_reads_its_own_memory_estimate(capsys, monkeypatch,
                                                      tmp_path):
-    # with no memory at all each subcommand, run with --output-dir, must be
-    # refused by its estimate; every table key must be read by some command
+    # with no memory at all each subcommand must be refused by its estimate,
+    # with the same line whether or not --output-dir is given; every table
+    # key must be read by some command
     import combcluster.cli as cli
 
     class Recording(dict):
@@ -527,7 +508,7 @@ def test_every_command_reads_its_own_memory_estimate(capsys, monkeypatch,
     for name, sub in commands.items():
         if name == "verify_all":            # alias of verify-all
             continue
-        argv = [name, "--output-dir", str(tmp_path)]
+        argv = [name]
         for action in sub._actions:
             if action.required:
                 argv += [action.option_strings[0], "6"]
@@ -538,5 +519,8 @@ def test_every_command_reads_its_own_memory_estimate(capsys, monkeypatch,
                             r'modes need ~\S+ GiB, more than the \S+ GiB of '
                             r'memory here"\n', err), name
         assert name in read, f"{name} has no per-mode memory estimate"
+        assert run_cli(capsys, *argv, "--output-dir", str(tmp_path)) == (
+            code, out, err), name
+        assert not any(tmp_path.iterdir()), name
         every_read |= read
     assert every_read == set(cli._PEAK_PER_MODE)

@@ -17,6 +17,7 @@ from combcluster import (EffectiveGraph, EvolutionParams, GaussianError,
                          nullifier_table, nullifier_variances, reduce_and_cut,
                          rotate_color_class, support_graph_stats, vacuum)
 from combcluster.verify import ode_oracle_covariance
+from conftest import written
 
 
 def omega(n):
@@ -479,8 +480,8 @@ def test_nullifier_report_exports(two_mode):
     rotated, conv = optimal_rotation(two_mode, 1.0)
     rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency,
                               squeeze_r=1.0)
-    table = nullifier_table(rep)
-    records = nullifier_records(rep)
+    table = written(nullifier_table, rep)
+    records = written(nullifier_records, rep)
     assert table.splitlines()[-1].startswith("r=1 max=")
     assert records.splitlines()[0].startswith("node=0 variance=")
     assert len(rep.target_hash()) == 12
@@ -522,12 +523,12 @@ def test_formats_match_per_value_fstrings():
     for name, mat in (("V", eg.V.toarray()), ("U", eg.U.toarray())):
         expected.append(f"{name} n={mat.shape[0]}")
         expected.extend(" ".join(f"{v:.12g}" for v in row) for row in mat)
-    assert effective_graph_dump(eg) == "\n".join(expected) + "\n"
+    assert written(effective_graph_dump, eg) == "\n".join(expected) + "\n"
     rep = NullifierReport(sp.csr_array((2, 2)), values, 1.0, squeeze_r=0.5)
     summary = f"max=1 target={rep.target_hash()}"
-    assert nullifier_table(rep) == "".join(
+    assert written(nullifier_table, rep) == "".join(
         f"{i} {v:.12g}\n" for i, v in enumerate(values)) + f"r=0.5 {summary}\n"
-    assert nullifier_records(rep) == "".join(
+    assert written(nullifier_records, rep) == "".join(
         f"node={i} variance={v:.12g}\n" for i, v in enumerate(values)
     ) + f"summary r=0.5 {summary}\n"
 

@@ -19,6 +19,7 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          torus_block_diagonals, two_path_weight)
 from combcluster import lattice
 from combcluster.lattice import bfs_depths, block_label
+from conftest import written
 
 
 # ============================================================
@@ -259,7 +260,7 @@ def test_renumber_produces_block_hankel(lattice6):
                        77, 99, 105, 107, 113, 135, 141]
 
 
-@pytest.mark.parametrize("M", range(6, 41, 2))
+@pytest.mark.parametrize("M", range(4, 41, 2))
 def test_renumbered_positions_are_the_skeleton(M):
     renum = renumber_to_block_hankel(expand(build_torus_supergraph(M)), M)
     skeleton = lattice.positions_from_run_lengths(
@@ -340,8 +341,6 @@ def test_duplicate_sparse_quarters_are_summed_before_the_check():
 
 
 def test_renumber_rejects_unsupported_m(lattice6):
-    with pytest.raises(LatticeError):
-        renumber_to_block_hankel(expand(build_torus_supergraph(4)), 4)
     with pytest.raises(LatticeError):
         renumber_to_block_hankel(lattice6, 8)   # size mismatch
 
@@ -450,7 +449,7 @@ def test_chart_arrays_match_the_dict_selectors(M):
 # ============================================================
 
 def test_export_triplets_header_and_exactness(crown8):
-    text = export_triplets(crown8)
+    text = written(export_triplets, crown8)
     lines = text.splitlines()
     assert lines[0] == "n=8 denom=4"
     assert len(lines) - 1 == crown8.nnz // 2
@@ -459,7 +458,7 @@ def test_export_triplets_header_and_exactness(crown8):
 
 
 def test_export_dot_contains_edges(crown8):
-    text = export_dot(crown8)
+    text = written(export_dot, crown8)
     assert text.startswith("graph adjacency {")
     assert text.count("--") == crown8.nnz // 2
 
@@ -498,14 +497,15 @@ def test_exports_match_per_edge_fstrings(n, seed, density, scale, index64,
         A.csr.indptr = A.csr.indptr.astype(np.int64)
     assert A.csr.indices.dtype == (np.int64 if index64 else np.int32)
     with mock.patch.object(lattice, "_RENDER_CHUNK", chunk):
-        assert (export_triplets(A), export_dot(A)) == per_edge_exports(Q)
+        assert (written(export_triplets, A),
+                written(export_dot, A)) == per_edge_exports(Q)
 
 
 def test_export_super_triplets(ring4, torus6):
-    text = export_super_triplets(ring4)
+    text = written(export_super_triplets, ring4)
     assert text.splitlines()[0] == "n=4 block_side=2"
     assert "pi+" in text and "pi-" in text
-    text6 = export_super_triplets(torus6)
+    text6 = written(export_super_triplets, torus6)
     assert "-P3" in text6 and "P2" in text6
 
 
@@ -689,7 +689,7 @@ def test_sparse_rows_match_dense_for_exports_and_two_paths(lattice6):
     Q = lattice6.quarters
     rows, cols = np.nonzero(np.triu(Q, 1))
     want = [f"{i} {j} {Q[i, j]}/4" for i, j in zip(rows, cols)]
-    assert export_triplets(lattice6).splitlines()[1:] == want
+    assert written(export_triplets, lattice6).splitlines()[1:] == want
     for j, k in ((0, 0), (5, 9), (17, 100), (143, 2)):
         assert two_path_weight(lattice6, j, k) == Fraction(int(Q[j] @ Q[:, k]), 16)
 

@@ -18,9 +18,13 @@ projection and keeps the projected rows as the factor: `reduce --M 20 --r
 kept rows, so a 180 MB ceiling catches a fall-back to that QR.
 `reduce --M 28 --r 1` peaks at ~72 MB, and the dense projected factor alone
 would be 73 MB (1458 x 6272), so a 120 MB ceiling catches densifying it.
-`reduce --M 64 --r 1,2` (16 384 modes), run without --output-dir, peaks at
-~150 MB; rendering its dense V/U text anyway takes it to ~221 MB, and one
-dense 3969 x 3969 V or U is 126 MB, so a 200 MB ceiling catches either.
+`reduce --M 64 --r 1,2` (16 384 modes) peaks at ~150 MB, and one dense
+3969 x 3969 V or U is 126 MB, so a 200 MB ceiling catches either.
+Every output file is written a chunk at a time, so writing it adds no
+peak: `lattice --M 200` (all three formats) peaks at ~132 MB and `reduce
+--M 64 --r 1` at ~134 MB with and without --output-dir, where holding a
+whole file's text cost 62 MB and 67 MB more (the 63 MB V/U dump), so a
+10 MB margin between the two runs catches any file held whole.
 """
 
 import json
@@ -36,6 +40,7 @@ SPARSE_TARGET_CEILING_MB = 300
 BLOCKED_QR_CEILING_MB = 180
 PROJECTED_QR_CEILING_MB = 120
 SPARSE_REDUCE_CEILING_MB = 200
+WRITE_MARGIN_MB = 10
 
 CHILD = """
 import json, resource, sys
@@ -117,3 +122,16 @@ def test_sparse_reduction_stays_under_ceiling(child_env, tmp_path):
     assert lines[1].startswith("r=1 max_residual=")
     assert lines[2].startswith("r=2 max_residual=")
     assert peak_mb < SPARSE_REDUCE_CEILING_MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--M", "200"],
+    ["reduce", "--M", "64", "--r", "1"],
+], ids=["lattice-200", "reduce-64"])
+def test_writing_the_files_adds_no_peak(argv, child_env, tmp_path):
+    bare_lines, bare_mb = _run(argv, child_env, tmp_path, write=False)
+    assert not any(tmp_path.iterdir())
+    lines, written_mb = _run(argv, child_env, tmp_path)
+    assert lines[:len(bare_lines) - 1] == bare_lines[:-1]
+    assert any(tmp_path.iterdir())
+    assert abs(written_mb - bare_mb) < WRITE_MARGIN_MB

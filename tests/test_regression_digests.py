@@ -43,6 +43,11 @@ DIGESTS = {
         "crown_n6.triplets": "b573bf8435506054522322668f2d03f15df4243fcd1490575ef273b78f4d9243",
         "ring_n6.triplets": "88b004ff7fbdedb4ef73652d902ebc84206cd8f6ac3d341a3581463f22601bab",
     },
+    ("pump", "--M", "4"): {
+        "stdout": "feae811c4819e6c3400578c3b884253f41ec066ac9c8b943b1194daf45bbe4aa",
+        "pump_M4.txt": "4a2df26799a4b8dffa12dc5ba6394d80f241f9ab6a8788dccf5e409d831d5656",
+        "shorthand_M4.txt": "56d900abaafa4fd736be3e52c3ed42a158946add3843c775847573b0c2850377",
+    },
     ("pump", "--M", "6"): {
         "stdout": "3d0fa70e32805d8a6e756282d69a867ff5a42c50a789c59037131df2cba57f6c",
         "pump_M6.txt": "0082bf40721f6e9a3e246bda3e4db98ab32df44ca07e10df9929dd4da9fecc05",

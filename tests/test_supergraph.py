@@ -14,6 +14,7 @@ from combcluster import (BlockWeight, LatticeError, PI_MINUS, PI_PLUS,
                          build_torus_supergraph, expand, export_super_triplets,
                          label_census)
 from combcluster.lattice import PI4
+from conftest import written
 
 
 def set_block(blocks, i, j, w):
@@ -81,7 +82,7 @@ def test_supergraph_matches_dict_oracle(kind, size):
     assert S.pairs.tolist() == [list(p) for p in sorted(blocks)]
     assert S.labels.tolist() == [block_label(blocks[p]) for p in sorted(blocks)]
     assert np.array_equal(expand(S).quarters, oracle_expand(n_macro, s, blocks))
-    assert (export_super_triplets(S).encode()
+    assert (written(export_super_triplets, S).encode()
             == oracle_export(n_macro, s, blocks).encode())
     assert label_census(S) == oracle_census(n_macro, blocks)
     scan = [sum(1 for pair in blocks if i in pair) for i in range(n_macro)]
