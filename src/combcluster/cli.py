@@ -169,8 +169,6 @@ def cmd_ring(args) -> int:
 
 def cmd_pump(args) -> int:
     M = args.M
-    if M % 2:
-        raise lattice.LatticeError(f"M must be even, got {M}")
     _require_fit(4 * M * M, "pump")
     A = lattice.expand(lattice.build_torus_supergraph(M))
     short = lattice.renumber_to_block_hankel(A, M).shorthand

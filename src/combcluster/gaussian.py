@@ -13,17 +13,18 @@ evolved state L = S).  L is one canonical scipy.sparse CSR array: the
 evolved factor has the sparsity of A, a quarter turn permutes and signs its
 rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
 float CSR target) are sparse products.  One step, `_condition`, projects
-rows off rows.  A q measurement projects the kept rows off the measured q
-rows, and the projected rows, every column kept, are the conditional
-factor.  The effective graph and the purity check project the p rows off
-the q rows: V is the gain, U the inverse Gram, and the purity defect the
-Schur residual of the projected p rows.  The quarter-turned cluster state's
-q rows have Gram cosh(4r) 1, so on its path every step is a sparse product.
-Dense copies remain only for one QR of coupled rows (the unturned state,
-random factors; never the cluster path), for the dump of V and U a chunk
-of rows at a time, and for the covariance, derived on access.  Reading the
-factor keeps these accurate where the covariance is stiff with e^{+-4r}
-eigenvalue pairs.
+rows off rows: a set of mutually orthogonal rows by a sparse product, any
+other set by one QR of all its rows.  A q measurement projects the kept
+rows off the measured q rows, and the projected rows, every column kept,
+are the conditional factor.  The effective graph and the purity check
+project the p rows off the q rows: V is the gain, U the inverse Gram, and
+the purity defect the Schur residual of the projected p rows.  The
+quarter-turned cluster state's q rows have Gram cosh(4r) 1, so on its path
+every step is a sparse product.  Dense copies remain only for the QR (the
+unturned state, random factors; never the cluster path), for the dump of V
+and U a chunk of rows at a time, and for the covariance, derived on
+access.  Reading the factor keeps these accurate where the covariance is
+stiff with e^{+-4r} eigenvalue pairs.
 
 The library imports numpy and scipy.sparse only, never scipy.linalg, whose
 second OpenBLAS thread pool spins against numpy's on small hosts.
@@ -450,13 +451,13 @@ def _split_nodes(n: int, nodes):
 
 
 def _uncorrelated_rows(X: sp.csr_array):
-    """(mask, Gram diagonal) of the rows of X orthogonal to every other row.
+    """(whether every row of X is orthogonal to every other, Gram diagonal).
 
-    Row i is uncorrelated when each off-diagonal |G_ij| of the sparse Gram
-    G = X X^T is within the product's rounding gamma sqrt(G_ii) sqrt(G_jj),
-    gamma = (k+1) eps for k the largest row count.  A row whose G_ii
-    overflows, or falls below tiny/eps where its squares may underflow (a
-    row with no entries among them), is not: its gain 1/G_ii would vanish,
+    Rows i and j are orthogonal when |G_ij| of the sparse Gram G = X X^T is
+    within the product's rounding gamma sqrt(G_ii) sqrt(G_jj), gamma =
+    (k+1) eps for k the largest row count.  A row whose G_ii overflows, or
+    falls below tiny/eps where its squares may underflow (a row with no
+    entries among them), answers no: its gain 1/G_ii would vanish,
     overflow or lose its digits.
     """
     G = (X @ X.T).tocoo()
@@ -465,16 +466,9 @@ def _uncorrelated_rows(X: sp.csr_array):
     root = np.sqrt(d)
     off = G.row != G.col
     i, j = G.row[off], G.col[off]
+    in_range = (np.finfo(float).tiny / np.finfo(float).eps < d) & (d < np.inf)
     coupled = np.abs(G.data[off]) > gamma * root[i] * root[j]
-    free = (np.finfo(float).tiny / np.finfo(float).eps < d) & (d < np.inf)
-    free[i[coupled]] = False
-    return free, d
-
-
-def _placed(B, rows, cols, shape) -> sp.csr_array:
-    """CSR array of ``shape`` holding each nonzero B_ij at (rows[i], cols[j])."""
-    B = sp.coo_array(B)
-    return sp.csr_array((B.data, (rows[B.row], cols[B.col])), shape=shape)
+    return bool(in_range.all() and not coupled.any()), d
 
 
 def _condition(Y: sp.csr_array, X: sp.csr_array, modes):
@@ -482,51 +476,48 @@ def _condition(Y: sp.csr_array, X: sp.csr_array, modes):
 
     gain = X Y^T (Y Y^T)^-1 has one column per row of Y, the projected rows
     X - gain Y keep every column of X, and U = (Y Y^T)^-1; all three are
-    CSR.  The rows F of Y orthogonal to every other row
-    (`_uncorrelated_rows`; all of them for the quarter-turned cluster
-    state, whose q rows have Gram cosh(4r) 1) project sparsely, with gain
-    X Y_F^T diag(1/|Y_F|^2) and U diag(1/|Y_F|^2).  The other rows C are
-    orthogonal to F and take one Householder QR on the columns they use,
-    Y_C^T = Q R: X <- X - (X Q) Q^T, gain (X Q) R^-T and U = R^-1 R^-T,
-    without the normal equations, which square Y_C's condition number.  A
-    row of C whose pivot |R_ii| is within its QR rounding, |C| eps |row|,
-    is zero or dependent on the rows before it: GaussianError naming its
-    entry of ``modes``.
+    CSR.  When every row of Y is orthogonal to every other
+    (`_uncorrelated_rows`; the quarter-turned cluster state, whose q rows
+    have Gram cosh(4r) 1) the projection is sparse, with gain
+    X Y^T diag(1/|Y|^2) and U diag(1/|Y|^2).  Otherwise all rows of Y take
+    one Householder QR on the columns they use, Y^T = Q R:
+    X <- X - (X Q) Q^T, gain (X Q) R^-T and U = R^-1 R^-T, without the
+    normal equations, which square Y's condition number.  A row whose
+    pivot |R_ii| is within its QR rounding, (rows of Y) eps |row|, is zero
+    or dependent on the rows before it: GaussianError naming its entry of
+    ``modes``.
     """
-    free, norms2 = _uncorrelated_rows(Y)
-    F, C = np.flatnonzero(free), np.flatnonzero(~free)
-    YF = Y[F] if C.size else Y
-    inverse = sp.diags_array(1.0 / norms2[F], format="csr")
-    gain = (X @ YF.T) @ inverse
-    X = X - gain @ YF
-    if not C.size:                       # already in the order of Y's rows
-        return gain, canonical_csr(X), inverse
-    rows, k, YC = np.arange(X.shape[0]), Y.shape[0], Y[C]
-    cols = np.unique(YC.indices)
-    D = YC[:, cols].toarray()
+    orthogonal, norms2 = _uncorrelated_rows(Y)
+    if orthogonal:
+        inverse = sp.diags_array(1.0 / norms2, format="csr")
+        gain = (X @ Y.T) @ inverse
+        return gain, canonical_csr(X - gain @ Y), inverse
+    k = Y.shape[0]
+    cols = np.unique(Y.indices)
+    D = Y[:, cols].toarray()
     Q, R = np.linalg.qr(D.T)
-    pivots = np.zeros(C.size)
+    pivots = np.zeros(k)
     pivots[:R.shape[0]] = np.abs(np.diagonal(R))
-    low = pivots <= C.size * np.finfo(float).eps * np.linalg.norm(D, axis=1)
+    low = pivots <= k * np.finfo(float).eps * np.linalg.norm(D, axis=1)
     if low.any():
         raise GaussianError(
-            f"measured q row of mode {modes[C[np.argmax(low)]]} is zero or "
+            f"measured q row of mode {modes[np.argmax(low)]} is zero or "
             "dependent on the other measured rows")
     XQ = X[:, cols] @ Q
-    Rinv = np.linalg.solve(R, np.eye(C.size))
-    UC = Rinv @ Rinv.T
-    gain = (_placed(gain, rows, F, (X.shape[0], k))
-            + _placed(XQ @ Rinv.T, rows, C, (X.shape[0], k)))
-    U = _placed(inverse, F, F, (k, k)) + _placed(0.5 * (UC + UC.T), C, C, (k, k))
-    X = X - _placed(XQ @ Q.T, rows, cols, X.shape)
-    return gain, canonical_csr(X), U
+    Rinv = np.linalg.solve(R, np.eye(k))
+    U = Rinv @ Rinv.T
+    step = sp.coo_array(XQ @ Q.T)
+    X = X - sp.csr_array((step.data, (step.row, cols[step.col])), shape=X.shape)
+    return (sp.csr_array(XQ @ Rinv.T), canonical_csr(X),
+            sp.csr_array(0.5 * (U + U.T)))
 
 
 def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
     """Ideal q measurement of the listed modes; returns the conditional state.
 
     Conditioning projects the kept rows L_r (kept q, then kept p) off the
-    measured q rows L_y (`_condition`).  The projected rows
+    measured q rows L_y (`_condition`: sparse when L_y's rows are mutually
+    orthogonal, else one QR of them all).  The projected rows
     P = L_r - W L_y, W = L_r L_y^T (L_y L_y^T)^-1, are the conditional
     factor: 2m x (columns of L), CSR, with every column kept, so the kept
     covariance P P^T / 2 is outcome independent and a kept row without
@@ -659,14 +650,15 @@ class GraphStats:
 
 
 def support_graph_stats(A) -> GraphStats:
-    """Connectivity, degrees and cycle rank of the off-diagonal support."""
+    """Connectivity, degrees and cycle rank of the off-diagonal support of
+    a symmetric adjacency; GaussianError for one that is not symmetric."""
     At = _as_sparse_adjacency(A)
+    if not lattice.is_symmetric(At):
+        raise GaussianError("support graph needs a symmetric adjacency")
     n = At.shape[0]
     deg = np.diff(At.indptr) - (At.diagonal() != 0)
     edges = int(deg.sum()) // 2
-    # components of the undirected support, also for an unsymmetric At
-    pattern = abs(At)
-    comps = lattice.bfs_depths(pattern + pattern.T)[2]
+    comps = lattice.bfs_depths(At)[1]
     hist = {int(k): int(c) for k, c in
             zip(*np.unique(deg, return_counts=True))}
     return GraphStats(n_nodes=n, n_edges=edges,

@@ -466,24 +466,22 @@ def _coo_of(Q: sp.csr_array):
     return rows, Q.indices, Q.data
 
 
-def bfs_depths(csr) -> tuple[np.ndarray, np.ndarray, int]:
+def bfs_depths(csr) -> tuple[np.ndarray, int]:
     """Breadth-first depth of each node from the lowest-index node of its
-    component, each node's component label, and the number of components,
-    of a symmetric CSR graph.
+    component, and the number of components, of a symmetric CSR graph.
 
     Every stored entry is an edge (a self-loop joins nothing new).  Nodes
     without entries are components of depth 0, set in one step; the other
     components are searched one after another, each from its lowest
     unvisited node, and each level expands the whole frontier at once by
-    gathering its rows of ``indices`` through ``indptr``.  Components are
-    labelled 0, 1, ... in the order of their lowest node.
+    gathering its rows of ``indices`` through ``indptr``.
     """
     n = csr.shape[0]
     indptr, indices = csr.indptr, csr.indices
     degree = np.diff(indptr)
     isolated = degree == 0
     depth = np.where(isolated, 0, -1)
-    root = np.arange(n)           # lowest node of each node's component
+    n_components = int(isolated.sum())
     unseen = ~isolated
     start = 0
     while start < n:
@@ -491,6 +489,7 @@ def bfs_depths(csr) -> tuple[np.ndarray, np.ndarray, int]:
         start += int(np.argmax(unseen[start:]))
         if not unseen[start]:
             break
+        n_components += 1
         unseen[start], depth[start] = False, 0
         frontier, level = np.array([start]), 0
         while frontier.size:
@@ -502,9 +501,7 @@ def bfs_depths(csr) -> tuple[np.ndarray, np.ndarray, int]:
             reached = indices[slots]
             frontier = np.unique(reached[unseen[reached]])
             unseen[frontier], depth[frontier] = False, level
-            root[frontier] = start
-    first = np.cumsum(root == np.arange(n))
-    return depth, first[root] - 1, int(first[-1]) if n else 0
+    return depth, n_components
 
 
 def bicoloring(A: PhysAdjacency) -> Bicoloring:
@@ -518,7 +515,7 @@ def bicoloring(A: PhysAdjacency) -> Bicoloring:
     """
     if not A.is_symmetric():
         raise LatticeError("adjacency must be symmetric")
-    depth, _, _ = bfs_depths(A.csr)
+    depth, _ = bfs_depths(A.csr)
     colors = (depth % 2).astype(np.int8)
     rows, cols, _ = _coo_of(A.csr)
     clash = np.flatnonzero(colors[rows] == colors[cols])

@@ -102,30 +102,21 @@ def layout_outer_support(M: int, positions) -> sp.csr_array:
     return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
 
 
-def _closed_walks(S):
-    """trace(S^1), trace(S^2), ... of a 0/1 matrix, from half-length walks.
+def _closed_walks(S: sp.csr_array):
+    """trace(S^1), trace(S^2), ... of a symmetric 0/1 int64 CSR matrix.
 
-    trace(S^k) is the Frobenius product <S^a, (S^T)^b> with a = ceil(k/2)
-    and b = floor(k/2), so only the powers up to ceil(k/2) are built, as
-    int64 CSR, each from the last by S @ P.  Symmetry is checked once: for
-    a symmetric S the powers of S^T are those of S, and an even k is the
-    sum of squares of one power's stored values.  Every entry of a power
-    and every partial sum of a product is non-negative and at most the
-    trace, so nothing overflows while the trace itself fits in int64.
+    trace(S^k) is the Frobenius product <S^a, S^b> with a = ceil(k/2) and
+    b = floor(k/2), so only the powers up to ceil(k/2) are built, each
+    from the last by S @ P, and an even k is the sum of squares of one
+    power's stored values.  Every entry of a power and every partial sum of
+    a product is non-negative and at most the trace, so nothing overflows
+    while the trace itself fits in int64.
     """
-    S = canonical_csr(S, np.int64)
-    symmetric = lattice.is_symmetric(S)
-    St = S if symmetric else S.T.tocsr()
     P, Q = S, sp.eye_array(S.shape[0], dtype=np.int64, format="csr")
-    while True:                            # P = S^a, Q = (S^T)^(a-1)
+    while True:                            # P = S^a, Q = S^(a-1)
         yield int(P.multiply(Q).sum())     # k = 2a - 1
-        if symmetric:
-            Q = P
-            yield int(np.dot(P.data, P.data))
-        else:
-            Q = St @ Q
-            yield int(P.multiply(Q).sum())
-        P = S @ P
+        yield int(np.dot(P.data, P.data))  # k = 2a
+        P, Q = S @ P, P
 
 
 def walk_refutation(Sa, Sb, k_max: int):
@@ -133,14 +124,20 @@ def walk_refutation(Sa, Sb, k_max: int):
 
     Closed-walk counts are isomorphism invariants, so a differing pair
     proves the two support graphs cannot be related by any renumbering.
-    Sa and Sb are 0/1 matrices, sparse or dense; the counts are exact
-    int64 products of half-length walks (`_closed_walks`).  k_max is
-    clipped so the counts cannot overflow (degree <= 8 bounds the k-walk
-    count by 8**k * n).
+    Sa and Sb are symmetric 0/1 matrices, sparse or dense (LatticeError
+    for one that is not symmetric); the counts are exact int64 products of
+    half-length walks (`_closed_walks`).  k_max is clipped so the counts
+    cannot overflow: with D the largest row count of the two, the k-walk
+    count is at most D**k * n, so k stops at (63 - log2 n) / log2 D, with
+    no clip for D <= 1.
     """
-    n = Sa.shape[0]
-    safe_k = int((63 - np.log2(n)) // 3)
-    for k, ta, tb in zip(range(1, min(k_max, safe_k) + 1),
+    Sa, Sb = canonical_csr(Sa, np.int64), canonical_csr(Sb, np.int64)
+    if not (lattice.is_symmetric(Sa) and lattice.is_symmetric(Sb)):
+        raise lattice.LatticeError("closed-walk counts need symmetric supports")
+    degree = max(np.diff(S.indptr).max(initial=0) for S in (Sa, Sb))
+    if degree > 1:
+        k_max = min(k_max, int((63 - np.log2(Sa.shape[0])) // np.log2(degree)))
+    for k, ta, tb in zip(range(1, k_max + 1),
                          _closed_walks(Sa), _closed_walks(Sb)):
         if ta != tb:
             return k, ta, tb

@@ -142,10 +142,14 @@ def test_no_renumbering_reaches_pinned_layout():
 
 
 def dense_walk_certificate(Sa, Sb, k_max):
-    """The dense int64 closed-walk loop, with the same overflow cap."""
+    """The dense int64 closed-walk loop, with the same overflow cap: k stops
+    at (63 - log2 n) / log2 D, D the largest row count, unless D <= 1."""
     n = len(Sa)
+    degree = max(Sa.sum(axis=1).max(), Sb.sum(axis=1).max())
+    if degree > 1:
+        k_max = min(k_max, int((63 - np.log2(n)) // np.log2(degree)))
     Pa = Pb = np.eye(n, dtype=np.int64)
-    for k in range(1, min(k_max, int((63 - np.log2(n)) // 3)) + 1):
+    for k in range(1, k_max + 1):
         Pa, Pb = Pa @ Sa, Pb @ Sb
         if np.trace(Pa) != np.trace(Pb):
             return k, int(np.trace(Pa)), int(np.trace(Pb))
@@ -173,53 +177,75 @@ def test_sparse_walk_certificate_matches_dense_loop(M):
         assert cert == (14, 37824361136128, 37846313336832)
 
 
-def random_walk_graph(rng, n, density, symmetric, loops):
-    """Random 0/1 matrix with at most 8 entries per row (the cap's bound)."""
+def random_walk_graph(rng, n, density, loops, max_degree):
+    """Random symmetric 0/1 matrix with at most max_degree entries per row."""
     S = np.zeros((n, n), dtype=np.int64)
     for i, j in zip(*np.nonzero(rng.random((n, n)) < density)):
-        if (symmetric and i > j) or (i == j and not loops):
+        if i > j or (i == j and not loops):
             continue
-        if S[i].sum() < 8 and S[j].sum() < 8:
-            S[i, j] = 1
-            if symmetric:
-                S[j, i] = 1
+        if S[i].sum() < max_degree and S[j].sum() < max_degree:
+            S[i, j] = S[j, i] = 1
     return S
 
 
-def cycle(length, symmetric):
+def cycle(length):
     C = np.roll(np.eye(length, dtype=np.int64), 1, axis=1)
-    return np.minimum(C + C.T, 1) if symmetric else C
+    return np.minimum(C + C.T, 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
        m=st.integers(1, 12), density=st.floats(0, 0.3),
-       symmetric=st.booleans(), loops=st.booleans(),
+       loops=st.booleans(), max_degree=st.integers(1, 16),
        long_walks=st.booleans(), sparse=st.booleans(),
        k_max=st.integers(0, 24))
 def test_walk_refutation_matches_stepwise_dense_loop(
-        seed, n, m, density, symmetric, loops, long_walks, sparse, k_max):
+        seed, n, m, density, loops, max_degree, long_walks, sparse, k_max):
     """Half-length sparse walks give the stepwise dense loop's certificate.
 
     With ``long_walks`` the pair is G + C_2m against a renumbered
-    G + C_m + C_m (C a cycle, directed unless symmetric), which agree on
-    every closed-walk count below k = m; otherwise two random graphs.
-    Isolated nodes, self-loops and k_max beyond the overflow cap occur.
+    G + C_m + C_m (C an undirected cycle), which agree on every closed-walk
+    count below k = m; otherwise two random graphs.  Isolated nodes,
+    self-loops and k_max beyond the overflow cap occur.
     """
     rng = np.random.default_rng(seed)
     if long_walks:
-        G = random_walk_graph(rng, max(0, n - 2 * m), density, symmetric, loops)
-        Sa = sp.block_diag([G, cycle(2 * m, symmetric)]).toarray()
-        Sb = sp.block_diag([G, cycle(m, symmetric), cycle(m, symmetric)]).toarray()
+        G = random_walk_graph(rng, max(0, n - 2 * m), density, loops,
+                              max_degree)
+        Sa = sp.block_diag([G, cycle(2 * m)]).toarray()
+        Sb = sp.block_diag([G, cycle(m), cycle(m)]).toarray()
         perm = rng.permutation(len(Sb))
         Sb = Sb[perm][:, perm]
     else:
-        Sa, Sb = (random_walk_graph(rng, n, density, symmetric, loops)
+        Sa, Sb = (random_walk_graph(rng, n, density, loops, max_degree)
                   for _ in range(2))
     want = dense_walk_certificate(Sa, Sb, k_max)
     if sparse:
         Sa, Sb = sp.csr_matrix(Sa), sp.csr_matrix(Sb)
     assert verify.walk_refutation(Sa, Sb, k_max) == want
+
+
+def test_walk_cap_follows_the_degree():
+    # K_40 + C_26 against K_40 + C_13 + C_13 first differ at k = 13, where
+    # trace(K_40^13) = 39**13 - 39 is past int64; degree 39 caps k at 10
+    K = np.ones((40, 40), dtype=np.int64) - np.eye(40, dtype=np.int64)
+    Sa = sp.block_diag([K, cycle(26)]).toarray()
+    Sb = sp.block_diag([K, cycle(13), cycle(13)]).toarray()
+    assert 39 ** 13 - 39 > np.iinfo(np.int64).max
+    assert verify.walk_refutation(Sa, Sb, 40) is None
+    assert dense_walk_certificate(Sa, Sb, 40) is None
+    # without K_40 the degree is 2 and the k = 13 certificate is exact
+    assert verify.walk_refutation(cycle(26), sp.block_diag(
+        [cycle(13), cycle(13)]), 40) == (13, 0, 52)
+
+
+@pytest.mark.parametrize("k_max", [0, 5])
+def test_walk_refutation_refuses_a_directed_support(k_max):
+    directed = np.roll(np.eye(3, dtype=np.int64), 1, axis=1)
+    with pytest.raises(lattice.LatticeError, match="symmetric"):
+        verify.walk_refutation(directed, cycle(3), k_max)
+    with pytest.raises(lattice.LatticeError, match="symmetric"):
+        verify.walk_refutation(cycle(3), directed, k_max)
 
 
 def test_constructed_layout_has_same_skeleton():

@@ -1,13 +1,14 @@
 """q measurement by projection against one QR of all measured rows.
 
-`measure_q` projects the kept rows off the measured rows orthogonal to
-every other measured row by a sparse projection, then off the rest with one
-Householder QR of those rows alone; the projected kept rows, every column
-kept, are the conditional factor.  The oracle is the single-QR algorithm:
-one QR of every measured and kept row, [L_y; L_r]^T = Q R, with conditional
-factor R_22^T and mean gain R_12^T R_11^-T.  Projecting on orthogonal rows
-one after another projects on their span, so both give the same covariance
-and mean up to rounding, though their factors differ in shape.
+`measure_q` projects the kept rows off the measured rows: by a sparse
+projection when every measured row is orthogonal to every other, else with
+one Householder QR of all the measured rows; the projected kept rows,
+every column kept, are the conditional factor.  The oracle is the
+single-QR algorithm: one QR of every measured and kept row,
+[L_y; L_r]^T = Q R, with conditional factor R_22^T and mean gain
+R_12^T R_11^-T.  Both project on the span of the measured rows, so they
+give the same covariance and mean up to rounding, though their factors
+differ in shape.
 """
 
 import hypothesis.strategies as st
@@ -18,7 +19,8 @@ from hypothesis import assume, given, settings
 from combcluster import (EvolutionParams, GaussianError, GaussianState,
                          cluster_state, evolve, measure_and_delete, measure_q,
                          nullifier_variances)
-from combcluster import lattice
+from combcluster import lattice, verify
+from combcluster.cli import main
 
 
 def single_qr_measure(state, nodes, outcomes):
@@ -149,6 +151,23 @@ def test_cluster_cut_matches_single_qr(r):
         assert np.abs(got.cov - cov).max() <= 1e-14 * np.abs(cov).max()
         if check_mean:
             assert np.abs(got.mean - mean).max() <= 1e-14 * np.abs(mean).max()
+
+
+def test_cluster_path_never_takes_the_qr(monkeypatch, capsys):
+    # the quarter-turned cluster state's measured q rows are orthogonal, so
+    # the q measurement, the effective graph and the purity check of every
+    # command and criterion on it are sparse products
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.qr called on the cluster path")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert main(["reduce", "--M", "10", "--r", "0.7,1.3", "--keep-layer", "2",
+                 "--meridians", "3,1"]) == 0
+    assert "effective_graph_error" in capsys.readouterr().out
+    for result in (verify.criterion_crown_to_ring(),
+                   verify.criterion_layer_reduction(6),
+                   verify.criterion_torus_cut(6)):
+        assert result.passed, result.details
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])

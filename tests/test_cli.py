@@ -108,9 +108,12 @@ def test_pump_m4_is_the_skeleton(capsys, tmp_path):
 
 
 def test_odd_m_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "lattice", "--M", "5")
-    assert code == 2
-    assert err.startswith("error: code=2")
+    # one rule, one message, whichever command builds the torus
+    for command in ("lattice", "pump", "simulate"):
+        code, _, err = run_cli(capsys, command, "--M", "5")
+        assert code == 2
+        assert err == ('error: code=2 cause=LatticeError detail="M must be '
+                       'even and >= 4, got 5"\n')
 
 
 def test_scaling_command(capsys):

@@ -765,6 +765,13 @@ def test_support_graph_stats_counts_components():
     assert stats.degree_histogram == {0: 1, 2: 7}
 
 
+def test_support_graph_stats_refuses_a_directed_support():
+    # its out-degrees and the components of its symmetrised pattern
+    # disagree: one edge counted, n_edges 0 and cycle rank -1
+    with pytest.raises(GaussianError, match="symmetric"):
+        support_graph_stats(np.array([[0.0, 1], [0, 0]]))
+
+
 def test_ideal_delete_nothing_is_identity(crown8):
     out = ideal_graph_delete(crown8.dense(), [])
     assert same_csr(out, sp.csr_array(crown8.dense()))

@@ -597,17 +597,16 @@ def test_non_bipartite_witness_lies_on_odd_cycle():
 
 
 def csgraph_depths(Q):
-    """Depth of each node from its component's lowest node, the component
-    labels and the component count, by scipy.sparse.csgraph (one unweighted
-    dijkstra per component; labels in the order of each component's lowest
-    node)."""
+    """Depth of each node from its component's lowest node and the
+    component count, by scipy.sparse.csgraph (one unweighted dijkstra per
+    component)."""
     n_components, labels = connected_components(Q, directed=False)
     depth = np.zeros(Q.shape[0], dtype=np.int64)
     for c in range(n_components):
         nodes = np.flatnonzero(labels == c)
         depth[nodes] = dijkstra(Q, directed=False, indices=nodes[0],
                                 unweighted=True)[nodes]
-    return depth, labels, n_components
+    return depth, n_components
 
 
 @st.composite
@@ -630,11 +629,10 @@ def graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(graphs())
 def test_bfs_depths_match_csgraph(Q):
-    depth, component, n_components = bfs_depths(Q)
-    want_depth, want_component, want_components = csgraph_depths(Q)
+    depth, n_components = bfs_depths(Q)
+    want_depth, want_components = csgraph_depths(Q)
     assert n_components == want_components
     assert np.array_equal(depth, want_depth)
-    assert np.array_equal(component, want_component)
     # bicoloring: parity of those depths, or the first same-color edge in
     # row-major order as the odd-cycle witness
     colors = want_depth % 2
@@ -652,10 +650,8 @@ def test_bfs_depths_match_csgraph(Q):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_bfs_depths_of_trivial_graphs(n):
-    depth, component, n_components = bfs_depths(
-        sp.csr_array((n, n), dtype=np.int64))
-    assert (depth.tolist(), component.tolist(), n_components) == (
-        [0] * n, list(range(n)), n)
+    depth, n_components = bfs_depths(sp.csr_array((n, n), dtype=np.int64))
+    assert (depth.tolist(), n_components) == ([0] * n, n)
     assert bicoloring(PhysAdjacency(np.zeros((n, n), dtype=np.int64))).n == n
 
 
@@ -667,10 +663,8 @@ def test_bfs_depths_of_many_components_and_self_loops():
     u, v = perm[:300], perm[300:600]
     Q = sp.csr_array((np.ones(900), (np.r_[u, v, u], np.r_[v, u, u])),
                      shape=(700, 700))
-    depth, component, n_components = bfs_depths(Q)
+    depth, n_components = bfs_depths(Q)
     assert n_components == 400
-    assert np.array_equal(component[u], component[v])
-    assert np.unique(component[perm[:600]]).size == 300
     assert np.array_equal(depth[np.minimum(u, v)], np.zeros(300))
     assert np.array_equal(depth[np.maximum(u, v)], np.ones(300))
     assert np.array_equal(depth[perm[600:]], np.zeros(100))
