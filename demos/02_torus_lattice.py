@@ -27,7 +27,7 @@ print("two-path weights:",
 
 colors = bicoloring(A)
 print(f"bicolorable: color counts = "
-      f"{[int((colors.colors == c).sum()) for c in (0, 1)]}")
+      f"{[int((colors == c).sum()) for c in (0, 1)]}")
 
 census = label_census(S)
 assert all(c == {"P0": 1, "P1": 1, "P2": 1, "P3": 1} for c in census.values())

@@ -22,7 +22,7 @@ from .lattice import (
     SuperAdjacency, PhysAdjacency,
     build_torus_supergraph, build_ring_supergraph, torus_block_diagonals,
     expand, check_orthogonal, two_path_weight,
-    Bicoloring, bicoloring,
+    bicoloring, exact_int64,
     RenumberResult, renumber_to_block_hankel, renumber_permutation,
     MacronodeCoords, coordinates, label_census,
     export_triplets, export_dot, export_super_triplets,

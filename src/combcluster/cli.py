@@ -8,8 +8,8 @@ failure, 4 internal invariant breach or lost precision (PrecisionLossError:
 a nullifier variance float64 cannot resolve to 1e-6, seen from r near 5, or
 an effective-graph error it cannot, seen from r between 2.2 and 2.5 at
 every M).
-Every command exits 2 before building the lattice when its estimated peak
-memory exceeds this machine's.
+Every command applies the library's size rule, then exits 2 before building
+the lattice when its estimated peak memory exceeds this machine's.
 Errors print one machine-parsable stderr line:
 error: code=<n> cause=<type> detail="...".
 """
@@ -124,7 +124,7 @@ def cmd_lattice(args) -> int:
         raise lattice.LatticeError(
             f"unknown formats {', '.join(map(repr, unknown))}: expected a "
             f"comma subset of {','.join(_LATTICE_FORMATS)}")
-    _require_fit(4 * args.M ** 2, "lattice")
+    _require_fit(4 * lattice.check_even_size("M", args.M) ** 2, "lattice")
     S = lattice.build_torus_supergraph(args.M)
     A, colors, checked = _checked_expansion(S)
     degrees = set(S.degrees().tolist())
@@ -144,7 +144,7 @@ def cmd_lattice(args) -> int:
                  f"n_macro={S.n_macro} block_side={S.block_side} "
                  f"physical_nodes={A.n} superedges={S.n_superedges} "
                  f"physical_edges={A.nnz // 2}",
-                 f"color_counts={np.bincount(colors.colors).tolist()}",
+                 f"color_counts={np.bincount(colors).tolist()}",
                  "axis_convention x=P2/P3 y=P1/P0 chart=row-major-walk"]
         coords = lattice.coordinates(args.M)
         for axis in ("x", "y"):
@@ -156,7 +156,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    _require_fit(2 * args.n_macro, "ring")
+    _require_fit(2 * lattice.check_even_size("n_macro", args.n_macro), "ring")
     S = lattice.build_ring_supergraph(args.n_macro)
     A, _, checked = _checked_expansion(S)
     _emit(args.output_dir, [(f"{checked} n_physical={A.n}", [
@@ -168,7 +168,7 @@ def cmd_ring(args) -> int:
 
 
 def cmd_pump(args) -> int:
-    M = args.M
+    M = lattice.check_even_size("M", args.M)
     _require_fit(4 * M * M, "pump")
     A = lattice.expand(lattice.build_torus_supergraph(M))
     short = lattice.renumber_to_block_hankel(A, M).shorthand
@@ -182,7 +182,7 @@ def cmd_pump(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_fit(4 * args.M ** 2, "simulate")
+    _require_fit(4 * lattice.check_even_size("M", args.M) ** 2, "simulate")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     runs = []
     for _, conv in gaussian.cluster_states(A, args.squeeze_r):
@@ -201,7 +201,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    _require_fit(4 * args.M ** 2, "reduce")
+    if len(args.meridians) != 2:
+        raise lattice.LatticeError("meridians must be x0,y0")
+    _require_fit(4 * lattice.check_even_size("M", args.M) ** 2, "reduce")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     _, cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
                                      tuple(args.meridians))
@@ -226,7 +228,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    _require_fit(4 * max(args.M_list) ** 2, "scaling")
+    Ms = [lattice.check_even_size("M", M) for M in args.M_list]
+    _require_fit(4 * max(Ms) ** 2, "scaling")
     table = hankel.scaling_table(hankel.scaling_report(args.M_list))
     _emit(args.output_dir,
           [(table.removesuffix("\n"), [("scaling.txt", table)])])
@@ -234,7 +237,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    _require_fit(4 * args.M ** 2, "verify-all")
+    _require_fit(4 * verify.check_suite_size(args.M) ** 2, "verify-all")
     _, report, all_passed = verify.verify_all(args.M)
     _emit(args.output_dir,
           [(report.removesuffix("\n"), [("verify_report.txt", report)])])
@@ -259,34 +262,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, and verify them with a Gaussian engine.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, func):
         p.add_argument("--output-dir", default=None,
                        help="directory for emitted files (default: no files)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("lattice", help="build and validate the toroidal lattice")
     p.add_argument("--M", type=int, required=True, help="even lattice size >= 4")
     p.add_argument("--formats", default="triplet,dot,report",
                    help="comma subset of triplet,dot,report")
-    add_common(p)
-    p.set_defaults(func=cmd_lattice)
+    add_common(p, cmd_lattice)
 
     p = sub.add_parser("ring", help="build and validate the ring supergraph")
     p.add_argument("--n-macro", type=int, required=True, dest="n_macro",
                    help="even macronode count >= 4")
-    add_common(p)
-    p.set_defaults(func=cmd_ring)
+    add_common(p, cmd_ring)
 
     p = sub.add_parser("pump", help="renumber the lattice and compile its pump")
     p.add_argument("--M", type=int, required=True, help="even lattice size >= 4")
-    add_common(p)
-    p.set_defaults(func=cmd_pump)
+    add_common(p, cmd_pump)
 
     p = sub.add_parser("simulate", help="nullifier variances at given squeezing")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--r", type=_parse_float_list, default=[1.0, 2.0],
                    dest="squeeze_r", help="comma list of squeezing parameters")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    add_common(p, cmd_simulate)
 
     p = sub.add_parser("reduce", help="layer measurement plus meridian cut")
     p.add_argument("--M", type=int, required=True)
@@ -295,20 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-layer", type=int, default=0, dest="keep_layer")
     p.add_argument("--meridians", type=_parse_int_list, default=[0, 0],
                    help="x0,y0 chart lines to cut")
-    add_common(p)
-    p.set_defaults(func=cmd_reduce)
+    add_common(p, cmd_reduce)
 
     p = sub.add_parser("scaling", help="scaling table over lattice sizes")
     p.add_argument("--M", type=_parse_int_list, required=True, dest="M_list",
                    help="comma list of even sizes >= 4")
-    add_common(p)
-    p.set_defaults(func=cmd_scaling)
+    add_common(p, cmd_scaling)
 
     p = sub.add_parser("verify-all", aliases=["verify_all"],
                        help="run the full verification suite")
     p.add_argument("--M", type=int, default=6)
-    add_common(p)
-    p.set_defaults(func=cmd_verify_all)
+    add_common(p, cmd_verify_all)
     return parser
 
 
@@ -322,9 +319,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "meridians", None) is not None \
-                and len(args.meridians) != 2:
-            raise lattice.LatticeError("meridians must be x0,y0")
         return args.func(args)
     except (lattice.LatticeError, gaussian.GaussianError,
             hankel.NotHankelError, hankel.PumpCompileError,

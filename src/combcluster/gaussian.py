@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lattice
-from .lattice import Bicoloring, PhysAdjacency, canonical_csr
+from .lattice import PhysAdjacency, canonical_csr
 
 
 class GaussianError(ValueError):
@@ -213,17 +213,17 @@ def evolve(params: EvolutionParams) -> GaussianState:
     return GaussianState(np.zeros(S.shape[0]), S)
 
 
-def rotate_color_class(state: GaussianState, coloring: Bicoloring,
+def rotate_color_class(state: GaussianState, coloring: np.ndarray,
                        quarter_turns: int) -> GaussianState:
     """Rotate every color-1 mode by +-90 degrees in phase space.
 
-    quarter_turns = +1 maps (q, p) -> (p, -q) on color-1 modes, -1 the
-    inverse.  Color-0 modes are untouched.  Symplectic, purity preserving.
+    ``coloring`` is `lattice.bicoloring`'s 0/1 array; quarter_turns = +1
+    maps (q, p) -> (p, -q) on color-1 modes, -1 the inverse.  Color-0 modes
+    are untouched.  Symplectic, purity preserving.
     """
     if quarter_turns not in (+1, -1):
         raise GaussianError(f"quarter_turns must be +1 or -1, got {quarter_turns}")
-    colors = np.asarray(coloring.colors if isinstance(coloring, Bicoloring)
-                        else coloring)
+    colors = np.asarray(coloring)
     if colors.size != state.n:
         raise GaussianError(
             f"coloring covers {colors.size} modes, state has {state.n}")
@@ -360,22 +360,23 @@ class PhaseConvention:
     state: GaussianState
 
 
-def best_phase_convention(state: GaussianState, coloring: Bicoloring,
+def best_phase_convention(state: GaussianState, coloring: np.ndarray,
                           target) -> PhaseConvention:
     """Turn in {+1, -1} and target in {+A, -A} minimizing the max variance.
 
-    The first minimum in the order (+1, +A), (+1, -A), (-1, +A), (-1, -A)
-    wins.  The -1 turn is the +1 turn followed by (q, p) -> (-q, -p) on
-    the color-1 modes, which maps the nullifiers of -+A to those of +-A
-    when every edge of A joins two colors; so only the +1 turn is
-    computed, the survey copies its values to (-1, -+A), and the winner is
-    a +1 turn, and one `nullifier_variances` call gives the +A and -A
-    reports from one product and rounding bound.  A target with an edge
-    inside a color class raises GaussianError.
+    ``coloring`` is the 0/1 color array of `lattice.bicoloring`.  The first
+    minimum in the order (+1, +A), (+1, -A), (-1, +A), (-1, -A) wins.  The
+    -1 turn is the +1 turn followed by (q, p) -> (-q, -p) on the color-1
+    modes, which maps the nullifiers of -+A to those of +-A when every edge
+    of A joins two colors; so only the +1 turn is computed, the survey
+    copies its values to (-1, -+A), and the winner is a +1 turn, and one
+    `nullifier_variances` call gives the +A and -A reports from one product
+    and rounding bound.  A target with an edge inside a color class raises
+    GaussianError.
     """
     At = _as_sparse_adjacency(target)
     rotated = rotate_color_class(state, coloring, +1)
-    colors = np.asarray(getattr(coloring, "colors", coloring))
+    colors = np.asarray(coloring)
     if At.shape == (state.n, state.n) and np.any(
             np.repeat(colors, np.diff(At.indptr)) == colors[At.indices]):
         raise GaussianError("target has an edge inside a color class")
@@ -416,20 +417,16 @@ def cluster_state(A: PhysAdjacency, r: float):
 # Measurement
 # ============================================================
 
-def _node_array(nodes) -> np.ndarray:
-    """``nodes`` as an int64 array of mode indices, checked, not cast:
-    GaussianError for a boolean mask or a value that is not an integer."""
+def _node_array(nodes, what: str = "node") -> np.ndarray:
+    """``nodes`` as int64 indices, checked, not cast (`lattice.exact_int64`):
+    GaussianError for a boolean mask or a non-integer ``what``."""
     given = np.asarray(nodes)
     if given.dtype == bool:
-        raise GaussianError("nodes must be mode indices, not a boolean mask")
-    if given.dtype.kind in "fc":
-        with np.errstate(invalid="ignore"):
-            exact = given.real.astype(np.int64)
-        bad = exact != given
-        if bad.any():
-            raise GaussianError(f"node {given[bad][0]} is not an integer")
-        given = exact
-    return np.asarray(given, dtype=np.int64)
+        raise GaussianError(f"{what}s must be indices, not a boolean mask")
+    exact, bad = lattice.exact_int64(given)
+    if bad is not None:
+        raise GaussianError(f"{what} {given[bad]} is not an integer")
+    return exact
 
 
 def _split_nodes(n: int, nodes):
@@ -683,11 +680,11 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     """(measured, kept) physical-node arrays for the layer + meridian cut.
 
     Measured: every node outside keep_layer, plus the keep_layer nodes of
-    macronodes on chart column x0 or row y0.
+    macronodes on chart column x0 or row y0, checked, not cast (`_node_array`).
     """
     if keep_layer not in (0, 1, 2, 3):
         raise GaussianError(f"keep_layer must be 0..3, got {keep_layer}")
-    x0, y0 = meridians
+    x0, y0 = _node_array(meridians, "meridian").tolist()
     if not (0 <= x0 < M and 0 <= y0 < M):
         raise GaussianError(f"meridians {meridians} out of range for M={M}")
     coords = lattice.coordinates(M)

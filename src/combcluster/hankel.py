@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .lattice import (BlockWeight, LatticeError, PhysAdjacency, _coo_of,
                       block_label, build_torus_supergraph, canonical_csr,
-                      expand, renumber_to_block_hankel)
+                      exact_int64, expand, renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -66,7 +66,7 @@ class HankelShorthand:
     construction (NotHankelError otherwise): block (i, j) of the encoded
     N x N block matrix is entries[i + j], the quarters block on
     skew-diagonal i + j.  The corner (top-right block) is entry N - 1.
-    Entries are checked, not cast: the first non-integer one is named.
+    Entries are checked, not cast (`exact_int64`): the first bad one is named.
     """
 
     entries: np.ndarray
@@ -81,14 +81,10 @@ class HankelShorthand:
         if given.shape[1:] != (s, s) or len(given) % 2 == 0:
             raise NotHankelError(f"shorthand must be 2N-1 blocks of side {s}, "
                                  f"got entries of shape {given.shape}")
-        with np.errstate(invalid="ignore"):
-            e = given.real.astype(np.int64, copy=False)
-        bad = np.argwhere(e != given)
-        if bad.size:
-            at = tuple(bad[0].tolist())
-            raise NotHankelError(f"shorthand entry {at} is {given[at]}, "
+        self.entries, bad = exact_int64(given)
+        if bad is not None:
+            raise NotHankelError(f"shorthand entry {bad} is {given[bad]}, "
                                  "not an integer number of quarters")
-        self.entries = e
 
     @property
     def length(self) -> int:

@@ -51,6 +51,20 @@ class NonBipartiteError(LatticeError):
         self.odd_cycle_witness = odd_cycle_witness
 
 
+def exact_int64(values):
+    """``values`` checked, not cast: (int64 array, index of the first entry
+    that is not an integer, or None).  4.0 and 1+0j are exact; 2.9, nan and
+    1+1j are not.  Every seam taking integers from outside reads them here."""
+    given = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):
+            exact = given.real.astype(np.int64)
+    except (TypeError, ValueError):        # None, "a": no number at all
+        return np.zeros(given.shape, np.int64), (0,) * given.ndim
+    bad = np.argwhere(exact != given)      # one row per entry, also at 0-d
+    return exact, (tuple(bad[0].tolist()) if len(bad) else None)
+
+
 # ============================================================
 # Block weights
 # ============================================================
@@ -59,14 +73,17 @@ class NonBipartiteError(LatticeError):
 class BlockWeight:
     """Square matrix-valued edge weight with quarter-integer entries.
 
-    ``quarters`` holds 4x the actual weight values, as int64.  Side is 2
-    for the pi blocks and 4 for the rank-one projector blocks.
+    ``quarters`` holds 4x the weight values as int64, checked, not cast
+    (`exact_int64`).  Side is 2 for the pi blocks and 4 for the projectors.
     """
 
     quarters: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quarters, dtype=np.int64)
+        q, bad = exact_int64(self.quarters)
+        if bad is not None:
+            raise LatticeError(f"block entry {np.asarray(self.quarters)[bad]} "
+                               "is not an integer")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise LatticeError("block weight must be square")
         object.__setattr__(self, "quarters", q)
@@ -125,10 +142,11 @@ BLOCK_LABELS = {
 
 
 def projector4(j: int) -> BlockWeight:
-    """Return the j-th 4x4 rank-one projector block, j in 0..3."""
-    if j not in (0, 1, 2, 3):
+    """Return the j-th 4x4 rank-one projector block, j in 0..3 (1.0 is 1)."""
+    index, bad = exact_int64(j)
+    if bad is not None or index.shape or not 0 <= index <= 3:
         raise LatticeError(f"projector index must be 0..3, got {j!r}")
-    return PI4[j]
+    return PI4[index]
 
 
 def projector2(sign) -> BlockWeight:
@@ -168,9 +186,9 @@ class SuperAdjacency:
     i < j, and ``labels[e]`` names the block weight of superedge e, a key of
     `BLOCK_LABELS`.  Every named block is symmetric, so block(j, i) is
     block(i, j) and one label serves both directions.  The constructor
-    accepts pairs in any order and orientation and rejects self-loops,
-    out-of-range or repeated pairs, and labels that are unknown or whose
-    block side is not ``block_side``.
+    checks ``n_macro`` and the pairs, not casts them (`exact_int64`), accepts
+    pairs in any order and orientation and rejects self-loops, out-of-range
+    or repeated pairs, and labels that are unknown or of another block side.
     """
 
     n_macro: int
@@ -179,8 +197,15 @@ class SuperAdjacency:
     labels: np.ndarray = ()
 
     def __post_init__(self):
-        pairs = np.sort(np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2),
-                        axis=1)
+        n_macro, bad = exact_int64(self.n_macro)
+        if bad is not None:
+            raise LatticeError(f"n_macro {self.n_macro} is not an integer")
+        object.__setattr__(self, "n_macro", int(n_macro))
+        pairs, bad = exact_int64(self.pairs)
+        if bad is not None:
+            raise LatticeError(f"superedge node {np.asarray(self.pairs)[bad]} "
+                               "is not an integer")
+        pairs = np.sort(pairs.reshape(-1, 2), axis=1)
         labels = np.asarray(self.labels, dtype=str).reshape(-1)
         if len(labels) != len(pairs):
             raise LatticeError(f"{len(pairs)} pairs but {len(labels)} labels")
@@ -215,17 +240,26 @@ _INT32_MAX = np.iinfo(np.int32).max
 def canonical_csr(X, dtype=float) -> sp.csr_array:
     """``sp.csr_array(X, dtype=dtype)`` with sorted indices, no duplicates,
     no stored zeros, and int32 index arrays wherever they fit; copied only
-    when the conversion is not so already.
+    when the conversion is not so already.  ``dtype=None`` keeps X's dtype;
+    an integer one is checked, not cast: duplicates are summed at X's dtype,
+    then LatticeError names the (row, column) of a sum `exact_int64` refuses.
 
     scipy's sparse arrays keep the int64 index arrays a conversion gives
     them (`expand`'s block storage, coordinate input); with those,
     `pump --M 200` peaked at ~180 MB instead of ~145 MB.
     """
-    X = sp.csr_array(X, dtype=dtype)
+    exact = dtype is not None and np.dtype(dtype).kind == "i"
+    X = sp.csr_array(X, dtype=None if exact else dtype)
     if not (X.has_canonical_format and X.data.all()):
         X = X.copy()
         X.sum_duplicates()
         X.eliminate_zeros()
+    if exact and X.dtype != dtype:
+        data, bad = exact_int64(X.data)
+        if bad is not None:
+            raise LatticeError(f"entry ({_coo_of(X)[0][bad]}, {X.indices[bad]}) "
+                               f"is {X.data[bad]}, not an integer")
+        X.data = data.astype(dtype, copy=False)
     if X.indptr.dtype != np.int32 and max(*X.shape, X.nnz) <= _INT32_MAX:
         X.indices = X.indices.astype(np.int32)
         X.indptr = X.indptr.astype(np.int32)
@@ -243,9 +277,9 @@ class PhysAdjacency:
 
     ``csr`` is canonical (`canonical_csr`), so ``nnz`` counts the nonzero
     entries and two adjacencies are equal iff their arrays are.  Any square
-    matrix of integer quarters, dense or sparse, is accepted and converted;
-    an entry that is not an integer (2.9, 0.5, nan) raises LatticeError
-    naming its position, while integral floats such as 4.0 are exact.
+    matrix of integer quarters, dense or sparse, is converted by
+    ``canonical_csr(X, np.int64)``: 4.0 is exact, and an entry such as 2.9,
+    0.5 or nan raises LatticeError naming its position.
     """
 
     csr: sp.csr_array
@@ -254,18 +288,7 @@ class PhysAdjacency:
         q = self.csr if sp.issparse(self.csr) else np.asarray(self.csr)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise LatticeError(f"adjacency must be square, got {q.shape}")
-        q = canonical_csr(q, q.dtype)
-        if q.dtype != np.int64:
-            with np.errstate(invalid="ignore"):
-                bad = np.flatnonzero(q.data.real.astype(np.int64) != q.data)
-            if bad.size:
-                e = int(bad[0])
-                row = int(np.searchsorted(q.indptr, e, side="right")) - 1
-                raise LatticeError(
-                    f"adjacency entry ({row}, {q.indices[e]}) is {q.data[e]}, "
-                    "not an integer number of quarters")
-            q = q.astype(np.int64)
-        self.csr = q
+        self.csr = canonical_csr(q, np.int64)
 
     @property
     def quarters(self) -> np.ndarray:
@@ -284,20 +307,20 @@ class PhysAdjacency:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def is_symmetric(self) -> bool:
-        return is_symmetric(self.csr)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PhysAdjacency)
                 and self.csr.shape == other.csr.shape
                 and (self.csr != other.csr).nnz == 0)
 
 
-def _check_even_size(name, value, minimum):
+def check_even_size(name: str, value) -> int:
+    """The size rule of both supergraphs, the torus's M and the ring's
+    n_macro: ``value`` if it is an even integer >= 4, else LatticeError."""
     if not isinstance(value, (int, np.integer)):
         raise LatticeError(f"{name} must be an integer, got {value!r}")
-    if value % 2 or value < minimum:
-        raise LatticeError(f"{name} must be even and >= {minimum}, got {value}")
+    if value % 2 or value < 4:
+        raise LatticeError(f"{name} must be even and >= 4, got {value}")
+    return value
 
 
 def constructed_run_lengths(M: int):
@@ -331,7 +354,7 @@ def torus_block_diagonals(M: int):
     x = x' = 0 blocks lie on the same diagonals.  The single negated P3
     diagonal is the twist that makes the 2x2 regrouping consistent.
     """
-    _check_even_size("M", M, 4)
+    check_even_size("M", M)
     first = positions_from_run_lengths(M, *constructed_run_lengths(M))[:7]
     return list(zip(first, ("P1", "P0", "P3", "P2", "P1", "P0", "-P3")))
 
@@ -353,7 +376,7 @@ def build_torus_supergraph(M: int) -> SuperAdjacency:
         four incident blocks, one per projector label, which is what makes
         the expanded adjacency orthogonal.
     """
-    _check_even_size("M", M, 4)
+    check_even_size("M", M)
     N = M * M
     pairs, labels = [], []
     for d, label in torus_block_diagonals(M):
@@ -370,7 +393,7 @@ def build_ring_supergraph(n_macro: int) -> SuperAdjacency:
     orthogonal pi blocks, and n_macro = 2 would double the single edge.
     Expanding gives the 2*n_macro-node crown graph.
     """
-    _check_even_size("n_macro", n_macro, 4)
+    check_even_size("n_macro", n_macro)
     k = np.arange(n_macro)
     return SuperAdjacency(n_macro, 2, np.column_stack([k, (k + 1) % n_macro]),
                           np.where(k % 2 == 0, "pi+", "pi-"))
@@ -421,7 +444,7 @@ def check_orthogonal(A: PhysAdjacency) -> OrthogonalityReport:
     differs from the identity and ``worst_deviation`` the largest absolute
     deviation, in exact fractions.
     """
-    if not A.is_symmetric():
+    if not is_symmetric(A.csr):
         raise LatticeError("adjacency must be symmetric")
     Q = A.csr
     # A @ A in sixteenths, minus the identity (16 sixteenths)
@@ -438,26 +461,12 @@ def check_orthogonal(A: PhysAdjacency) -> OrthogonalityReport:
 
 def two_path_weight(A: PhysAdjacency, j: int, k: int) -> Fraction:
     """Exact summed weight of all two-step paths from node j to node k."""
-    n = A.n
-    if not (0 <= j < n and 0 <= k < n):
-        raise LatticeError(f"node index out of range: ({j}, {k}) for n={n}")
+    nodes, bad = exact_int64((j, k))
+    if bad is not None or not np.all((0 <= nodes) & (nodes < A.n)):
+        raise LatticeError(f"nodes ({j}, {k}) must be integers in 0..{A.n - 1}")
     # 2-D slices: scipy 1.17's dot of a 1-D int64 row and column reads
     # uninitialised memory (2**28 or 2**36 for a zero weight)
-    return Fraction(int((A.csr[[j]] @ A.csr[:, [k]]).sum()), 16)
-
-
-@dataclass
-class Bicoloring:
-    """Two-coloring of the physical nodes; every edge joins distinct colors."""
-
-    colors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.colors)
-
-    def nodes_of_color(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.colors == c)
+    return Fraction(int((A.csr[nodes[:1]] @ A.csr[:, nodes[1:]]).sum()), 16)
 
 
 def _coo_of(Q: sp.csr_array):
@@ -504,16 +513,17 @@ def bfs_depths(csr) -> tuple[np.ndarray, int]:
     return depth, n_components
 
 
-def bicoloring(A: PhysAdjacency) -> Bicoloring:
+def bicoloring(A: PhysAdjacency) -> np.ndarray:
     """Two-color the support graph by BFS; NonBipartiteError on odd cycles.
 
-    Deterministic: node v gets the parity of its `bfs_depths` depth, the
-    breadth-first distance from the lowest-index node of its component,
-    so color 0 always contains node 0 of its component.  Every edge is
-    then checked; the witness is the first same-color edge in row-major
-    order, which lies on an odd cycle (its two BFS paths meet above it).
+    Returns one int8 color, 0 or 1, per physical node.  Deterministic: node
+    v gets the parity of its `bfs_depths` depth, the breadth-first distance
+    from the lowest-index node of its component, so color 0 always contains
+    node 0 of its component.  Every edge is then checked; the witness is
+    the first same-color edge in row-major order, which lies on an odd
+    cycle (its two BFS paths meet above it).
     """
-    if not A.is_symmetric():
+    if not is_symmetric(A.csr):
         raise LatticeError("adjacency must be symmetric")
     depth, _ = bfs_depths(A.csr)
     colors = (depth % 2).astype(np.int8)
@@ -524,7 +534,7 @@ def bicoloring(A: PhysAdjacency) -> Bicoloring:
         raise NonBipartiteError(
             f"support graph has an odd cycle through edge ({u}, {v})",
             odd_cycle_witness=(u, v))
-    return Bicoloring(colors)
+    return colors
 
 
 # ============================================================
@@ -570,7 +580,7 @@ def renumber_permutation(M: int) -> np.ndarray:
     skew-diagonal constant; the negated P3 diagonal of the construction is
     exactly what makes the two wrapped skew-diagonals consistent.
     """
-    _check_even_size("M", M, 4)
+    check_even_size("M", M)
     m = np.arange(M * M, dtype=np.int64)
     # new = 2*(m + M**2 * x) + z is the row-major position of (x, m, z)
     return (4 * m[None, :, None] + 2 * np.arange(2)[:, None, None]
@@ -586,7 +596,7 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     matrix has constant 2x2 block skew-diagonals, nonzero exactly at the 15
     positions of the skeleton with `constructed_run_lengths`.
     """
-    _check_even_size("M", M, 4)
+    check_even_size("M", M)
     if A.n != 4 * M * M:
         raise LatticeError(
             f"adjacency size {A.n} does not match an M={M} lattice "
@@ -645,7 +655,7 @@ def coordinates(M: int) -> MacronodeCoords:
     laying the visited nodes out row-major: step k lands on
     (x, y) = (k mod M, k div M).
     """
-    _check_even_size("M", M, 4)
+    check_even_size("M", M)
     N = M * M
     # Every block of a label has i + j = d (mod N), so the macronode the
     # label pairs with m is the reflection (d - m) mod N.

@@ -91,14 +91,18 @@ def outer_support(B) -> sp.csr_array:
 def layout_outer_support(M: int, positions) -> sp.csr_array:
     """0/1 CSR occupancy of a 2x2 block-Hankel layout: i ~ j iff i + j in D.
 
-    LatticeError for a position outside the 4M**2 - 1 skew-diagonals.
+    LatticeError for a non-integer position or one outside 0..4M**2 - 2.
     """
     entries = np.zeros((4 * M * M - 1, 1, 1), dtype=np.int64)
-    for d in positions:
-        if not 0 <= d < len(entries):
-            raise lattice.LatticeError(
-                f"skew-diagonal {d} is outside 0..{len(entries) - 1}")
-    entries[list(positions)] = 1
+    d, bad = lattice.exact_int64(positions)
+    if bad is not None:
+        raise lattice.LatticeError(
+            f"skew-diagonal {np.asarray(positions)[bad]} is not an integer")
+    outside = d[(d < 0) | (d >= len(entries))]
+    if outside.size:
+        raise lattice.LatticeError(
+            f"skew-diagonal {outside[0]} is outside 0..{len(entries) - 1}")
+    entries[d] = 1
     return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
 
 
@@ -383,9 +387,15 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
 # Suite driver
 # ============================================================
 
-def run_criteria(M: int = 6) -> list:
+def check_suite_size(M) -> int:
+    """The suite's size rule: M if it is even and >= 6, else LatticeError."""
     if M % 2 or M < 6:
         raise lattice.LatticeError(f"verify suite needs even M >= 6, got {M}")
+    return M
+
+
+def run_criteria(M: int = 6) -> list:
+    check_suite_size(M)
     return [
         criterion_exact_orthogonality(M),
         criterion_block_hankel_structure(M),

@@ -469,6 +469,22 @@ def test_lattice_commands_refuse_sizes_that_cannot_fit(capsys, argv):
                         r'here"\n', err)
 
 
+@pytest.mark.parametrize("argv,rule", [
+    (("lattice", "--M", "100001"), "M must be even and >= 4, got 100001"),
+    (("ring", "--n-macro", "100000001"),
+     "n_macro must be even and >= 4, got 100000001"),
+    (("scaling", "--M", "6,100001"), "M must be even and >= 4, got 100001"),
+    (("reduce", "--M", "99999"), "M must be even and >= 4, got 99999"),
+    (("verify-all", "--M", "99999"), "verify suite needs even M >= 6, got 99999"),
+])
+def test_size_rule_is_applied_before_the_memory_estimate(capsys, argv, rule):
+    # each size is both invalid and far too large for any host: the refusal
+    # names the size rule, not the memory an invalid size would need
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f'error: code=2 cause=LatticeError detail="{rule}"\n'
+
+
 @pytest.mark.parametrize("argv,n", [
     (("lattice", "--M", "6"), 144),
     (("lattice", "--M", "6", "--formats", "report"), 144),

@@ -274,14 +274,14 @@ def test_rotation_row_swap_is_bit_identical_to_block_product():
     cases = []
     for A, r in ((lat10, 1.0), (lat10, 2.0)):
         cases.append((evolve(EvolutionParams(A.dense(), r)),
-                      bicoloring(A).colors))
+                      bicoloring(A)))
     # a measured state: reduced modes and a nonzero mean
     rotated, _ = cluster_state(lat6, 1.0)
     kept = [i for i in range(lat6.n) if i % 4 == 0]
     measured = [i for i in range(lat6.n) if i % 4]
     outcomes = np.random.default_rng(3).normal(size=len(measured))
     cases.append((measure_q(rotated, measured, outcomes),
-                  bicoloring(lat6).colors[kept]))
+                  bicoloring(lat6)[kept]))
     for state, colors in cases:
         for turns in (+1, -1):
             got = rotate_color_class(state, colors, turns)

@@ -1,0 +1,80 @@
+"""Integers are checked, not cast, at every seam that takes them.
+
+Each seam reads its integers through `lattice.exact_int64`: a value that is
+not an integer (1.5, nan, 1+1j) is refused with the module's own error
+naming it, and an integral float or complex value (1.0, 1+0j) gives exactly
+what the integer gives.  A seam that cast instead would silently change the
+graph it builds or reads: a 0.5 edge dropped, node 0.5 read as node 0.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from combcluster import gaussian, hankel, lattice, verify
+from combcluster.gaussian import GaussianError
+from combcluster.hankel import NotHankelError
+from combcluster.lattice import LatticeError
+
+LATTICE6 = lattice.expand(lattice.build_torus_supergraph(6))
+TWO_MODE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# seam -> (call with one integer-valued argument v, an integer v it
+# accepts, the error it raises, the part of its result compared)
+SEAMS = {
+    "PhysAdjacency": (lambda v: lattice.PhysAdjacency([[0, v], [v, 0]]), 4,
+                      LatticeError, lambda A: A.quarters.tolist()),
+    "canonical_csr": (lambda v: lattice.canonical_csr([[v, 0]], np.int64), 3,
+                      LatticeError, lambda X: (X.dtype, X.toarray().tolist())),
+    "BlockWeight": (lambda v: lattice.BlockWeight([[v, 0], [0, v]]), 4,
+                    LatticeError, lambda b: b.quarters.tolist()),
+    "SuperAdjacency.pairs": (
+        lambda v: lattice.SuperAdjacency(4, 2, [[0, v]], ["pi+"]), 1,
+        LatticeError, lambda S: S.pairs.tolist()),
+    "SuperAdjacency.n_macro": (
+        lambda v: lattice.SuperAdjacency(v, 2, [[0, 1]], ["pi+"]), 4,
+        LatticeError, lambda S: (type(S.n_macro), S.n_macro)),
+    "projector4": (lattice.projector4, 1, LatticeError,
+                   lambda b: b.quarters.tolist()),
+    "two_path_weight": (lambda v: lattice.two_path_weight(LATTICE6, v, 0), 1,
+                        LatticeError, lambda w: w),
+    "HankelShorthand": (
+        lambda v: hankel.HankelShorthand([[[0]], [[v]], [[0]]], 1), 4,
+        NotHankelError, lambda h: h.entries.tolist()),
+    "measure_q": (lambda v: gaussian.measure_q(gaussian.vacuum(2), [v]), 1,
+                  GaussianError, lambda st: st.factor.toarray().tolist()),
+    "ideal_graph_delete": (
+        lambda v: gaussian.ideal_graph_delete(TWO_MODE, [v]), 1,
+        GaussianError, lambda X: X.toarray().tolist()),
+    "lattice_cut_nodes": (lambda v: gaussian.lattice_cut_nodes(6, 0, (v, 0)),
+                          1, GaussianError,
+                          lambda cut: [c.tolist() for c in cut]),
+    "walk_refutation": (
+        lambda v: verify.walk_refutation([[0, v, 0], [v, 0, 1], [0, 1, 0]],
+                                         np.ones((3, 3)) - np.eye(3), 6), 1,
+        LatticeError, lambda cert: cert),
+    "layout_outer_support": (lambda v: verify.layout_outer_support(6, [v]), 2,
+                             LatticeError, lambda X: X.toarray().tolist()),
+}
+
+
+@pytest.mark.parametrize("seam", SEAMS)
+def test_seam_refuses_a_non_integer_and_keeps_an_integral_one(seam):
+    call, good, error, key = SEAMS[seam]
+    for bad in (good + 0.5, np.nan, good + 1j):
+        with pytest.raises(error, match=re.escape(str(bad))):
+            call(bad)
+    want = key(call(good))
+    for same in (float(good), complex(good)):
+        assert key(call(same)) == want
+
+
+def test_gate_reports_the_first_entry_that_is_not_an_integer():
+    exact, bad = lattice.exact_int64([[4.0, 1 + 0j], [2.9, np.nan]])
+    assert exact.dtype == np.int64 and bad == (1, 0)
+    assert lattice.exact_int64(4.5)[1] == ()
+    assert lattice.exact_int64([None, 1])[1] == (0,)
+    exact, bad = lattice.exact_int64(np.array([3, -2], dtype=np.int32))
+    assert bad is None and exact.tolist() == [3, -2]
+

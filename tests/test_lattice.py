@@ -18,7 +18,7 @@ from combcluster import (LatticeError, NonBipartiteError, PhysAdjacency,
                          renumber_permutation, renumber_to_block_hankel,
                          torus_block_diagonals, two_path_weight)
 from combcluster import lattice
-from combcluster.lattice import bfs_depths, block_label
+from combcluster.lattice import bfs_depths, block_label, is_symmetric
 from conftest import written
 
 
@@ -73,7 +73,7 @@ def test_block_diagonal_positions_formula():
 def test_expand_m4_entries_and_counts():
     A = expand(build_torus_supergraph(4))
     assert A.n == 64
-    assert A.is_symmetric()
+    assert is_symmetric(A.csr)
     assert not np.diag(A.quarters).any()
     values = set(np.unique(A.quarters))
     assert values == {-1, 0, 1}            # all nonzero entries are +-1/4
@@ -108,7 +108,7 @@ def test_lattice_exactly_orthogonal(M):
     assert not rep.has_self_loops
     # the full structural invariant at every size: symmetric, hollow,
     # entries in {0, +-1/4}, unit row norms
-    assert A.is_symmetric()
+    assert is_symmetric(A.csr)
     assert not np.diag(A.quarters).any()
     assert set(np.unique(A.quarters)) <= {-1, 0, 1}
     assert np.array_equal((A.quarters ** 2).sum(axis=1), np.full(A.n, 16))
@@ -195,11 +195,11 @@ def test_ring_odd_or_small_rejected():
 def test_lattice_bicoloring_is_macronode_parity(lattice6):
     colors = bicoloring(lattice6)
     expected = np.array([(i // 4) % 2 for i in range(lattice6.n)], dtype=np.int8)
-    assert np.array_equal(colors.colors, expected)
+    assert colors.dtype == np.int8 and np.array_equal(colors, expected)
     # every edge joins the two color classes
     rows, cols = np.nonzero(lattice6.quarters)
-    assert np.all(colors.colors[rows] != colors.colors[cols])
-    assert len(colors.nodes_of_color(0)) == len(colors.nodes_of_color(1)) == 72
+    assert np.all(colors[rows] != colors[cols])
+    assert np.bincount(colors).tolist() == [72, 72]
 
 
 def test_even_ring_alternating_coloring():
@@ -208,7 +208,7 @@ def test_even_ring_alternating_coloring():
     for k in range(n):
         A[k, (k + 1) % n] = A[(k + 1) % n, k] = 4
     colors = bicoloring(PhysAdjacency(A))
-    assert np.array_equal(colors.colors, np.array([0, 1, 0, 1, 0, 1]))
+    assert np.array_equal(colors, np.array([0, 1, 0, 1, 0, 1]))
 
 
 def test_triangle_not_bipartite():
@@ -581,7 +581,7 @@ def test_bicoloring_matches_bfs_oracle(crown8):
     two[:8, :8] = two[8:16, 8:16] = crown8.quarters
     perm = rng.permutation(17)
     for Q in lattices + [crown8.quarters, two[np.ix_(perm, perm)]]:
-        colors = bicoloring(PhysAdjacency(Q)).colors
+        colors = bicoloring(PhysAdjacency(Q))
         assert colors.dtype == np.int8
         assert np.array_equal(colors, bfs_colors(Q))
 
@@ -645,14 +645,14 @@ def test_bfs_depths_match_csgraph(Q):
         i = clash[0]
         assert err.value.odd_cycle_witness == (rows[i], A.csr.indices[i])
     else:
-        assert np.array_equal(bicoloring(A).colors, colors)
+        assert np.array_equal(bicoloring(A), colors)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_bfs_depths_of_trivial_graphs(n):
     depth, n_components = bfs_depths(sp.csr_array((n, n), dtype=np.int64))
     assert (depth.tolist(), n_components) == ([0] * n, n)
-    assert bicoloring(PhysAdjacency(np.zeros((n, n), dtype=np.int64))).n == n
+    assert bicoloring(PhysAdjacency(np.zeros((n, n), dtype=np.int64))).size == n
 
 
 def test_bfs_depths_of_many_components_and_self_loops():
