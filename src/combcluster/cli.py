@@ -88,8 +88,8 @@ _LATTICE_FORMATS = ("triplet", "dot", "report")
 # Peak RSS above the import baseline in bytes per mode, at least twice what
 # ru_maxrss of a fresh child measured with --output-dir on a 2-core host:
 # lattice 516 at M = 362 (all three formats), ring 177 at 600 000 modes,
-# pump 569 and scaling 586 at M = 362, simulate 7098 and reduce 7164 at
-# M = 20 (6236 at M = 64), verify-all 6029 at M = 128.  Every file is
+# pump 569 and scaling 586 at M = 362, simulate 5391 and reduce 5903 at
+# M = 20 (4764 at M = 64), verify-all 6029 at M = 128.  Every file is
 # written a chunk at a time, so writing it adds no per-mode cost.
 _PEAK_PER_MODE = {"lattice": 1040, "ring": 360, "pump": 1180,
                   "scaling": 1180, "simulate": 16 * 1024,

@@ -10,21 +10,24 @@ A @ A = 1, for which exp(2 r A) = cosh(2r) 1 + sinh(2r) A.
 
 A state is its mean and a factor L with cov = L @ L.T / 2 (vacuum L = 1,
 evolved state L = S).  L is one canonical scipy.sparse CSR array: the
-evolved factor has the sparsity of A, a quarter turn permutes and signs its
-rows, and nullifier variances (row norms of L_p - T L_q, T a canonical
-float CSR target) are sparse products.  One step, `_condition`, projects
-rows off rows: a set of mutually orthogonal rows by a sparse product, any
-other set by one QR of all its rows.  A q measurement projects the kept
-rows off the measured q rows, and the projected rows, every column kept,
-are the conditional factor.  The effective graph and the purity check
-project the p rows off the q rows: V is the gain, U the inverse Gram, and
-the purity defect the Schur residual of the projected p rows.  The
-quarter-turned cluster state's q rows have Gram cosh(4r) 1, so on its path
-every step is a sparse product.  Dense copies remain only for the QR (the
-unturned state, random factors; never the cluster path), for the dump of V
-and U a chunk of rows at a time, and for the covariance, derived on
-access.  Reading the factor keeps these accurate where the covariance is
-stiff with e^{+-4r} eigenvalue pairs.
+evolved factor has the sparsity of A (its q and p blocks stacked array by
+array), a quarter turn permutes and signs its rows, and nullifier variances
+(row norms of L_p - T L_q, T a canonical float CSR target) are sparse
+products.  Their float64 rounding bound is screened row by row in O(nnz)
+and built from the two-hop product |T| |L_q| only for the rows the screen
+leaves open and the largest variance's (`nullifier_variances`).  One step,
+`_condition`, projects rows off rows: a set of mutually orthogonal rows by
+a sparse product, any other set by one QR of all its rows.  A q measurement
+projects the kept rows off the measured q rows, and the projected rows,
+every column kept, are the conditional factor.  The effective graph and the
+purity check project the p rows off the q rows: V is the gain, U the
+inverse Gram, and the purity defect the Schur residual of the projected p
+rows.  The quarter-turned cluster state's q rows have Gram cosh(4r) 1, so
+on its path every step is a sparse product.  Dense copies remain only for
+the QR (the unturned state, random factors; never the cluster path), for
+the dump of V and U a chunk of rows at a time, and for the covariance,
+derived on access.  Reading the factor keeps these accurate where the
+covariance is stiff with e^{+-4r} eigenvalue pairs.
 
 The library imports numpy and scipy.sparse only, never scipy.linalg, whose
 second OpenBLAS thread pool spins against numpy's on small hosts.
@@ -131,9 +134,16 @@ class GaussianState:
 
 
 def vacuum(n: int) -> GaussianState:
-    """n-mode vacuum: zero mean, factor identity (covariance identity/2)."""
-    if n < 1:
+    """n-mode vacuum: zero mean, factor identity (covariance identity/2).
+
+    The mode count is checked, not cast (`lattice.exact_int64`): 2.0 is 2,
+    and 2.5 raises GaussianError naming it."""
+    exact, bad = lattice.exact_int64(n)
+    if bad is not None:
+        raise GaussianError(f"mode count {n} is not an integer")
+    if exact < 1:
         raise GaussianError(f"mode count must be >= 1, got {n}")
+    n = int(exact)
     return GaussianState(np.zeros(2 * n), sp.eye_array(2 * n, format="csr"))
 
 
@@ -200,11 +210,21 @@ def _involution_residual(A: sp.csr_array) -> float:
 def evolution_symplectic(params: EvolutionParams) -> sp.csr_array:
     """Symplectic blkdiag(exp(2rA), exp(-2rA)) of the evolution, as CSR: for
     the involution A the closed form cosh(2r) 1 +- sinh(2r) A, which has
-    the sparsity of A and q and p blocks exactly inverse to each other."""
+    the sparsity of A and q and p blocks exactly inverse to each other.
+
+    The two canonical n x n blocks are stacked by concatenating their CSR
+    arrays, the p block's columns shifted by n: the arrays `sp.block_diag`
+    builds through coordinates and a sort, without either."""
     A, r = params.adjacency, params.squeeze_r
-    I = sp.eye_array(A.shape[0], format="csr")
+    n = A.shape[0]
+    I = sp.eye_array(n, format="csr")
     ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-    return sp.block_diag((ch * I + sh * A, ch * I - sh * A), format="csr")
+    chI, shA = ch * I, sh * A
+    q, p = chI + shA, chI - shA
+    stacked = (np.concatenate([q.data, p.data]),
+               np.concatenate([q.indices, p.indices + np.int64(n)]),
+               np.concatenate([q.indptr, p.indptr[1:] + np.int64(q.nnz)]))
+    return canonical_csr(sp.csr_array(stacked, shape=(2 * n, 2 * n)))
 
 
 def evolve(params: EvolutionParams) -> GaussianState:
@@ -279,7 +299,9 @@ def _row_norms(X: sp.csr_array) -> np.ndarray:
 
     Each row's squares are summed in ascending order, so rows holding the
     same values in different columns (the modes of a translation-invariant
-    lattice) get bit-identical norms.
+    lattice) get bit-identical norms.  Shorter rows are padded with leading
+    zeros to the longest row of X, and numpy's pairwise sum groups a row's
+    values by that width: a row's last bit can depend on X's longest row.
     """
     counts = np.diff(X.indptr)
     squares = np.zeros((X.shape[0], counts.max(initial=0)))
@@ -287,6 +309,52 @@ def _row_norms(X: sp.csr_array) -> np.ndarray:
     squares[rows, np.arange(X.nnz) - X.indptr[rows]] = X.data ** 2
     squares.sort(axis=1)
     return np.sqrt(squares.sum(axis=1))
+
+
+def _own_row_norms(X: sp.csr_array) -> np.ndarray:
+    """`_row_norms` of each row of X on its own: rows are taken a group of
+    equal entry count at a time, unpadded, so a row's norm is a function of
+    its entries alone.  Equals `_row_norms` where all rows have one count."""
+    counts = np.diff(X.indptr)
+    norms = np.empty(X.shape[0])
+    for c in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == c)
+        squares = X.data[X.indptr[rows, None] + np.arange(c)] ** 2
+        squares.sort(axis=1)
+        norms[rows] = np.sqrt(squares.sum(axis=1))
+    return norms
+
+
+def _rounding_screen(factor: sp.csr_array, absT: sp.csr_array,
+                     k: int) -> np.ndarray:
+    """s_i = gamma (|L_p,i| + sum_l |T_il| |L_q,l|) (1 + delta) >= b_i.
+
+    gamma = (k+1) eps, and b_i = gamma |(|L_p| + |T| |L_q|)_i| is the
+    rounding bound `nullifier_variances` computes, which the triangle
+    inequality puts below s_i in exact arithmetic.  delta = (2k + 8 + c)
+    eps, c the factor's column count, covers the rounding of both sides:
+    the computed b_i is at most (1+u)^(k+3+c/2) times its exact value (k+1
+    roundings per product entry, one per square and per sum of at most c
+    squares, the square root, gamma) and the computed s_i at least
+    (1-u)^(k+5+c/2) times its own (u = eps/2), and (1+delta) exceeds their
+    ratio.  That accounting holds only where no product or square is
+    subnormal or overflows: where a factor entry is below 2^-511 in size,
+    a product |T_il L_lj| below it, or c (|L| (1 + k |T|))^2 above 2^1000
+    (largest sizes), s_i is inf for every row.
+    """
+    eps = np.finfo(float).eps
+    n = absT.shape[0]
+    a, t = abs(factor.data), absT.data
+    low_a, low_t = float(a.min(initial=1.0)), float(t.min(initial=1.0))
+    high = float(a.max(initial=0.0)) * (1.0 + k * float(t.max(initial=0.0)))
+    if not (min(low_a, low_a * low_t) >= 2.0 ** -511
+            and factor.shape[1] * high * high <= 2.0 ** 1000):
+        return np.full(n, np.inf)
+    rows = np.repeat(np.arange(factor.shape[0]), np.diff(factor.indptr))
+    norms = np.sqrt(np.bincount(rows, weights=factor.data ** 2,
+                                minlength=factor.shape[0]))
+    delta = (2 * k + 8 + factor.shape[1]) * eps
+    return (k + 1) * eps * (norms[n:] + absT @ norms[:n]) * (1.0 + delta)
 
 
 def nullifier_variances(state: GaussianState, target,
@@ -300,37 +368,58 @@ def nullifier_variances(state: GaussianState, target,
     The largest variance's rounding bound, |(L_p - T L_q)_i| b_i + b_i^2/2,
     is kept on the report.
 
+    b_i reads the two-hop product |T| |L_q|, several times the factor's
+    entries per row, so it is built only where it decides: an O(nnz)
+    screen s_i >= b_i (`_rounding_screen`) resolves every row with
+    s_i <= _PRECISION_TOL |(L_p - T L_q)_i|, which b_i then resolves too,
+    and b_i is computed for the other rows and for the largest variance's,
+    each from its own entries (`_own_row_norms`).  Near the refusal
+    threshold every row falls back and the cost is the full product's.
+    The first unresolved mode, its relative bound and the report's
+    rounding are those of b_i computed for every row.
+
     With ``return_negated``, returns the pair of reports against T and -T.
     The second shares the product T L_q (L_p + T L_q is exactly
-    L_p - (-T) L_q) and the rounding bound, which is the same for +-T."""
+    L_p - (-T) L_q), the screen and the rounding bound b_i, which is the
+    same for +-T."""
     At = _as_sparse_adjacency(target)
     n = state.n
     if At.shape != (n, n):
         raise GaussianError(f"target is {At.shape}, state has {n} modes")
     Lq, Lp = state.factor[:n], state.factor[n:]
     k = int(np.diff(At.indptr).max(initial=0))
+    absT = abs(At)
+    targets = [At, canonical_csr(-At)] if return_negated else [At]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         X = At @ Lq
-        bound = (k + 1) * np.finfo(float).eps * _row_norms(
-            abs(Lp) + abs(At) @ abs(Lq))
-        residual = Lp - X
-    report = _resolved_report(At, residual, bound, squeeze_r)
-    if not return_negated:
-        return report
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = Lp + X
-    return report, _resolved_report(canonical_csr(-At), residual, bound,
-                                    squeeze_r)
+        norms = [_row_norms(Lp - X)] + (
+            [_row_norms(Lp + X)] if return_negated else [])
+        variances = [0.5 * nm ** 2 for nm in norms]
+        screen = _rounding_screen(state.factor, absT, k)
+        screened = [np.isfinite(v) & (screen / nm <= _PRECISION_TOL)
+                    for v, nm in zip(variances, norms)]
+        rows = np.unique(np.concatenate(
+            [np.flatnonzero(~ok) for ok in screened]
+            + [[np.argmax(v)] for v in variances]))
+        bound = np.full(n, np.nan)
+        bound[rows] = (k + 1) * np.finfo(float).eps * _own_row_norms(
+            abs(Lp[rows]) + absT[rows] @ abs(Lq))
+    reports = tuple(
+        _resolved_report(T, nm, v, ok, bound, squeeze_r)
+        for T, nm, v, ok in zip(targets, norms, variances, screened))
+    return reports if return_negated else reports[0]
 
 
-def _resolved_report(At, residual, bound, squeeze_r) -> NullifierReport:
-    """Report of the nullifier rows ``residual`` = L_p - T L_q against the
-    target At; PrecisionLossError where ``bound`` does not resolve them."""
+def _resolved_report(At, norms, variances, screened, bound,
+                     squeeze_r) -> NullifierReport:
+    """Report of nullifier rows of norms ``norms`` against the target At;
+    PrecisionLossError at the first row neither ``screened`` nor resolved
+    by its rounding ``bound`` (computed where not screened, and at the
+    largest variance)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norms = _row_norms(residual)
-        variances = 0.5 * norms ** 2
         relative = bound / norms
-    resolved = np.isfinite(variances) & (relative <= _PRECISION_TOL)
+    resolved = screened | (np.isfinite(variances)
+                           & (relative <= _PRECISION_TOL))
     if not resolved.all():
         i = int(np.argmin(resolved))
         raise PrecisionLossError(

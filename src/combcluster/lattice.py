@@ -186,9 +186,10 @@ class SuperAdjacency:
     i < j, and ``labels[e]`` names the block weight of superedge e, a key of
     `BLOCK_LABELS`.  Every named block is symmetric, so block(j, i) is
     block(i, j) and one label serves both directions.  The constructor
-    checks ``n_macro`` and the pairs, not casts them (`exact_int64`), accepts
-    pairs in any order and orientation and rejects self-loops, out-of-range
-    or repeated pairs, and labels that are unknown or of another block side.
+    checks ``n_macro``, ``block_side`` and the pairs, not casts them
+    (`exact_int64`), accepts pairs in any order and orientation and rejects
+    self-loops, out-of-range or repeated pairs, and labels that are unknown
+    or of another block side.
     """
 
     n_macro: int
@@ -201,6 +202,11 @@ class SuperAdjacency:
         if bad is not None:
             raise LatticeError(f"n_macro {self.n_macro} is not an integer")
         object.__setattr__(self, "n_macro", int(n_macro))
+        block_side, bad = exact_int64(self.block_side)
+        if bad is not None:
+            raise LatticeError(f"block_side {self.block_side} is not an "
+                               "integer")
+        object.__setattr__(self, "block_side", int(block_side))
         pairs, bad = exact_int64(self.pairs)
         if bad is not None:
             raise LatticeError(f"superedge node {np.asarray(self.pairs)[bad]} "

@@ -35,6 +35,10 @@ SEAMS = {
     "SuperAdjacency.n_macro": (
         lambda v: lattice.SuperAdjacency(v, 2, [[0, 1]], ["pi+"]), 4,
         LatticeError, lambda S: (type(S.n_macro), S.n_macro)),
+    "SuperAdjacency.block_side": (
+        lambda v: lattice.SuperAdjacency(4, v, [[0, 1]], ["pi+"]), 2,
+        LatticeError, lambda S: (type(S.block_side), S.block_side,
+                                 lattice.expand(S).csr.toarray().tolist())),
     "projector4": (lattice.projector4, 1, LatticeError,
                    lambda b: b.quarters.tolist()),
     "two_path_weight": (lambda v: lattice.two_path_weight(LATTICE6, v, 0), 1,
@@ -42,6 +46,8 @@ SEAMS = {
     "HankelShorthand": (
         lambda v: hankel.HankelShorthand([[[0]], [[v]], [[0]]], 1), 4,
         NotHankelError, lambda h: h.entries.tolist()),
+    "vacuum": (gaussian.vacuum, 2, GaussianError,
+               lambda st: st.factor.toarray().tolist()),
     "measure_q": (lambda v: gaussian.measure_q(gaussian.vacuum(2), [v]), 1,
                   GaussianError, lambda st: st.factor.toarray().tolist()),
     "ideal_graph_delete": (

@@ -8,21 +8,25 @@ lattice, pump and Hankel layers.  `pump --M 200` peaks at ~139 MB on a
 text formats (102 400 edges per edge file) peaks at ~90 MB, rendering a
 chunk of edges at a time; holding one string per edge for a whole file
 costs ~30 MB more.  `simulate --M 20`
-(1600 modes) peaks at ~62 MB with the CSR Gaussian factor and ~520 MB
+(1600 modes) peaks at ~60 MB with the CSR Gaussian factor and ~520 MB
 with a dense 2n x 2n one, so a 250 MB ceiling catches a fall-back to the
-dense factor.  `simulate --M 64` (16 384 modes) peaks at ~145 MB with CSR
+dense factor.  `simulate --M 64` (16 384 modes) peaks at ~120 MB with CSR
 targets, and a single dense n x n target is 2 GiB, so a 300 MB ceiling
 catches any dense target copy.  `reduce` conditions by a sparse
 projection and keeps the projected rows as the factor: `reduce --M 20 --r
-1,2` peaks at ~63 MB, and at ~230 MB with one dense QR of all measured and
+1,2` peaks at ~61 MB, and at ~230 MB with one dense QR of all measured and
 kept rows, so a 180 MB ceiling catches a fall-back to that QR.
-`reduce --M 28 --r 1` peaks at ~72 MB, and the dense projected factor alone
+`reduce --M 28 --r 1` peaks at ~64 MB, and the dense projected factor alone
 would be 73 MB (1458 x 6272), so a 120 MB ceiling catches densifying it.
-`reduce --M 64 --r 1,2` (16 384 modes) peaks at ~150 MB, and one dense
+`reduce --M 64 --r 1,2` (16 384 modes) peaks at ~127 MB, and one dense
 3969 x 3969 V or U is 126 MB, so a 200 MB ceiling catches either.
+`simulate --M 128 --r 1` (65 536 modes) peaks at ~271 MB with the
+nullifier rounding bound built only for the rows its screen leaves open,
+and at ~352 MB with the two-hop product |T| |L_q| (52 entries a row) for
+every row, so a 310 MB ceiling catches that product's return.
 Every output file is written a chunk at a time, so writing it adds no
 peak: `lattice --M 200` (all three formats) peaks at ~132 MB and `reduce
---M 64 --r 1` at ~134 MB with and without --output-dir, where holding a
+--M 64 --r 1` at ~109 MB with and without --output-dir, where holding a
 whole file's text cost 62 MB and 67 MB more (the 63 MB V/U dump), so a
 10 MB margin between the two runs catches any file held whole.
 """
@@ -40,6 +44,7 @@ SPARSE_TARGET_CEILING_MB = 300
 BLOCKED_QR_CEILING_MB = 180
 PROJECTED_QR_CEILING_MB = 120
 SPARSE_REDUCE_CEILING_MB = 200
+NULLIFIER_BOUND_CEILING_MB = 310
 WRITE_MARGIN_MB = 10
 
 CHILD = """
@@ -122,6 +127,13 @@ def test_sparse_reduction_stays_under_ceiling(child_env, tmp_path):
     assert lines[1].startswith("r=1 max_residual=")
     assert lines[2].startswith("r=2 max_residual=")
     assert peak_mb < SPARSE_REDUCE_CEILING_MB
+
+
+def test_nullifier_bound_stays_under_ceiling(child_env, tmp_path):
+    lines, peak_mb = _run(["simulate", "--M", "128", "--r", "1"], child_env,
+                          tmp_path)
+    assert lines[0].startswith("r=1 max_variance=")
+    assert peak_mb < NULLIFIER_BOUND_CEILING_MB
 
 
 @pytest.mark.parametrize("argv", [
