@@ -255,7 +255,9 @@ class _Parser(argparse.ArgumentParser):
         raise lattice.LatticeError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: no command mutates a parsed value."""
     parser = _Parser(
         prog="combcluster",
         description="Build comb cluster-state lattices, compile pump "
@@ -316,9 +318,8 @@ def _fail(code: int, cause: str, detail: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (lattice.LatticeError, gaussian.GaussianError,
             hankel.NotHankelError, hankel.PumpCompileError,

@@ -136,15 +136,12 @@ class GaussianState:
 def vacuum(n: int) -> GaussianState:
     """n-mode vacuum: zero mean, factor identity (covariance identity/2).
 
-    The mode count is checked, not cast (`lattice.exact_int64`): 2.0 is 2,
+    The mode count is checked, not cast (`lattice.exact_int`): 2.0 is 2,
     and 2.5 raises GaussianError naming it."""
-    exact, bad = lattice.exact_int64(n)
-    if bad is not None:
-        raise GaussianError(f"mode count {n} is not an integer")
-    if exact < 1:
-        raise GaussianError(f"mode count must be >= 1, got {n}")
-    n = int(exact)
-    return GaussianState(np.zeros(2 * n), sp.eye_array(2 * n, format="csr"))
+    m = lattice.exact_int(n)
+    if m is None or m < 1:
+        raise GaussianError(f"mode count must be an integer >= 1, got {n}")
+    return GaussianState(np.zeros(2 * m), sp.eye_array(2 * m, format="csr"))
 
 
 # ============================================================
@@ -299,22 +296,10 @@ def _row_norms(X: sp.csr_array) -> np.ndarray:
 
     Each row's squares are summed in ascending order, so rows holding the
     same values in different columns (the modes of a translation-invariant
-    lattice) get bit-identical norms.  Shorter rows are padded with leading
-    zeros to the longest row of X, and numpy's pairwise sum groups a row's
-    values by that width: a row's last bit can depend on X's longest row.
+    lattice) get bit-identical norms.  Rows are taken a group of equal
+    entry count at a time, unpadded, so a row's norm is a function of its
+    own entries alone: the same bits as X[[i]] on its own.
     """
-    counts = np.diff(X.indptr)
-    squares = np.zeros((X.shape[0], counts.max(initial=0)))
-    rows = np.repeat(np.arange(X.shape[0]), counts)
-    squares[rows, np.arange(X.nnz) - X.indptr[rows]] = X.data ** 2
-    squares.sort(axis=1)
-    return np.sqrt(squares.sum(axis=1))
-
-
-def _own_row_norms(X: sp.csr_array) -> np.ndarray:
-    """`_row_norms` of each row of X on its own: rows are taken a group of
-    equal entry count at a time, unpadded, so a row's norm is a function of
-    its entries alone.  Equals `_row_norms` where all rows have one count."""
     counts = np.diff(X.indptr)
     norms = np.empty(X.shape[0])
     for c in np.unique(counts).tolist():
@@ -360,7 +345,8 @@ def _rounding_screen(factor: sp.csr_array, absT: sp.csr_array,
 def nullifier_variances(state: GaussianState, target,
                         squeeze_r: float = float("nan"),
                         return_negated: bool = False):
-    """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i.
+    """Var(p_i - sum_j T_ij q_j) = |(L_p - T L_q)_i|^2 / 2 for each i, each
+    norm (and rounding bound) a `_row_norms` norm of its own row alone.
 
     PrecisionLossError when a variance is not finite, or when the rounding
     bound b_i = (k+1) eps |(|L_p| + |T| |L_q|)_i| of the product (k =
@@ -372,9 +358,9 @@ def nullifier_variances(state: GaussianState, target,
     entries per row, so it is built only where it decides: an O(nnz)
     screen s_i >= b_i (`_rounding_screen`) resolves every row with
     s_i <= _PRECISION_TOL |(L_p - T L_q)_i|, which b_i then resolves too,
-    and b_i is computed for the other rows and for the largest variance's,
-    each from its own entries (`_own_row_norms`).  Near the refusal
-    threshold every row falls back and the cost is the full product's.
+    and b_i is computed for the other rows and for the largest variance's.
+    Near the refusal threshold every row falls back and the cost is the
+    full product's.
     The first unresolved mode, its relative bound and the report's
     rounding are those of b_i computed for every row.
 
@@ -402,7 +388,7 @@ def nullifier_variances(state: GaussianState, target,
             [np.flatnonzero(~ok) for ok in screened]
             + [[np.argmax(v)] for v in variances]))
         bound = np.full(n, np.nan)
-        bound[rows] = (k + 1) * np.finfo(float).eps * _own_row_norms(
+        bound[rows] = (k + 1) * np.finfo(float).eps * _row_norms(
             abs(Lp[rows]) + absT[rows] @ abs(Lq))
     reports = tuple(
         _resolved_report(T, nm, v, ok, bound, squeeze_r)
@@ -778,7 +764,7 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
         raise GaussianError(f"meridians {meridians} out of range for M={M}")
     coords = lattice.coordinates(M)
     cut = (coords.x == x0) | (coords.y == y0)
-    node = np.arange(4 * M * M)
+    node = np.arange(4 * coords.M ** 2)
     kept = (node % 4 == keep_layer) & ~cut[node // 4]
     return node[~kept], node[kept]
 

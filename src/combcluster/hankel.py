@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .lattice import (BlockWeight, LatticeError, PhysAdjacency, _coo_of,
                       block_label, build_torus_supergraph, canonical_csr,
-                      exact_int64, expand, renumber_to_block_hankel)
+                      exact_int, exact_int64, expand, renumber_to_block_hankel)
 
 
 class NotHankelError(ValueError):
@@ -53,9 +53,10 @@ SIGN_CONVENTION = "pol:+45=pi+,-45=pi-;yphase:180=negated-block"
 # ============================================================
 
 def _check_block_side(s) -> int:
-    if not isinstance(s, (int, np.integer)) or s < 1:
+    side = exact_int(s)
+    if side is None or side < 1:
         raise NotHankelError(f"block_side must be a positive integer, got {s!r}")
-    return int(s)
+    return side
 
 
 @dataclass
@@ -73,7 +74,7 @@ class HankelShorthand:
     block_side: int
 
     def __post_init__(self):
-        s = _check_block_side(self.block_side)
+        self.block_side = s = _check_block_side(self.block_side)
         try:
             given = np.asarray(self.entries)
         except ValueError as exc:           # a ragged list of blocks

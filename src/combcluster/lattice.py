@@ -65,6 +65,16 @@ def exact_int64(values):
     return exact, (tuple(bad[0].tolist()) if len(bad) else None)
 
 
+def exact_int(value):
+    """``value`` as one int, or None if it is not one integer: an int as it
+    is, however large (a size rule's memory estimate refuses it), anything
+    else through `exact_int64`, so 6.0 is 6 and 6.5, "6" and [6] are None."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    exact, bad = exact_int64(value)
+    return int(exact) if bad is None and exact.ndim == 0 else None
+
+
 # ============================================================
 # Block weights
 # ============================================================
@@ -143,8 +153,8 @@ BLOCK_LABELS = {
 
 def projector4(j: int) -> BlockWeight:
     """Return the j-th 4x4 rank-one projector block, j in 0..3 (1.0 is 1)."""
-    index, bad = exact_int64(j)
-    if bad is not None or index.shape or not 0 <= index <= 3:
+    index = exact_int(j)
+    if index is None or not 0 <= index <= 3:
         raise LatticeError(f"projector index must be 0..3, got {j!r}")
     return PI4[index]
 
@@ -198,15 +208,12 @@ class SuperAdjacency:
     labels: np.ndarray = ()
 
     def __post_init__(self):
-        n_macro, bad = exact_int64(self.n_macro)
-        if bad is not None:
-            raise LatticeError(f"n_macro {self.n_macro} is not an integer")
-        object.__setattr__(self, "n_macro", int(n_macro))
-        block_side, bad = exact_int64(self.block_side)
-        if bad is not None:
-            raise LatticeError(f"block_side {self.block_side} is not an "
-                               "integer")
-        object.__setattr__(self, "block_side", int(block_side))
+        for name in ("n_macro", "block_side"):
+            size = exact_int(getattr(self, name))
+            if size is None:
+                raise LatticeError(
+                    f"{name} {getattr(self, name)} is not an integer")
+            object.__setattr__(self, name, size)
         pairs, bad = exact_int64(self.pairs)
         if bad is not None:
             raise LatticeError(f"superedge node {np.asarray(self.pairs)[bad]} "
@@ -321,12 +328,13 @@ class PhysAdjacency:
 
 def check_even_size(name: str, value) -> int:
     """The size rule of both supergraphs, the torus's M and the ring's
-    n_macro: ``value`` if it is an even integer >= 4, else LatticeError."""
-    if not isinstance(value, (int, np.integer)):
+    n_macro: ``value`` as an int (`exact_int`) if even and >= 4."""
+    size = exact_int(value)
+    if size is None:
         raise LatticeError(f"{name} must be an integer, got {value!r}")
-    if value % 2 or value < 4:
-        raise LatticeError(f"{name} must be even and >= 4, got {value}")
-    return value
+    if size % 2 or size < 4:
+        raise LatticeError(f"{name} must be even and >= 4, got {size}")
+    return size
 
 
 def constructed_run_lengths(M: int):
@@ -360,7 +368,7 @@ def torus_block_diagonals(M: int):
     x = x' = 0 blocks lie on the same diagonals.  The single negated P3
     diagonal is the twist that makes the 2x2 regrouping consistent.
     """
-    check_even_size("M", M)
+    M = check_even_size("M", M)
     first = positions_from_run_lengths(M, *constructed_run_lengths(M))[:7]
     return list(zip(first, ("P1", "P0", "P3", "P2", "P1", "P0", "-P3")))
 
@@ -382,7 +390,7 @@ def build_torus_supergraph(M: int) -> SuperAdjacency:
         four incident blocks, one per projector label, which is what makes
         the expanded adjacency orthogonal.
     """
-    check_even_size("M", M)
+    M = check_even_size("M", M)
     N = M * M
     pairs, labels = [], []
     for d, label in torus_block_diagonals(M):
@@ -399,7 +407,7 @@ def build_ring_supergraph(n_macro: int) -> SuperAdjacency:
     orthogonal pi blocks, and n_macro = 2 would double the single edge.
     Expanding gives the 2*n_macro-node crown graph.
     """
-    check_even_size("n_macro", n_macro)
+    n_macro = check_even_size("n_macro", n_macro)
     k = np.arange(n_macro)
     return SuperAdjacency(n_macro, 2, np.column_stack([k, (k + 1) % n_macro]),
                           np.where(k % 2 == 0, "pi+", "pi-"))
@@ -586,7 +594,7 @@ def renumber_permutation(M: int) -> np.ndarray:
     skew-diagonal constant; the negated P3 diagonal of the construction is
     exactly what makes the two wrapped skew-diagonals consistent.
     """
-    check_even_size("M", M)
+    M = check_even_size("M", M)
     m = np.arange(M * M, dtype=np.int64)
     # new = 2*(m + M**2 * x) + z is the row-major position of (x, m, z)
     return (4 * m[None, :, None] + 2 * np.arange(2)[:, None, None]
@@ -602,7 +610,7 @@ def renumber_to_block_hankel(A: PhysAdjacency, M: int) -> RenumberResult:
     matrix has constant 2x2 block skew-diagonals, nonzero exactly at the 15
     positions of the skeleton with `constructed_run_lengths`.
     """
-    check_even_size("M", M)
+    M = check_even_size("M", M)
     if A.n != 4 * M * M:
         raise LatticeError(
             f"adjacency size {A.n} does not match an M={M} lattice "
@@ -661,7 +669,7 @@ def coordinates(M: int) -> MacronodeCoords:
     laying the visited nodes out row-major: step k lands on
     (x, y) = (k mod M, k div M).
     """
-    check_even_size("M", M)
+    M = check_even_size("M", M)
     N = M * M
     # Every block of a label has i + j = d (mod N), so the macronode the
     # label pairs with m is the reflection (d - m) mod N.

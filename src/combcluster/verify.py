@@ -388,14 +388,16 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
 # ============================================================
 
 def check_suite_size(M) -> int:
-    """The suite's size rule: M if it is even and >= 6, else LatticeError."""
-    if M % 2 or M < 6:
-        raise lattice.LatticeError(f"verify suite needs even M >= 6, got {M}")
-    return M
+    """The suite's size rule: M as an int (`lattice.exact_int`) if even
+    and >= 6."""
+    size = lattice.exact_int(M)
+    if size is None or size % 2 or size < 6:
+        raise lattice.LatticeError(f"verify suite needs even M >= 6, got {M!r}")
+    return size
 
 
 def run_criteria(M: int = 6) -> list:
-    check_suite_size(M)
+    M = check_suite_size(M)
     return [
         criterion_exact_orthogonality(M),
         criterion_block_hankel_structure(M),

@@ -135,6 +135,21 @@ def test_simulate_command(capsys, tmp_path):
     assert kv.splitlines()[0].startswith("node=0 variance=")
 
 
+def test_one_parser_keeps_its_defaults_across_calls(capsys):
+    # main's parser is built once per process: an explicit --r before, or
+    # a refused argv between, leaves the default r = 1, 2 of a later call
+    from combcluster.cli import build_parser
+    assert build_parser() is build_parser()
+    given = run_cli(capsys, "simulate", "--M", "6", "--r", "0.5")
+    default = run_cli(capsys, "simulate", "--M", "6")
+    refused = run_cli(capsys, "simulate", "--M", "6", "--r", "1,,2")
+    assert [line.split()[0] for line in given[1].splitlines()] == ["r=0.5"]
+    assert [line.split()[0] for line in default[1].splitlines()] == [
+        "r=1", "r=2"]
+    assert refused[0] == 2
+    assert run_cli(capsys, "simulate", "--M", "6") == default
+
+
 @pytest.mark.parametrize("r", ["inf", "1e308", "355.3", "200", "177.62"])
 def test_simulate_rejects_overflowing_r(capsys, r):
     # the covariance holds cosh(4r)/2, which leaves float64 range just

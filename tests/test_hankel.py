@@ -85,7 +85,7 @@ def test_shorthand_of_reads_a_vector_as_one_row():
     (np.array([[1.9, 0], [0, 1.9]]), 1, r"entry \(0, 0\) is 1.9, not an integer"),
     (np.eye(2, dtype=np.int64), 0, "block_side must be a positive integer, got 0"),
     (np.eye(2, dtype=np.int64), -1, "block_side must be a positive integer, got -1"),
-    (np.eye(2, dtype=np.int64), 1.0, "block_side must be a positive integer, got 1.0"),
+    (np.eye(2, dtype=np.int64), 1.5, "block_side must be a positive integer, got 1.5"),
 ])
 def test_shorthand_of_refuses_what_it_cannot_read(A, block_side, match):
     # non-integer values used to be truncated and a bad block side raised

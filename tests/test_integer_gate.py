@@ -62,6 +62,12 @@ SEAMS = {
         LatticeError, lambda cert: cert),
     "layout_outer_support": (lambda v: verify.layout_outer_support(6, [v]), 2,
                              LatticeError, lambda X: X.toarray().tolist()),
+    "check_even_size": (lambda v: lattice.check_even_size("M", v), 6,
+                        LatticeError, lambda M: (type(M), M)),
+    "_check_block_side": (hankel._check_block_side, 2, NotHankelError,
+                          lambda s: (type(s), s)),
+    "check_suite_size": (verify.check_suite_size, 6, LatticeError,
+                         lambda M: (type(M), M)),
 }
 
 
@@ -84,3 +90,30 @@ def test_gate_reports_the_first_entry_that_is_not_an_integer():
     exact, bad = lattice.exact_int64(np.array([3, -2], dtype=np.int32))
     assert bad is None and exact.tolist() == [3, -2]
 
+
+
+@pytest.mark.parametrize("check, error", [
+    (lambda v: lattice.check_even_size("M", v), LatticeError),
+    (hankel._check_block_side, NotHankelError),
+    (verify.check_suite_size, LatticeError)])
+def test_size_rules_read_a_size_by_value(check, error):
+    # "6" used to reach `"6" % 2`, a raw TypeError; a list is no size
+    for bad in ("6", [6], None):
+        with pytest.raises(error, match=re.escape(repr(bad))):
+            check(bad)
+    # an int beyond int64 is kept for the memory estimate to refuse
+    assert check(2 ** 70) == 2 ** 70
+
+
+def test_an_integral_float_size_builds_what_its_int_builds():
+    # 6.0 passed the suite's rule and was then refused by the lattice
+    M = verify.check_suite_size(6.0)
+    assert type(M) is int
+    want = lattice.build_torus_supergraph(6)
+    for size in (M, 6.0, np.float64(6)):
+        S = lattice.build_torus_supergraph(size)
+        assert (S.n_macro, S.pairs.tolist()) == (want.n_macro,
+                                                 want.pairs.tolist())
+    for build in (lattice.coordinates, lattice.renumber_permutation):
+        assert str(build(6.0)) == str(build(6))
+    assert hankel.shorthand_of(np.eye(4, dtype=np.int64), 2.0).block_side == 2

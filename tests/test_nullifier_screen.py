@@ -7,11 +7,12 @@ builds the two-hop product for every row and applies the refusal rule to
 all of them: variances, max_variance_rounding and every PrecisionLossError
 message must be bit-identical to it.
 
-b_i's squares are summed from its row's own entries.  Where every row of
-the product has one entry count (every lattice state) that is the sum
-`_row_norms` of the whole product gives; where counts differ, a row
-shorter than the longest would be padded with zeros, which regroups
-numpy's pairwise sum, so the oracle then sums each row on its own.
+Every row norm, of the residual L_p - T L_q and of the bound product, is a
+function of its own row's entries: its squares sorted ascending and summed
+by numpy, as the oracle sums each row on its own.  The former norms padded
+every row with zeros to the longest row of the whole matrix, which regroups
+numpy's pairwise sum; they are kept here as a reference, which lattice
+states (every row one entry count) still match bit for bit.
 
 `evolution_symplectic` stacks its two blocks' CSR arrays, bit-identical to
 `sp.block_diag` of the same blocks.
@@ -34,13 +35,20 @@ R_GRID = (0.0, 0.3, 1.0, 2.5, 4.6, 4.7, 4.75, 4.8, 5.0)
 
 
 def padded_norms(B):
-    """Today's row norms of the whole product: one call, padded rows."""
-    return gaussian._row_norms(B)
+    """The former row norms of the whole product: every row padded with
+    leading zeros to B's longest row, then all sorted and summed at once."""
+    counts = np.diff(B.indptr)
+    squares = np.zeros((B.shape[0], counts.max(initial=0)))
+    rows = np.repeat(np.arange(B.shape[0]), counts)
+    squares[rows, np.arange(B.nnz) - B.indptr[rows]] = B.data ** 2
+    squares.sort(axis=1)
+    return np.sqrt(squares.sum(axis=1))
 
 
 def each_row_norms(B):
-    """Each row's norm from a one-row matrix, so no row is padded."""
-    return np.array([gaussian._row_norms(B[[i]])[0]
+    """Each row's norm from its own stored entries alone, one row at a
+    time: squares sorted ascending, summed by numpy."""
+    return np.array([np.sqrt(np.sort(B[[i]].data ** 2).sum())
                      for i in range(B.shape[0])])
 
 
@@ -61,7 +69,8 @@ def bits(x):
 
 def reference(state, T, row_norms):
     """("refused", message) or ("ok", per report: variance bytes, max
-    variance and rounding bits), for +T then -T, bounding every row."""
+    variance and rounding bits), for +T then -T, bounding every row; every
+    norm, of the residual and of the bound product, by ``row_norms``."""
     At = gaussian._as_sparse_adjacency(T)
     n = state.n
     Lq, Lp = state.factor[:n], state.factor[n:]
@@ -70,7 +79,7 @@ def reference(state, T, row_norms):
     with np.errstate(all="ignore"):
         X = At @ Lq
         for residual in (Lp - X, Lp + X):
-            norms = gaussian._row_norms(residual)
+            norms = row_norms(residual)
             variances = 0.5 * norms ** 2
             relative = bound / norms
             resolved = np.isfinite(variances) & (relative <= 1e-6)
@@ -131,8 +140,8 @@ def test_lattice_states_match_the_full_bound(M):
     for r in R_GRID:
         state, A = lattice_state(M, r)
         for T in (A, -A):
-            # every row of the product has one count, so the padded norms
-            # of the whole product are the oracle too
+            # every row of the product has one count, so the former padded
+            # norms are the oracle too: lattice variances keep their bits
             counts = full_bound(state, T, padded_norms)[1]
             assert len(np.unique(counts)) == 1
             want = assert_matches_the_full_bound(state, T, padded_norms)
@@ -143,19 +152,22 @@ def test_lattice_states_match_the_full_bound(M):
 
 
 def test_exact_bound_is_computed_only_where_it_decides(monkeypatch):
-    computed = []
-    own = gaussian._own_row_norms
+    # the bound product |L_p| + |T| |L_q| is the one _row_norms argument
+    # with no negative entry; the two others are the +-T residuals
+    calls = []
+    row_norms = gaussian._row_norms
 
     def recording(X):
-        computed.append(X.shape[0])
-        return own(X)
+        calls.append((X.shape[0], bool((X.data >= 0).all())))
+        return row_norms(X)
 
-    monkeypatch.setattr(gaussian, "_own_row_norms", recording)
+    monkeypatch.setattr(gaussian, "_row_norms", recording)
     for M, r, rows in ((10, 1.0, (1, 2)), (6, 4.7, (144,))):
-        computed.clear()
+        calls.clear()
         state, A = lattice_state(M, r)
         nullifier_variances(state, A, return_negated=True)
-        assert len(computed) == 1 and computed[0] in rows
+        bound = [m for m, unsigned in calls if unsigned]
+        assert len(calls) == 3 and len(bound) == 1 and bound[0] in rows
 
 
 @pytest.mark.parametrize("M", [4, 6, 10])
@@ -169,13 +181,28 @@ def test_reduced_states_match_the_full_bound(M):
             assert want[1][0] == (rep.variances.tobytes(),
                                   bits(rep.max_variance),
                                   bits(rep.max_variance_rounding))
-            # the padded norms of the whole product move only the rounding
-            # bound of rows shorter than the longest, by its last bits
+            # the former padded norms move rows shorter than the longest
+            # by their last bits only
             padded = reference(reduced, target, padded_norms)
-            assert [p[:2] for p in padded[1]] == [w[:2] for w in want[1]]
-            for p, w in zip(padded[1], want[1]):
-                p, w = np.frombuffer(p[2]), np.frombuffer(w[2])
-                assert abs(p - w) <= 8 * EPS * w
+            for got, own in zip(padded[1], want[1]):
+                got, own = (np.frombuffer(b"".join(x)) for x in (got, own))
+                assert np.all(abs(got - own) <= 8 * EPS * own)
+
+
+@pytest.mark.parametrize("M", [4, 6, 10])
+def test_reduced_variance_is_its_own_rows_norm(M):
+    # rows of a reduced residual differ in entry count; each variance is
+    # its row's norm taken as a one-row matrix, whatever the other rows hold
+    A = lattice.expand(lattice.build_torus_supergraph(M))
+    for keep_layer, meridians in ((0, (M // 2, 1)), (3, (0, M - 1))):
+        measured, _ = gaussian.lattice_cut_nodes(M, keep_layer, meridians)
+        for reduced, target, rep in measure_and_delete(A, (0.5, 1.7),
+                                                       measured):
+            n = reduced.n
+            T = gaussian._as_sparse_adjacency(target)
+            residual = reduced.factor[n:] - T @ reduced.factor[:n]
+            want = 0.5 * each_row_norms(residual) ** 2
+            assert rep.variances.tobytes() == want.tobytes()
 
 
 def test_large_r_reduced_states_match_the_full_bound():
@@ -268,7 +295,7 @@ def test_each_row_norm_is_a_function_of_its_own_entries(seed, rows, cols):
     dense[rng.random((rows, cols)) < rng.random((rows, 1))] = 0.0
     L = sp.csr_array(dense)
     with np.errstate(all="ignore"):
-        got = gaussian._own_row_norms(L)
+        got = gaussian._row_norms(L)
         assert got.tobytes() == each_row_norms(L).tobytes()
         if len(np.unique(np.diff(L.indptr))) == 1:
             assert got.tobytes() == padded_norms(L).tobytes()
