@@ -38,7 +38,7 @@ ideal = ideal_graph_delete(A, measured)
 print("remaining |weights|:", sorted({float(v) for v in np.abs(ideal.data)}))
 
 print("\n== torus cut ==")
-remaining, report = reduce_and_cut(A, 6, 0, (0, 0))
+report = reduce_and_cut(A, 6, 0, (0, 0))
 st = report.graph_stats
 print(f"ideal cut: {st.n_nodes} nodes (expected "
       f"{report.expected_patch_macronodes}), connected={st.is_connected}, "

@@ -205,8 +205,8 @@ def cmd_reduce(args) -> int:
         raise lattice.LatticeError("meridians must be x0,y0")
     _require_fit(4 * lattice.check_even_size("M", args.M) ** 2, "reduce")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
-    _, cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
-                                     tuple(args.meridians))
+    cut = gaussian.reduce_and_cut(A, args.M, args.keep_layer,
+                                  tuple(args.meridians))
     st = cut.graph_stats
     runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
              f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]

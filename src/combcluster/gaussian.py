@@ -162,32 +162,24 @@ def _as_sparse_adjacency(A) -> sp.csr_array:
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Adjacency (stored as float CSR) plus overall squeezing parameter
-    r = coupling * time.  GaussianError unless A is square, symmetric and
-    an involution: max|A @ A - 1| <= _ORTHOGONAL_TOL."""
+    """Adjacency A of the coupling Hamiltonian, stored as float CSR and
+    checked once: GaussianError unless A is square, symmetric and an
+    involution, max|A @ A - 1| <= _ORTHOGONAL_TOL.  The overall squeezing
+    r = coupling * time is passed to `evolve`, so one checked A serves
+    every r."""
 
     adjacency: sp.csr_array
-    squeeze_r: float
 
     def __post_init__(self):
         A = _as_sparse_adjacency(self.adjacency)
         if not lattice.is_symmetric(A):
             raise GaussianError("adjacency must be symmetric")
-        _check_squeeze_r(self.squeeze_r)
         residual = _involution_residual(A)
         if not residual <= _ORTHOGONAL_TOL:
             raise GaussianError(
                 f"adjacency must satisfy A @ A = 1: max|A @ A - 1| = "
                 f"{residual:.3g} > {_ORTHOGONAL_TOL:g}")
         object.__setattr__(self, "adjacency", A)
-
-    def _at(self, r: float) -> EvolutionParams:
-        """The same adjacency at squeezing r; checks r only."""
-        _check_squeeze_r(r)
-        params = object.__new__(EvolutionParams)
-        object.__setattr__(params, "adjacency", self.adjacency)
-        object.__setattr__(params, "squeeze_r", r)
-        return params
 
 
 def _check_squeeze_r(r) -> None:
@@ -204,15 +196,17 @@ def _involution_residual(A: sp.csr_array) -> float:
     return float(np.abs((A @ A - I).data).max(initial=0.0))
 
 
-def evolution_symplectic(params: EvolutionParams) -> sp.csr_array:
-    """Symplectic blkdiag(exp(2rA), exp(-2rA)) of the evolution, as CSR: for
-    the involution A the closed form cosh(2r) 1 +- sinh(2r) A, which has
-    the sparsity of A and q and p blocks exactly inverse to each other.
+def evolution_symplectic(params: EvolutionParams, r: float) -> sp.csr_array:
+    """Symplectic blkdiag(exp(2rA), exp(-2rA)) of the evolution at squeezing
+    r, as CSR: for the involution A the closed form cosh(2r) 1 +- sinh(2r) A,
+    which has the sparsity of A and q and p blocks exactly inverse to each
+    other.  GaussianError for r < 0 or r > _MAX_SQUEEZE_R.
 
     The two canonical n x n blocks are stacked by concatenating their CSR
     arrays, the p block's columns shifted by n: the arrays `sp.block_diag`
     builds through coordinates and a sort, without either."""
-    A, r = params.adjacency, params.squeeze_r
+    _check_squeeze_r(r)
+    A = params.adjacency
     n = A.shape[0]
     I = sp.eye_array(n, format="csr")
     ch, sh = np.cosh(2 * r), np.sinh(2 * r)
@@ -224,9 +218,10 @@ def evolution_symplectic(params: EvolutionParams) -> sp.csr_array:
     return canonical_csr(sp.csr_array(stacked, shape=(2 * n, 2 * n)))
 
 
-def evolve(params: EvolutionParams) -> GaussianState:
-    """Evolve vacuum (factor 1): the factor becomes `evolution_symplectic`."""
-    S = evolution_symplectic(params)
+def evolve(params: EvolutionParams, r: float) -> GaussianState:
+    """Evolve vacuum (factor 1) to squeezing r: the factor becomes
+    `evolution_symplectic`."""
+    S = evolution_symplectic(params, r)
     return GaussianState(np.zeros(S.shape[0]), S)
 
 
@@ -475,10 +470,10 @@ def cluster_states(A: PhysAdjacency, rs):
     and its involution check depend on A alone and are computed once.
     """
     colors = lattice.bicoloring(A)
-    checked = EvolutionParams(A, 0.0)
+    params = EvolutionParams(A)
     for r in rs:
-        conv = best_phase_convention(evolve(checked._at(r)), colors,
-                                     checked.adjacency)
+        conv = best_phase_convention(evolve(params, r), colors,
+                                     params.adjacency)
         conv.nullifiers.squeeze_r = r
         yield conv.state, conv
 
@@ -742,9 +737,6 @@ def support_graph_stats(A) -> GraphStats:
 
 @dataclass
 class ReductionReport:
-    M: int
-    keep_layer: int
-    meridians: tuple
     kept_nodes: np.ndarray
     measured_nodes: np.ndarray
     graph_stats: GraphStats
@@ -769,7 +761,7 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     return node[~kept], node[kept]
 
 
-def reduce_and_cut(A, M: int, keep_layer: int, meridians):
+def reduce_and_cut(A, M: int, keep_layer: int, meridians) -> ReductionReport:
     """Keep one layer minus the macronodes on chart column x0 and row y0.
 
     The measured nodes are deleted from the adjacency A (PhysAdjacency,
@@ -778,19 +770,18 @@ def reduce_and_cut(A, M: int, keep_layer: int, meridians):
     report gives the kept support graph's connectivity, degrees and cycle
     rank; nothing checks that the cut opens the torus.
 
-    Returns (remaining CSR adjacency, ReductionReport).
+    Returns the ReductionReport; `ideal_graph_delete` of its
+    ``measured_nodes`` gives the remaining adjacency.
     """
     measured, kept = lattice_cut_nodes(M, keep_layer, meridians)
     At = _as_sparse_adjacency(A)
     if At.shape[0] != 4 * M * M:
         raise GaussianError("adjacency size does not match the lattice")
     remaining = ideal_graph_delete(At, measured)
-    report = ReductionReport(
-        M=M, keep_layer=keep_layer, meridians=tuple(meridians),
+    return ReductionReport(
         kept_nodes=kept, measured_nodes=measured,
         graph_stats=support_graph_stats(remaining),
         expected_patch_macronodes=(M - 1) ** 2)
-    return remaining, report
 
 
 # ============================================================

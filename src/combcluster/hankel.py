@@ -234,19 +234,6 @@ def is_pi_block(b: np.ndarray) -> bool:
                 and abs(b[0, 0]) == abs(b[0, 1]) != 0)
 
 
-def _classify_pi(block: np.ndarray):
-    """Return (pattern, sign, magnitude_quarters) for c * pi+/- blocks."""
-    b = np.asarray(block, dtype=np.int64)
-    if b.shape != (2, 2):
-        raise PumpCompileError("pump blocks must be 2x2")
-    if is_pi_block(b):
-        sign = 1 if b[0, 0] > 0 else -1
-        pattern = "+" if b[0, 0] == b[0, 1] else "-"
-        return pattern, sign, abs(int(b[0, 0]))
-    raise PumpCompileError(
-        f"block {b.tolist()} is not proportional to pi+ or pi-")
-
-
 def compile_pump(short: HankelShorthand) -> PumpSpectrum:
     """Compile a 2x2 block shorthand into a pump spectrum.
 
@@ -261,19 +248,21 @@ def compile_pump(short: HankelShorthand) -> PumpSpectrum:
     lines = []
     magnitudes = set()
     for d in short.nonzero_indices():
-        pattern, sign, mag = _classify_pi(short.entries[d])
-        magnitudes.add(mag)
+        b = short.entries[d]
+        if not is_pi_block(b):
+            raise PumpCompileError(
+                f"block {b.tolist()} is not proportional to pi+ or pi-")
+        magnitudes.add(abs(int(b[0, 0])))
         lines.append(PumpLine(
             frequency_index=d,
             amplitude=1.0,
-            polarization="+45" if pattern == "+" else "-45",
-            y_phase=0 if sign > 0 else 180,
+            polarization="+45" if b[0, 0] == b[0, 1] else "-45",
+            y_phase=0 if b[0, 0] > 0 else 180,
         ))
     if len(magnitudes) > 1:
         raise PumpCompileError(
             f"shorthand mixes block magnitudes {sorted(magnitudes)}/4; "
             "a single pump cannot realize non-uniform interaction strengths")
-    lines.sort(key=lambda ln: ln.frequency_index)
     return PumpSpectrum(lines=lines, n_qumodes=short.n_blocks * 2)
 
 

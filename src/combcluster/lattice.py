@@ -53,14 +53,21 @@ class NonBipartiteError(LatticeError):
 
 def exact_int64(values):
     """``values`` checked, not cast: (int64 array, index of the first entry
-    that is not an integer, or None).  4.0 and 1+0j are exact; 2.9, nan and
-    1+1j are not.  Every seam taking integers from outside reads them here."""
+    in row-major order that is not an integer, or None).  4.0 and 1+0j are
+    exact; 2.9, nan, 1+1j, None and 10**30 are not.  Every seam taking
+    integers from outside reads them here."""
     given = np.asarray(values)
     try:
         with np.errstate(invalid="ignore"):
             exact = given.real.astype(np.int64)
-    except (TypeError, ValueError):        # None, "a": no number at all
-        return np.zeros(given.shape, np.int64), (0,) * given.ndim
+    except (TypeError, ValueError, OverflowError):   # None, "a", 10**30
+        if given.ndim == 0:
+            return np.zeros((), np.int64), ()
+        # one entry at a time, as given: numpy makes [3, "a"] all strings
+        ok = [exact_int64(x)[1] is None
+              for x in np.asarray(values, dtype=object).flat]
+        bad = np.unravel_index(np.argmin(ok), given.shape)
+        return np.zeros(given.shape, np.int64), tuple(map(int, bad))
     bad = np.argwhere(exact != given)      # one row per entry, also at 0-d
     return exact, (tuple(bad[0].tolist()) if len(bad) else None)
 
@@ -255,13 +262,19 @@ def canonical_csr(X, dtype=float) -> sp.csr_array:
     no stored zeros, and int32 index arrays wherever they fit; copied only
     when the conversion is not so already.  ``dtype=None`` keeps X's dtype;
     an integer one is checked, not cast: duplicates are summed at X's dtype,
-    then LatticeError names the (row, column) of a sum `exact_int64` refuses.
+    then LatticeError names the (row, column) of a sum `exact_int64` refuses
+    (an object array, which scipy refuses, goes through it first).
 
     scipy's sparse arrays keep the int64 index arrays a conversion gives
     them (`expand`'s block storage, coordinate input); with those,
     `pump --M 200` peaked at ~180 MB instead of ~145 MB.
     """
     exact = dtype is not None and np.dtype(dtype).kind == "i"
+    if exact and not sp.issparse(X) and np.asarray(X).dtype == object:
+        given = np.asarray(X)               # scipy refuses object arrays
+        X, bad = exact_int64(given)
+        if bad is not None:
+            raise LatticeError(f"entry {bad} is {given[bad]}, not an integer")
     X = sp.csr_array(X, dtype=None if exact else dtype)
     if not (X.has_canonical_format and X.data.all()):
         X = X.copy()

@@ -277,7 +277,7 @@ def test_engine_uniform_decay_is_exp_minus_4r(lattice6, crown8, two_mode):
     for A in (two_mode, crown8.dense(), lattice6.dense()):
         colors = bicoloring(_as_phys(A))
         for r in (0.5, 1.0, 2.0):
-            state = evolve(EvolutionParams(A, r))
+            state = evolve(EvolutionParams(A), r)
             conv = best_phase_convention(state, colors, A)
             rotated = rotate_color_class(state, colors, conv.quarter_turns)
             rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
@@ -286,7 +286,7 @@ def test_engine_uniform_decay_is_exp_minus_4r(lattice6, crown8, two_mode):
 
 def test_vacuum_nullifier_variance_is_one_for_unit_rows(two_mode):
     """At r=0 the pinned formula would need 1/2; the true value is 1."""
-    state = evolve(EvolutionParams(two_mode, 0.0))
+    state = evolve(EvolutionParams(two_mode), 0.0)
     colors = bicoloring(_as_phys(two_mode))
     conv = best_phase_convention(state, colors, two_mode)
     assert all(v == pytest.approx(1.0, abs=1e-14)

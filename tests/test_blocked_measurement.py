@@ -139,7 +139,7 @@ def test_cluster_cut_matches_single_qr(r):
     A10 = lattice.expand(lattice.build_torus_supergraph(10))
     rng = np.random.default_rng(int(10 * r))
     for state, check_mean in ((cluster_state(A10, r)[0], True),
-                              (evolve(EvolutionParams(A10, r)), False)):
+                              (evolve(EvolutionParams(A10), r), False)):
         for _ in range(2):
             k = int(rng.integers(1, A10.n))
             nodes = np.sort(rng.choice(A10.n, size=k, replace=False))

@@ -79,7 +79,7 @@ def same_csr(X, Y):
 
 
 def optimal_rotation(A, r):
-    state = evolve(EvolutionParams(A, r))
+    state = evolve(EvolutionParams(A), r)
     colors = colors_of(A)
     conv = best_phase_convention(state, colors, A)
     return rotate_color_class(state, colors, conv.quarter_turns), conv
@@ -108,15 +108,21 @@ def test_vacuum_nullifiers_against_zero_target():
 
 
 def test_evolve_r_zero_is_vacuum(two_mode):
-    st = evolve(EvolutionParams(two_mode, 0.0))
+    st = evolve(EvolutionParams(two_mode), 0.0)
     assert np.allclose(st.cov, 0.5 * np.eye(4), atol=1e-15)
 
 
 def test_evolve_rejects_asymmetric():
-    with pytest.raises(GaussianError):
-        EvolutionParams(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-    with pytest.raises(GaussianError):
-        EvolutionParams(np.array([[0.0, 1.0], [1.0, 0.0]]), -0.5)
+    with pytest.raises(GaussianError, match="adjacency must be symmetric"):
+        EvolutionParams(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    params = EvolutionParams(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(GaussianError, match=re.escape(
+            "squeeze_r must be >= 0, got -0.5")):
+        evolve(params, -0.5)
+    with pytest.raises(GaussianError, match=re.escape(
+            "squeeze_r=177.62 overflows cosh(4r) in float64 "
+            "(largest allowed r is 177.6")):
+        evolve(params, 177.62)
 
 
 def old_oracle_case():
@@ -135,23 +141,23 @@ def test_evolution_params_refuse_a_non_involution(A):
     assert residual > 0.1
     with pytest.raises(GaussianError, match=re.escape(
             f"max|A @ A - 1| = {residual:.3g} > 1e-12")):
-        EvolutionParams(A, 1.0)
+        EvolutionParams(A)
 
 
 def test_evolution_params_accept_an_involution_with_a_diagonal():
     # a Householder reflection 1 - 2 v v^T, v = (1, 1, 1, 1)/2: exact in
     # binary, with 1/2 on its diagonal
     H = np.eye(4) - 0.5 * np.ones((4, 4))
-    S = evolution_symplectic(EvolutionParams(H, 0.6)).toarray()
+    S = evolution_symplectic(EvolutionParams(H), 0.6).toarray()
     ch, sh = np.cosh(1.2), np.sinh(1.2)
     assert np.array_equal(S[:4, :4], ch * np.eye(4) + sh * H)
     assert np.array_equal(S[4:, 4:], ch * np.eye(4) - sh * H)
     V_ode, _ = ode_oracle_covariance(H, 0.6)
-    assert np.allclose(evolve(EvolutionParams(H, 0.6)).cov, V_ode, atol=1e-10)
+    assert np.allclose(evolve(EvolutionParams(H), 0.6).cov, V_ode, atol=1e-10)
 
 
 def test_evolution_symplectic_is_the_closed_form(two_mode):
-    S = evolution_symplectic(EvolutionParams(two_mode, 0.7)).toarray()
+    S = evolution_symplectic(EvolutionParams(two_mode), 0.7).toarray()
     ch, sh = np.cosh(1.4), np.sinh(1.4)
     expected_q = ch * np.eye(2) + sh * two_mode
     assert np.allclose(S[:2, :2], expected_q, atol=1e-14)
@@ -159,7 +165,7 @@ def test_evolution_symplectic_is_the_closed_form(two_mode):
 
 
 def test_evolve_matches_ode_oracle(two_mode):
-    st = evolve(EvolutionParams(two_mode, 0.5))
+    st = evolve(EvolutionParams(two_mode), 0.5)
     V_ode, steps = ode_oracle_covariance(two_mode, 0.5)
     assert steps >= 128
     assert np.abs(st.cov - V_ode).max() < 1e-10
@@ -168,7 +174,7 @@ def test_evolve_matches_ode_oracle(two_mode):
 def test_two_mode_squeezed_quadratures(two_mode):
     # normalized sum/difference quadratures: product of variances is 1/4
     for r in (0.5, 1.0, 2.0):
-        st = evolve(EvolutionParams(two_mode, r))
+        st = evolve(EvolutionParams(two_mode), r)
         u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
         w = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
         vm = u @ st.cov @ u
@@ -180,7 +186,7 @@ def test_two_mode_squeezed_quadratures(two_mode):
 
 def test_evolution_purity_and_uncertainty(lattice6):
     for r in (0.5, 1.0, 2.0):
-        st = evolve(EvolutionParams(lattice6.dense(), r))
+        st = evolve(EvolutionParams(lattice6.dense()), r)
         assert st.purity_defect() < 1e-9
         assert uncertainty_defect(st) < 1e-9
 
@@ -198,7 +204,7 @@ def test_purity_defect_is_the_schur_residual(lattice6):
     # 1/2; mixed ones have the dense covariance's residual and a spectrum
     # that says so too
     rng = np.random.default_rng(11)
-    evolved = evolve(EvolutionParams(lattice6, 1.0))
+    evolved = evolve(EvolutionParams(lattice6), 1.0)
     rotated, _ = cluster_state(lattice6, 2.0)
     measured = [i for i in range(lattice6.n) if i % 4]
     # a wider factor: the evolved one times 2n orthonormal rows
@@ -241,7 +247,7 @@ def test_narrow_factor_has_zero_symplectic_values():
 # ============================================================
 
 def test_rotation_inverse_pair(two_mode):
-    st = evolve(EvolutionParams(two_mode, 0.8))
+    st = evolve(EvolutionParams(two_mode), 0.8)
     colors = colors_of(two_mode)
     once = rotate_color_class(st, colors, +1)
     back = rotate_color_class(once, colors, -1)
@@ -273,7 +279,7 @@ def test_rotation_row_swap_is_bit_identical_to_block_product():
     lat10 = expand(build_torus_supergraph(10))
     cases = []
     for A, r in ((lat10, 1.0), (lat10, 2.0)):
-        cases.append((evolve(EvolutionParams(A.dense(), r)),
+        cases.append((evolve(EvolutionParams(A.dense()), r),
                       bicoloring(A)))
     # a measured state: reduced modes and a nonzero mean
     rotated, _ = cluster_state(lat6, 1.0)
@@ -291,7 +297,7 @@ def test_rotation_row_swap_is_bit_identical_to_block_product():
 
 
 def test_rotation_validates_input(two_mode):
-    st = evolve(EvolutionParams(two_mode, 0.1))
+    st = evolve(EvolutionParams(two_mode), 0.1)
     with pytest.raises(GaussianError):
         rotate_color_class(st, np.array([0, 1]), 2)
     with pytest.raises(GaussianError):
@@ -317,7 +323,7 @@ def test_uniform_decay_two_mode_ring_lattice(r, two_mode, crown8, lattice6):
 
 
 def test_best_phase_convention_vacuum_tie_break(two_mode):
-    st = evolve(EvolutionParams(two_mode, 0.0))
+    st = evolve(EvolutionParams(two_mode), 0.0)
     conv = best_phase_convention(st, colors_of(two_mode), two_mode)
     # at r = 0 all four candidates give variance 1 (1/2 from p, 1/2 from
     # the unit-norm target row acting on vacuum q); tie-break picks (+1, +A)
@@ -327,7 +333,7 @@ def test_best_phase_convention_vacuum_tie_break(two_mode):
 
 
 def test_best_phase_convention_survey_structure(two_mode):
-    st = evolve(EvolutionParams(two_mode, 1.0))
+    st = evolve(EvolutionParams(two_mode), 1.0)
     conv = best_phase_convention(st, colors_of(two_mode), two_mode)
     assert set(conv.survey) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
     assert conv.survey[(1, -1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
@@ -344,7 +350,7 @@ def test_best_phase_convention_survey_matches_all_four_candidates(r, crown8,
     for A in (crown8, lattice6):
         dense = A.dense()
         colors = bicoloring(A)
-        state = evolve(EvolutionParams(dense, r))
+        state = evolve(EvolutionParams(dense), r)
         conv = best_phase_convention(state, colors, dense)
         brute = {}
         for turns in (+1, -1):
@@ -362,7 +368,7 @@ def test_negated_report_equals_a_separate_pass(r, lattice6):
     # the -T report shares T L_q and the rounding bound with the +T one,
     # and must equal its own pass bit for bit, refusals included
     T = lattice6.dense()
-    rotated = rotate_color_class(evolve(EvolutionParams(T, r)),
+    rotated = rotate_color_class(evolve(EvolutionParams(T), r),
                                  bicoloring(lattice6), +1)
     try:
         ref = [nullifier_variances(rotated, sign * T, squeeze_r=r)
@@ -380,7 +386,7 @@ def test_negated_report_equals_a_separate_pass(r, lattice6):
 
 
 def test_best_phase_convention_refuses_edge_inside_color_class(two_mode):
-    st = evolve(EvolutionParams(two_mode, 1.0))
+    st = evolve(EvolutionParams(two_mode), 1.0)
     with pytest.raises(GaussianError, match="inside a color class"):
         best_phase_convention(st, np.array([0, 0]), two_mode)
 
@@ -423,11 +429,11 @@ def test_cluster_state_rotates_once(monkeypatch, lattice6):
 
 def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
                                                               lattice6):
-    # what depends on A alone runs once for all r, and each state equals a
-    # separate cluster_state call, bit for bit
+    # what depends on A alone runs once for all r (one, three or four of
+    # them), and each state equals a separate cluster_state call, bit for bit
     import combcluster.gaussian as gaussian
-    rs = (0.5, 1.0, 2.0)
-    want = [cluster_state(lattice6, r) for r in rs]
+    runs = [(1.0,), (0.5, 1.0, 2.0), (0.0, 0.5, 1.0, 2.0)]
+    want = {r: cluster_state(lattice6, r) for r in (0.0, 0.5, 1.0, 2.0)}
     calls = []
     for owner, name in ((gaussian.lattice, "bicoloring"),
                         (gaussian, "_involution_residual")):
@@ -435,13 +441,17 @@ def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(owner, name, counting)
-    got = list(cluster_states(lattice6, rs))
-    assert sorted(calls) == ["_involution_residual", "bicoloring"]
-    for (state, conv), (ref, ref_conv), r in zip(got, want, rs):
-        assert same_csr(state.factor, ref.factor)
-        assert np.array_equal(conv.nullifiers.variances,
-                              ref_conv.nullifiers.variances)
-        assert conv.nullifiers.squeeze_r == r
+    for rs in runs:
+        calls.clear()
+        got = list(cluster_states(lattice6, rs))
+        assert sorted(calls) == ["_involution_residual", "bicoloring"]
+        assert len(got) == len(rs)
+        for (state, conv), r in zip(got, rs):
+            ref, ref_conv = want[r]
+            assert same_csr(state.factor, ref.factor)
+            assert np.array_equal(conv.nullifiers.variances,
+                                  ref_conv.nullifiers.variances)
+            assert conv.nullifiers.squeeze_r == r
 
 
 def test_lattice_variance_shrinks_with_r(lattice6):
@@ -545,7 +555,7 @@ def test_measure_vacuum_mode_leaves_vacuum():
 
 
 def test_measure_everything_gives_empty_state(two_mode):
-    st = evolve(EvolutionParams(two_mode, 1.0))
+    st = evolve(EvolutionParams(two_mode), 1.0)
     red = measure_q(st, [0, 1])
     assert red.n == 0
     assert red.cov.shape == (0, 0)
@@ -576,7 +586,7 @@ def test_measure_purity_preserved(lattice6):
 
 
 def test_measure_outcomes_shift_means_only(two_mode):
-    st = evolve(EvolutionParams(two_mode, 1.0))
+    st = evolve(EvolutionParams(two_mode), 1.0)
     red0 = measure_q(st, [0])
     red1 = measure_q(st, [0], outcomes=[1.7])
     assert np.array_equal(red0.cov, red1.cov)
@@ -593,7 +603,7 @@ def test_measure_unsorted_nodes_pair_outcomes_correctly(crown8):
 
 def test_measure_validates_nodes(two_mode):
     # lists and numpy int arrays alike; the error names the offending node
-    st = evolve(EvolutionParams(two_mode, 1.0))
+    st = evolve(EvolutionParams(two_mode), 1.0)
     with pytest.raises(GaussianError, match="nonempty"):
         measure_q(st, [])
     for bad, message in (([0, 0], "node 0 is given more than once"),
@@ -684,7 +694,7 @@ def mean_tolerance(state, nodes):
 def states_of(A, r):
     """The cluster state, whose measured q rows are orthogonal, and the
     evolved state before its quarter turn, whose q rows are coupled."""
-    return cluster_state(A, r)[0], evolve(EvolutionParams(A.dense(), r))
+    return cluster_state(A, r)[0], evolve(EvolutionParams(A.dense()), r)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
@@ -791,7 +801,7 @@ def test_effective_graph_converges_to_signed_target(two_mode):
     # At r = 5 float64 cannot resolve the nullifier variances to 1e-6, so
     # the convention search refuses; the +1 turn pairs with -A at every
     # r > 0 (pinned at r = 1 by the decay test above).
-    state = evolve(EvolutionParams(two_mode, 5.0))
+    state = evolve(EvolutionParams(two_mode), 5.0)
     rotated = rotate_color_class(state, colors_of(two_mode), +1)
     eg = effective_graph(rotated)
     assert np.abs(eg.V.toarray() - -two_mode).max() < 1e-3
@@ -815,7 +825,8 @@ def test_cut_effective_graph_is_the_closed_form(M, keep_layer, meridians, r):
     # arXiv:1007.0725): V within its rounding bound, U = 1/|L_q|^2 within
     # the rounding of the row's (k+1)-term sum of squares and its inverse
     A = expand(build_torus_supergraph(M))
-    remaining, cut = reduce_and_cut(A, M, keep_layer, meridians)
+    cut = reduce_and_cut(A, M, keep_layer, meridians)
+    remaining = ideal_graph_delete(A, cut.measured_nodes)
     (reduced, T, _), = measure_and_delete(A, [r], cut.measured_nodes)
     assert (abs(T) != abs(remaining)).nnz == 0   # the ideal cut, signed
     eg = effective_graph(reduced)
@@ -841,7 +852,7 @@ def test_reduced_effective_graph_converges(crown8):
 
 
 def test_uncertainty_relation_via_symplectic_form(lattice6):
-    st = evolve(EvolutionParams(lattice6.dense(), 1.0))
+    st = evolve(EvolutionParams(lattice6.dense()), 1.0)
     n = st.n
     H = st.cov + 0.5j * omega(n)
     eigs = np.linalg.eigvalsh(H)

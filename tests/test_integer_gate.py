@@ -87,9 +87,23 @@ def test_gate_reports_the_first_entry_that_is_not_an_integer():
     assert exact.dtype == np.int64 and bad == (1, 0)
     assert lattice.exact_int64(4.5)[1] == ()
     assert lattice.exact_int64([None, 1])[1] == (0,)
+    # an entry numpy cannot cast at all is found one entry at a time
+    assert lattice.exact_int64([1, None])[1] == (1,)
+    assert lattice.exact_int64([[1, 2], [3, "a"]])[1] == (1, 1)
     exact, bad = lattice.exact_int64(np.array([3, -2], dtype=np.int32))
     assert bad is None and exact.tolist() == [3, -2]
 
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice.SuperAdjacency(4, 2, [[0, 10 ** 30]], ["pi+"]),
+    lambda: lattice.BlockWeight([[0, 10 ** 30], [10 ** 30, 0]]),
+    lambda: lattice.PhysAdjacency([[0, 10 ** 30], [10 ** 30, 0]])],
+    ids=["SuperAdjacency", "BlockWeight", "PhysAdjacency"])
+def test_an_integer_beyond_int64_is_refused_by_name(call):
+    # numpy holds 10**30 in an object array, whose cast raised a raw
+    # OverflowError, and which scipy refused with its own ValueError
+    with pytest.raises(LatticeError, match=re.escape(str(10 ** 30))):
+        call()
 
 
 @pytest.mark.parametrize("check, error", [

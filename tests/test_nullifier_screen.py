@@ -129,8 +129,8 @@ def assert_matches_the_full_bound(state, T, row_norms=each_row_norms):
 
 def lattice_state(M, r):
     A = lattice.expand(lattice.build_torus_supergraph(M))
-    params = EvolutionParams(A, r)
-    state = rotate_color_class(evolve(params), lattice.bicoloring(A), +1)
+    params = EvolutionParams(A)
+    state = rotate_color_class(evolve(params, r), lattice.bicoloring(A), +1)
     return state, params.adjacency
 
 
@@ -322,14 +322,14 @@ def test_evolution_symplectic_equals_block_diag():
     cases = involutions()
     assert sum(np.diagonal(A).any() for A, _ in cases[:24]) >= 10
     for A, r0 in cases:
+        params = EvolutionParams(A)
+        A_f = params.adjacency
         for r in (r0, 0.0, 20.0):
-            params = EvolutionParams(A, r)
-            A_f = params.adjacency
             I = sp.eye_array(A_f.shape[0], format="csr")
             ch, sh = np.cosh(2 * r), np.sinh(2 * r)
             want = sp.block_diag((ch * I + sh * A_f, ch * I - sh * A_f),
                                  format="csr")
-            got = evolution_symplectic(params)
+            got = evolution_symplectic(params, r)
             assert got.shape == want.shape
             assert got.has_canonical_format and want.has_canonical_format
             assert got.indptr.tolist() == want.indptr.tolist()

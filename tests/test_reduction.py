@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from combcluster import (GaussianError, cluster_state, lattice_cut_nodes,
-                         measure_and_delete, measure_q, reduce_and_cut)
+from combcluster import (GaussianError, cluster_state, ideal_graph_delete,
+                         lattice_cut_nodes, measure_and_delete, measure_q,
+                         reduce_and_cut)
 
 
 def test_cut_node_partition():
@@ -24,7 +25,9 @@ def test_cut_rejects_bad_parameters():
 
 
 def test_ideal_cut_is_planar_patch(lattice6):
-    remaining, report = reduce_and_cut(lattice6.dense(), 6, 0, (0, 0))
+    A = lattice6.dense()
+    report = reduce_and_cut(A, 6, 0, (0, 0))
+    remaining = ideal_graph_delete(A, report.measured_nodes)
     st = report.graph_stats
     assert st.n_nodes == report.expected_patch_macronodes == 25
     assert st.is_connected
@@ -38,14 +41,14 @@ def test_ideal_cut_is_planar_patch(lattice6):
 def test_ideal_cut_all_layers_and_meridians(lattice6):
     # the cut must behave for every layer and meridian choice
     for keep_layer in range(4):
-        _, report = reduce_and_cut(lattice6.dense(), 6, keep_layer, (2, 3))
+        report = reduce_and_cut(lattice6.dense(), 6, keep_layer, (2, 3))
         assert report.graph_stats.is_connected
         assert report.graph_stats.max_degree <= 4
         assert report.graph_stats.n_nodes == 25
 
 
 def test_gaussian_cut_residual_improves_with_r(lattice6):
-    _, report = reduce_and_cut(lattice6, 6, 0, (0, 0))
+    report = reduce_and_cut(lattice6, 6, 0, (0, 0))
     measured, kept = lattice_cut_nodes(6, 0, (0, 0))
     assert np.array_equal(report.measured_nodes, measured)
     assert np.array_equal(report.kept_nodes, kept)

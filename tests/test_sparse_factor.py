@@ -71,7 +71,7 @@ r_values = st.floats(0.0, 3.0)
 def test_covariance_and_nullifiers_match_dense_oracle(graph, r):
     A, colors = graph
     n = len(A)
-    state = rotate_color_class(evolve(EvolutionParams(A, r)), colors, +1)
+    state = rotate_color_class(evolve(EvolutionParams(A), r), colors, +1)
     L = dense_oracle(A, colors, r)
     assert np.array_equal(state.factor.toarray(), L)
     cov = 0.5 * L @ L.T
@@ -92,7 +92,7 @@ def test_covariance_and_nullifiers_match_dense_oracle(graph, r):
 @given(graph=orthogonal_bipartite(), r=r_values, data=st.data())
 def test_rotation_is_bit_identical_to_block_product(graph, r, data):
     A, colors = graph
-    state = evolve(EvolutionParams(A, r))
+    state = evolve(EvolutionParams(A), r)
     # a measured state too: fewer modes, a nonzero mean, a dense-ish factor
     n = len(A)
     nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -117,7 +117,7 @@ def test_measuring_then_deleting_equals_deleting_then_measuring(graph, r, data):
     # entry (V_rounding bounds the solve for V only, not the measurement)
     A, colors = graph
     n = len(A)
-    state = rotate_color_class(evolve(EvolutionParams(A, r)), colors, +1)
+    state = rotate_color_class(evolve(EvolutionParams(A), r), colors, +1)
     nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                max_size=n - 1, unique=True))
     keep = np.setdiff1d(np.arange(n), nodes)
@@ -129,7 +129,7 @@ def test_measuring_then_deleting_equals_deleting_then_measuring(graph, r, data):
 
 
 def test_factor_is_canonical_read_only_csr():
-    state = evolve(EvolutionParams(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5))
+    state = evolve(EvolutionParams(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.5)
     L = state.factor
     assert L.format == "csr" and L.dtype == np.float64
     assert L.has_canonical_format and L.data.all()
