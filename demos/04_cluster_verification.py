@@ -16,14 +16,15 @@ print("M=6 lattice, 144 qumodes")
 print(f"{'r':>5} {'max variance':>14} {'exp(-4r)':>12} {'spread':>10} "
       f"{'purity defect':>14}")
 for r in (0.5, 1.0, 1.5, 2.0):
-    rotated, conv = cluster_state(A, r)
+    conv = cluster_state(A, r)
     rep = conv.nullifiers
     print(f"{r:5.2f} {rep.max_variance:14.6e} {np.exp(-4 * r):12.4e} "
-          f"{np.ptp(rep.variances):10.1e} {rotated.purity_defect():14.2e}")
+          f"{np.ptp(rep.variances):10.1e} {conv.state.purity_defect():14.2e}")
 
-_, conv = cluster_state(A, 1.0)
-print(f"\nchosen convention: quarter_turns={conv.quarter_turns:+d}, "
-      f"target sign {conv.target_sign:+d}")
-print("survey of all four (turns, sign) candidates:")
-for combo, mv in sorted(conv.survey.items()):
-    print(f"  turns={combo[0]:+d} sign={combo[1]:+d}: max variance {mv:.6g}")
+conv = cluster_state(A, 1.0)
+print(f"\nchosen convention: +1 quarter turn, target sign "
+      f"{conv.target_sign:+d}")
+print("survey of the two target signs:")
+for sign, mv in sorted(conv.survey.items(), reverse=True):
+    print(f"  sign={sign:+d}: max variance {mv:.6g}")
+print("the -1 turn mirrors it: its sign -s reads the +1 turn's sign s")

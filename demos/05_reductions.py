@@ -21,17 +21,18 @@ from combcluster import (build_ring_supergraph, build_torus_supergraph,
 print("== crown -> ring ==")
 crown = expand(build_ring_supergraph(4))
 top = [0, 2, 4, 6]
-for reduced, target, rep in measure_and_delete(crown, (1.0, 2.0, 3.0), top):
+for reduced, rep in measure_and_delete(crown, (1.0, 2.0, 3.0), top):
     eg = effective_graph(reduced)
     print(f"r={rep.squeeze_r}: residual {rep.max_variance:.3e}, "
-          f"effective-graph error {abs(eg.V - target).max():.3e}")
+          f"effective-graph error "
+          f"{abs(eg.V - rep.target_adjacency).max():.3e}")
 ideal = ideal_graph_delete(crown, top)
 print("ideal ring weights:", sorted({float(v) for v in np.abs(ideal.data)}))
 
 print("\n== lattice -> single layer ==")
 A = expand(build_torus_supergraph(6))
 measured = [i for i in range(144) if i % 4 != 0]
-for reduced, _, rep in measure_and_delete(A, (1.0, 2.0), measured):
+for reduced, rep in measure_and_delete(A, (1.0, 2.0), measured):
     print(f"r={rep.squeeze_r}: {reduced.n} remaining modes, "
           f"residual {rep.max_variance:.3e}")
 ideal = ideal_graph_delete(A, measured)
@@ -43,6 +44,6 @@ st = report.graph_stats
 print(f"ideal cut: {st.n_nodes} nodes (expected "
       f"{report.expected_patch_macronodes}), connected={st.is_connected}, "
       f"max degree {st.max_degree}, cycle rank {st.cycle_rank}")
-for _, _, rep in measure_and_delete(A, (1.0, 2.0), report.measured_nodes):
+for _, rep in measure_and_delete(A, (1.0, 2.0), report.measured_nodes):
     print(f"gaussian path r={rep.squeeze_r}: max residual "
           f"{rep.max_variance:.3e}")

@@ -185,13 +185,13 @@ def cmd_simulate(args) -> int:
     _require_fit(4 * lattice.check_even_size("M", args.M) ** 2, "simulate")
     A = lattice.expand(lattice.build_torus_supergraph(args.M))
     runs = []
-    for _, conv in gaussian.cluster_states(A, args.squeeze_r):
+    for conv in gaussian.cluster_states(A, args.squeeze_r):
         rep = conv.nullifiers
         r = rep.squeeze_r
         tag = f"M{args.M}_r{_fmt(r)}"
         runs.append((
             f"r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
-            f"convention=({conv.quarter_turns:+d},{conv.target_sign:+d}A)",
+            f"convention=(+1,{conv.target_sign:+d}A)",
             [(f"nullifiers_{tag}.txt",
               functools.partial(gaussian.nullifier_table, rep)),
              (f"nullifiers_{tag}.kv",
@@ -210,10 +210,10 @@ def cmd_reduce(args) -> int:
     st = cut.graph_stats
     runs = [(f"ideal nodes={st.n_nodes} connected={str(st.is_connected).lower()} "
              f"max_degree={st.max_degree} cycle_rank={st.cycle_rank}", [])]
-    for reduced, target, rep in gaussian.measure_and_delete(
+    for reduced, rep in gaussian.measure_and_delete(
             A, args.squeeze_r, cut.measured_nodes):
         eg = gaussian.effective_graph(reduced)
-        eg_err = gaussian.effective_graph_error(eg, target)
+        eg_err = gaussian.effective_graph_error(eg, rep.target_adjacency)
         tag = f"M{args.M}_r{_fmt(rep.squeeze_r)}"
         resolved = gaussian.format_resolved
         result = (f"max_residual="

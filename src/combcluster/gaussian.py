@@ -273,13 +273,10 @@ class NullifierReport:
     squeeze_r: float = float("nan")
     max_variance_rounding: float = 0.0
 
+    @functools.cached_property
     def target_hash(self) -> str:
         """SHA-256 prefix of the shape and CSR arrays (indices as int64),
-        computed on the first call: a report's target is not changed."""
-        return self._target_digest
-
-    @functools.cached_property
-    def _target_digest(self) -> str:
+        computed on the first read: a report's target is not changed."""
         T = self.target_adjacency
         raw = b"".join(np.asarray(a, dtype=np.int64).tobytes()
                        for a in (T.shape, T.indptr, T.indices))
@@ -416,14 +413,11 @@ def _resolved_report(At, norms, variances, screened, bound,
 
 @dataclass
 class PhaseConvention:
-    """Chosen rotation direction and target sign, with the survey behind it.
+    """Chosen target sign, with the survey behind it: ``state`` has its
+    color-1 modes turned +1 quarter, ``survey`` maps each target sign to
+    the max variance against sign * A, and ``nullifiers`` is the winning
+    sign's report, its signed target ``target_adjacency``."""
 
-    ``state`` is the rotated state, and ``nullifiers`` the winning
-    candidate's report: the signed target (``target_adjacency``) and the
-    nullifier variances of ``state`` against it.
-    """
-
-    quarter_turns: int
     target_sign: int
     survey: dict
     nullifiers: NullifierReport
@@ -432,17 +426,16 @@ class PhaseConvention:
 
 def best_phase_convention(state: GaussianState, coloring: np.ndarray,
                           target) -> PhaseConvention:
-    """Turn in {+1, -1} and target in {+A, -A} minimizing the max variance.
+    """Target sign in {+1, -1} minimizing the max variance of the +1
+    quarter-turned state against sign * A; +1 wins a tie.
 
-    ``coloring`` is the 0/1 color array of `lattice.bicoloring`.  The first
-    minimum in the order (+1, +A), (+1, -A), (-1, +A), (-1, -A) wins.  The
-    -1 turn is the +1 turn followed by (q, p) -> (-q, -p) on the color-1
+    ``coloring`` is the 0/1 color array of `lattice.bicoloring`.  The -1
+    turn is the +1 turn followed by (q, p) -> (-q, -p) on the color-1
     modes, which maps the nullifiers of -+A to those of +-A when every edge
-    of A joins two colors; so only the +1 turn is computed, the survey
-    copies its values to (-1, -+A), and the winner is a +1 turn, and one
-    `nullifier_variances` call gives the +A and -A reports from one product
-    and rounding bound.  A target with an edge inside a color class raises
-    GaussianError.
+    of A joins two colors, so it mirrors the survey and is not computed.
+    One `nullifier_variances` call gives the +A and -A reports from one
+    product and rounding bound.  A target with an edge inside a color class
+    raises GaussianError.
     """
     At = _as_sparse_adjacency(target)
     rotated = rotate_color_class(state, coloring, +1)
@@ -452,22 +445,19 @@ def best_phase_convention(state: GaussianState, coloring: np.ndarray,
         raise GaussianError("target has an edge inside a color class")
     reports = dict(zip((+1, -1),
                        nullifier_variances(rotated, At, return_negated=True)))
-    survey = {(turns, sign): reports[turns * sign].max_variance
-              for turns in (+1, -1) for sign in (+1, -1)}
-    sign = -1 if reports[-1].max_variance < reports[+1].max_variance else +1
-    return PhaseConvention(quarter_turns=+1, target_sign=sign,
-                           survey=survey, nullifiers=reports[sign],
-                           state=rotated)
+    survey = {sign: rep.max_variance for sign, rep in reports.items()}
+    sign = -1 if survey[-1] < survey[+1] else +1
+    return PhaseConvention(target_sign=sign, survey=survey,
+                           nullifiers=reports[sign], state=rotated)
 
 
 def cluster_states(A: PhysAdjacency, rs):
     """Yield the cluster state of A at each squeezing r in ``rs``.
 
-    Each is vacuum evolved under A, in the convention picked by
-    `best_phase_convention`, whose color-1 rotation is the yielded state:
-    (rotated state, PhaseConvention), the convention's ``nullifiers``
-    report carrying squeeze_r = r.  The bicoloring, the float adjacency
-    and its involution check depend on A alone and are computed once.
+    Each is vacuum evolved under A, as the `best_phase_convention` of its
+    rotated ``state``, whose ``nullifiers`` report carries squeeze_r = r.
+    The bicoloring, the float adjacency and its involution check depend on
+    A alone and are computed once.
     """
     colors = lattice.bicoloring(A)
     params = EvolutionParams(A)
@@ -475,11 +465,11 @@ def cluster_states(A: PhysAdjacency, rs):
         conv = best_phase_convention(evolve(params, r), colors,
                                      params.adjacency)
         conv.nullifiers.squeeze_r = r
-        yield conv.state, conv
+        yield conv
 
 
-def cluster_state(A: PhysAdjacency, r: float):
-    """(rotated state, PhaseConvention) of A at one r: `cluster_states`."""
+def cluster_state(A: PhysAdjacency, r: float) -> PhaseConvention:
+    """The PhaseConvention of A at one r: `cluster_states`."""
     return next(cluster_states(A, [r]))
 
 
@@ -488,15 +478,19 @@ def cluster_state(A: PhysAdjacency, r: float):
 # ============================================================
 
 def _node_array(nodes, what: str = "node") -> np.ndarray:
-    """``nodes`` as int64 indices, checked, not cast (`lattice.exact_int64`):
-    GaussianError for a boolean mask or a non-integer ``what``."""
+    """``nodes`` as a 1-D int64 index array, a scalar read as one node,
+    checked, not cast (`lattice.exact_int64`): GaussianError for a nested
+    list, a boolean mask or a non-integer ``what``."""
     given = np.asarray(nodes)
+    if given.ndim > 1:
+        raise GaussianError(f"{what}s must be one index or a list of "
+                            f"indices, got shape {given.shape}")
     if given.dtype == bool:
         raise GaussianError(f"{what}s must be indices, not a boolean mask")
     exact, bad = lattice.exact_int64(given)
     if bad is not None:
         raise GaussianError(f"{what} {given[bad]} is not an integer")
-    return exact
+    return exact.reshape(-1)
 
 
 def _split_nodes(n: int, nodes):
@@ -602,10 +596,10 @@ def measure_q(state: GaussianState, nodes, outcomes=None) -> GaussianState:
         outcomes = np.zeros(nodes.size)
     else:
         outcomes = np.asarray(outcomes, dtype=float)
-        if outcomes.shape != given.shape:
+        if outcomes.ndim > 1 or outcomes.size != given.size:
             raise GaussianError("outcomes must match the measured node count")
-        # reorder outcomes to follow the internally sorted node order
-        outcomes = outcomes[np.argsort(given, kind="stable")]
+        # the nodes' shape rule, then the internally sorted node order
+        outcomes = outcomes.reshape(-1)[np.argsort(given, kind="stable")]
     if not keep.size:
         return GaussianState(np.zeros(0), np.zeros((0, 0)))
 
@@ -629,13 +623,13 @@ def measure_and_delete(A: PhysAdjacency, rs, nodes):
     """q-measure nodes of A's cluster state at each r in ``rs`` and delete
     them from its target.
 
-    Yields (reduced state, reduced signed target, its nullifier report).
+    Yields (reduced state, its report against the reduced signed target).
     """
-    for rotated, conv in cluster_states(A, rs):
-        reduced = measure_q(rotated, nodes)
-        target = ideal_graph_delete(conv.nullifiers.target_adjacency, nodes)
-        yield reduced, target, nullifier_variances(
-            reduced, target, squeeze_r=conv.nullifiers.squeeze_r)
+    for conv in cluster_states(A, rs):
+        reduced, rep = measure_q(conv.state, nodes), conv.nullifiers
+        yield reduced, nullifier_variances(
+            reduced, ideal_graph_delete(rep.target_adjacency, nodes),
+            squeeze_r=rep.squeeze_r)
 
 
 # ============================================================
@@ -747,11 +741,16 @@ def lattice_cut_nodes(M: int, keep_layer: int, meridians):
     """(measured, kept) physical-node arrays for the layer + meridian cut.
 
     Measured: every node outside keep_layer, plus the keep_layer nodes of
-    macronodes on chart column x0 or row y0, checked, not cast (`_node_array`).
+    macronodes on chart column x0 or row y0.  ``meridians`` is two integers,
+    checked, not cast (`_node_array`); GaussianError naming it otherwise.
     """
     if keep_layer not in (0, 1, 2, 3):
         raise GaussianError(f"keep_layer must be 0..3, got {keep_layer}")
-    x0, y0 = _node_array(meridians, "meridian").tolist()
+    try:
+        x0, y0 = _node_array(meridians, "meridian").tolist()
+    except ValueError:                      # also a GaussianError
+        raise GaussianError(f"meridians must be two integers x0,y0, "
+                            f"got {meridians!r}") from None
     if not (0 <= x0 < M and 0 <= y0 < M):
         raise GaussianError(f"meridians {meridians} out of range for M={M}")
     coords = lattice.coordinates(M)
@@ -809,7 +808,7 @@ def _write_variances(fh, row_format: str, report: NullifierReport,
     lattice._render_rows(fh, row_format, np.arange(report.variances.size),
                          _distinct_text(report.variances))
     fh.write(f"{prefix}r={report.squeeze_r:.12g} "
-             f"max={report.max_variance:.12g} target={report.target_hash()}\n")
+             f"max={report.max_variance:.12g} target={report.target_hash}\n")
 
 
 def nullifier_table(report: NullifierReport, fh) -> None:

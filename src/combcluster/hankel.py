@@ -71,21 +71,24 @@ class HankelShorthand:
     """
 
     entries: np.ndarray
-    block_side: int
 
     def __post_init__(self):
-        self.block_side = s = _check_block_side(self.block_side)
         try:
             given = np.asarray(self.entries)
         except ValueError as exc:           # a ragged list of blocks
             raise NotHankelError(f"shorthand blocks differ in shape: {exc}")
-        if given.shape[1:] != (s, s) or len(given) % 2 == 0:
-            raise NotHankelError(f"shorthand must be 2N-1 blocks of side {s}, "
+        if (given.ndim != 3 or given.shape[1] != given.shape[2]
+                or given.shape[1] < 1 or len(given) % 2 == 0):
+            raise NotHankelError("shorthand must be 2N-1 square blocks, "
                                  f"got entries of shape {given.shape}")
         self.entries, bad = exact_int64(given)
         if bad is not None:
             raise NotHankelError(f"shorthand entry {bad} is {given[bad]}, "
                                  "not an integer number of quarters")
+
+    @property
+    def block_side(self) -> int:
+        return self.entries.shape[1]
 
     @property
     def length(self) -> int:
@@ -153,7 +156,7 @@ def shorthand_of(A, block_side: int = 1) -> HankelShorthand:
     del b
     entries = np.zeros((2 * nb - 1) * s * s, dtype=np.int64)
     entries[slot[first]] = vals[first]
-    short = HankelShorthand(entries=entries.reshape(-1, s, s), block_side=s)
+    short = HankelShorthand(entries.reshape(-1, s, s))
     # compared a chunk at a time: one int64 gather of every slot's entry
     # would add 8 bytes per nonzero to the peak
     ok = np.empty(vals.size, dtype=bool)

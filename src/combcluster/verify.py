@@ -103,7 +103,7 @@ def layout_outer_support(M: int, positions) -> sp.csr_array:
         raise lattice.LatticeError(
             f"skew-diagonal {outside[0]} is outside 0..{len(entries) - 1}")
     entries[d] = 1
-    return hankel.matrix_of(hankel.HankelShorthand(entries, block_side=1))
+    return hankel.matrix_of(hankel.HankelShorthand(entries))
 
 
 def _closed_walks(S: sp.csr_array):
@@ -276,7 +276,7 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
     monotone_ok = True
     for name, A in _convention_cases(M):
         maxima = []
-        for _, conv in gaussian.cluster_states(A, (0.5, 1.0, 2.0)):
+        for conv in gaussian.cluster_states(A, (0.5, 1.0, 2.0)):
             rep = conv.nullifiers
             r = rep.squeeze_r
             claimed = np.exp(-2.0 * r) / 2.0
@@ -288,7 +288,7 @@ def criterion_nullifier_decay(M: int = 6) -> CriterionResult:
                 f"case={name} r={_fmt(r)} max_variance={_fmt(rep.max_variance)} "
                 f"claimed={_fmt(claimed)} deviation={_fmt(err)} "
                 f"uniform_spread={_fmt(spread)} "
-                f"convention=({conv.quarter_turns:+d},{conv.target_sign:+d}A)")
+                f"convention=(+1,{conv.target_sign:+d}A)")
         monotone_ok &= maxima[0] > maxima[1] > maxima[2]
     if not value_ok:
         details.append(
@@ -306,16 +306,15 @@ def criterion_crown_to_ring() -> CriterionResult:
     residuals = []
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = [2 * k for k in range(4)]       # layer-0 node of each macronode
-    for _, target, rep in gaussian.measure_and_delete(crown, (1.0, 2.0, 3.0),
-                                                      top):
+    for _, rep in gaussian.measure_and_delete(crown, (1.0, 2.0, 3.0), top):
         r = rep.squeeze_r
         residuals.append(rep.max_variance)
         details.append(f"r={_fmt(r)} max_residual=" + gaussian.format_resolved(
             rep.max_variance, rep.max_variance_rounding))
     # |weights| and support of the signed target do not depend on r
-    weights = np.abs(target.data)
+    weights = np.abs(rep.target_adjacency.data)
     uniform_half = bool(weights.size) and bool(np.all(weights == 0.5))
-    stats = gaussian.support_graph_stats(target)
+    stats = gaussian.support_graph_stats(rep.target_adjacency)
     ring_shape = (stats.n_nodes == 4 and stats.n_edges == 4
                   and stats.max_degree == 2 and stats.is_connected)
     decreasing = residuals[0] > residuals[1] > residuals[2]
@@ -332,11 +331,10 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
     residuals, eg_errors = [], []
     A = lattice.expand(lattice.build_torus_supergraph(M))
     measured = [i for i in range(A.n) if i % 4 != 0]
-    for reduced, target, rep in gaussian.measure_and_delete(A, (1.0, 2.0),
-                                                            measured):
+    for reduced, rep in gaussian.measure_and_delete(A, (1.0, 2.0), measured):
         r = rep.squeeze_r
         eg = gaussian.effective_graph(reduced)
-        eg_err = gaussian.effective_graph_error(eg, target)
+        eg_err = gaussian.effective_graph_error(eg, rep.target_adjacency)
         residuals.append(rep.max_variance)
         eg_errors.append(eg_err)
         resolved = gaussian.format_resolved
@@ -344,9 +342,9 @@ def criterion_layer_reduction(M: int = 6) -> CriterionResult:
             f"r={_fmt(r)} max_residual="
             f"{resolved(rep.max_variance, rep.max_variance_rounding)} "
             f"effective_graph_error={resolved(eg_err, eg.V_rounding)}")
-    weights = np.abs(target.data)
+    weights = np.abs(rep.target_adjacency.data)
     uniform_quarter = bool(np.all(weights == 0.25))
-    stats = gaussian.support_graph_stats(target)
+    stats = gaussian.support_graph_stats(rep.target_adjacency)
     regular4 = stats.n_nodes == M * M and stats.max_degree == 4 and \
         stats.degree_histogram == {4: M * M}
     decreasing = residuals[0] > residuals[1] and eg_errors[0] > eg_errors[1]
@@ -372,8 +370,8 @@ def criterion_torus_cut(M: int = 6) -> CriterionResult:
         f"cycle_rank={st.cycle_rank} "
         f"degree_histogram={sorted(st.degree_histogram.items())}")
     residuals = []
-    for _, _, rep in gaussian.measure_and_delete(A, (1.0, 2.0),
-                                                 cut.measured_nodes):
+    for _, rep in gaussian.measure_and_delete(A, (1.0, 2.0),
+                                              cut.measured_nodes):
         residuals.append(rep.max_variance)
         details.append(f"gaussian r={_fmt(rep.squeeze_r)} max_residual="
                        + gaussian.format_resolved(rep.max_variance,

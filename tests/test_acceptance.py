@@ -279,7 +279,7 @@ def test_engine_uniform_decay_is_exp_minus_4r(lattice6, crown8, two_mode):
         for r in (0.5, 1.0, 2.0):
             state = evolve(EvolutionParams(A), r)
             conv = best_phase_convention(state, colors, A)
-            rotated = rotate_color_class(state, colors, conv.quarter_turns)
+            rotated = rotate_color_class(state, colors, +1)
             rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
             assert np.allclose(rep.variances, np.exp(-4 * r), atol=1e-9)
 

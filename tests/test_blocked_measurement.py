@@ -131,14 +131,14 @@ def test_cluster_cut_matches_single_qr(r):
     # is conditioned by the sparse projection alone; before the quarter
     # turn, measured neighbours are coupled and take the QR
     A = lattice.expand(lattice.build_torus_supergraph(6))
-    rotated, _ = cluster_state(A, r)
+    rotated = cluster_state(A, r).state
     measured = np.array([i for i in range(A.n) if i % 4 != 0])
     cases = [(rotated, measured, np.linspace(-1.0, 1.0, measured.size), True)]
     # random subsets at M = 10; the unturned state's coupled measured rows
     # are ill conditioned at large r, which leaves its mean to their cond
     A10 = lattice.expand(lattice.build_torus_supergraph(10))
     rng = np.random.default_rng(int(10 * r))
-    for state, check_mean in ((cluster_state(A10, r)[0], True),
+    for state, check_mean in ((cluster_state(A10, r).state, True),
                               (evolve(EvolutionParams(A10), r), False)):
         for _ in range(2):
             k = int(rng.integers(1, A10.n))
@@ -176,10 +176,11 @@ def test_max_variance_rounding_covers_the_measurement(r):
     # the single QR give variances within the report's rounding bound
     crown = lattice.expand(lattice.build_ring_supergraph(4))
     top = np.arange(0, 8, 2)
-    (_, target, rep), = measure_and_delete(crown, [r], top)
-    mean, factor = single_qr_measure(cluster_state(crown, r)[0], top,
+    (_, rep), = measure_and_delete(crown, [r], top)
+    mean, factor = single_qr_measure(cluster_state(crown, r).state, top,
                                      np.zeros(top.size))
-    want = nullifier_variances(GaussianState(mean, factor), target)
+    want = nullifier_variances(GaussianState(mean, factor),
+                               rep.target_adjacency)
     assert 0 < rep.max_variance_rounding <= 1e-6 * rep.max_variance
     assert abs(rep.max_variance - want.max_variance) <= rep.max_variance_rounding
 

@@ -82,7 +82,7 @@ def optimal_rotation(A, r):
     state = evolve(EvolutionParams(A), r)
     colors = colors_of(A)
     conv = best_phase_convention(state, colors, A)
-    return rotate_color_class(state, colors, conv.quarter_turns), conv
+    return rotate_color_class(state, colors, +1), conv
 
 
 # ============================================================
@@ -205,7 +205,7 @@ def test_purity_defect_is_the_schur_residual(lattice6):
     # that says so too
     rng = np.random.default_rng(11)
     evolved = evolve(EvolutionParams(lattice6), 1.0)
-    rotated, _ = cluster_state(lattice6, 2.0)
+    rotated = cluster_state(lattice6, 2.0).state
     measured = [i for i in range(lattice6.n) if i % 4]
     # a wider factor: the evolved one times 2n orthonormal rows
     rows = np.linalg.qr(rng.normal(size=(2 * lattice6.n + 9,
@@ -282,7 +282,7 @@ def test_rotation_row_swap_is_bit_identical_to_block_product():
         cases.append((evolve(EvolutionParams(A.dense()), r),
                       bicoloring(A)))
     # a measured state: reduced modes and a nonzero mean
-    rotated, _ = cluster_state(lat6, 1.0)
+    rotated = cluster_state(lat6, 1.0).state
     kept = [i for i in range(lat6.n) if i % 4 == 0]
     measured = [i for i in range(lat6.n) if i % 4]
     outcomes = np.random.default_rng(3).normal(size=len(measured))
@@ -311,7 +311,7 @@ def test_two_mode_nullifier_decay_from_validated_transform(two_mode):
     rep = nullifier_variances(rotated, conv.nullifiers.target_adjacency)
     assert np.allclose(rep.variances, np.exp(-4.0), atol=1e-12)
     assert rep.max_variance == pytest.approx(0.018315638888734, abs=1e-12)
-    assert (conv.quarter_turns, conv.target_sign) == (+1, -1)
+    assert conv.target_sign == -1
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -325,28 +325,28 @@ def test_uniform_decay_two_mode_ring_lattice(r, two_mode, crown8, lattice6):
 def test_best_phase_convention_vacuum_tie_break(two_mode):
     st = evolve(EvolutionParams(two_mode), 0.0)
     conv = best_phase_convention(st, colors_of(two_mode), two_mode)
-    # at r = 0 all four candidates give variance 1 (1/2 from p, 1/2 from
-    # the unit-norm target row acting on vacuum q); tie-break picks (+1, +A)
+    # at r = 0 both signs give variance 1 (1/2 from p, 1/2 from the
+    # unit-norm target row acting on vacuum q); tie-break picks +A
     assert all(v == pytest.approx(1.0, abs=1e-14)
                for v in conv.survey.values())
-    assert (conv.quarter_turns, conv.target_sign) == (+1, +1)
+    assert conv.target_sign == +1
 
 
 def test_best_phase_convention_survey_structure(two_mode):
     st = evolve(EvolutionParams(two_mode), 1.0)
     conv = best_phase_convention(st, colors_of(two_mode), two_mode)
-    assert set(conv.survey) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert conv.survey[(1, -1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
-    assert conv.survey[(-1, 1)] == pytest.approx(np.exp(-4.0), abs=1e-12)
-    assert conv.survey[(1, 1)] == pytest.approx(np.exp(4.0), rel=1e-10)
-    assert conv.nullifiers.max_variance == conv.survey[(1, -1)]
+    assert set(conv.survey) == {1, -1}
+    assert conv.survey[-1] == pytest.approx(np.exp(-4.0), abs=1e-12)
+    assert conv.survey[+1] == pytest.approx(np.exp(4.0), rel=1e-10)
+    assert conv.nullifiers.max_variance == conv.survey[-1]
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0, 3.3])
 def test_best_phase_convention_survey_matches_all_four_candidates(r, crown8,
                                                                   lattice6):
-    # the search rotates once; the -1 turn's entries must equal what the
-    # brute-force rotation and nullifier passes give, bit for bit
+    # the search rotates once, +1; the -1 turn's report against each sign
+    # equals the +1 turn's against the opposite sign, bit for bit, so the
+    # survey holds the +1 turn's two signs and no turn is reported
     for A in (crown8, lattice6):
         dense = A.dense()
         colors = bicoloring(A)
@@ -357,10 +357,15 @@ def test_best_phase_convention_survey_matches_all_four_candidates(r, crown8,
             rotated = rotate_color_class(state, colors, turns)
             for sign in (+1, -1):
                 brute[(turns, sign)] = nullifier_variances(rotated, sign * dense)
-        assert conv.survey == {k: rep.max_variance for k, rep in brute.items()}
-        assert np.array_equal(
-            conv.nullifiers.variances,
-            brute[(conv.quarter_turns, conv.target_sign)].variances)
+        for sign in (+1, -1):
+            mirror, rep = brute[(-1, -sign)], brute[(+1, sign)]
+            assert np.array_equal(mirror.variances, rep.variances)
+            assert mirror.max_variance == rep.max_variance
+            assert mirror.max_variance_rounding == rep.max_variance_rounding
+        assert conv.survey == {sign: brute[(+1, sign)].max_variance
+                               for sign in (+1, -1)}
+        assert np.array_equal(conv.nullifiers.variances,
+                              brute[(+1, conv.target_sign)].variances)
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 3.3, 5.0])
@@ -381,7 +386,7 @@ def test_negated_report_equals_a_separate_pass(r, lattice6):
     for rep, want in zip(pair, ref):
         assert np.array_equal(rep.variances, want.variances)
         assert rep.max_variance == want.max_variance
-        assert rep.target_hash() == want.target_hash()
+        assert rep.target_hash == want.target_hash
         assert rep.squeeze_r == r
 
 
@@ -396,13 +401,13 @@ def test_cluster_state_matches_hand_composition(r, two_mode, crown8, lattice6):
     # cluster_state is evolve -> best_phase_convention -> rotate_color_class,
     # and its report equals a fresh nullifier pass, bit for bit
     for A in (PhysAdjacency(np.round(4 * two_mode)), crown8, lattice6):
-        rotated, conv = cluster_state(A, r)
+        conv = cluster_state(A, r)
+        rotated = conv.state
         ref_state, ref_conv = optimal_rotation(A.dense(), r)
         ref = nullifier_variances(ref_state, ref_conv.nullifiers.target_adjacency)
         assert np.array_equal(rotated.cov, ref_state.cov)
         assert np.array_equal(rotated.mean, ref_state.mean)
-        assert (conv.quarter_turns, conv.target_sign) == \
-            (ref_conv.quarter_turns, ref_conv.target_sign)
+        assert conv.target_sign == ref_conv.target_sign
         assert np.array_equal(conv.nullifiers.variances, ref.variances)
         assert same_csr(conv.nullifiers.target_adjacency, ref.target_adjacency)
         assert conv.nullifiers.max_variance == ref.max_variance
@@ -416,15 +421,15 @@ def test_cluster_state_rotates_once(monkeypatch, lattice6):
     rotate = gaussian.rotate_color_class
 
     def counting_rotate(*args, **kwargs):
-        calls.append(args)
-        return rotate(*args, **kwargs)
+        calls.append(rotate(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(gaussian, "rotate_color_class", counting_rotate)
     for r in (0.0, 1.0):
         calls.clear()
-        rotated, conv = cluster_state(lattice6, r)
+        conv = cluster_state(lattice6, r)
         assert len(calls) == 1
-        assert rotated is conv.state
+        assert calls[0] is conv.state
 
 
 def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
@@ -446,9 +451,9 @@ def test_cluster_states_bicolor_and_check_orthogonality_once(monkeypatch,
         got = list(cluster_states(lattice6, rs))
         assert sorted(calls) == ["_involution_residual", "bicoloring"]
         assert len(got) == len(rs)
-        for (state, conv), r in zip(got, rs):
-            ref, ref_conv = want[r]
-            assert same_csr(state.factor, ref.factor)
+        for conv, r in zip(got, rs):
+            ref_conv = want[r]
+            assert same_csr(conv.state.factor, ref_conv.state.factor)
             assert np.array_equal(conv.nullifiers.variances,
                                   ref_conv.nullifiers.variances)
             assert conv.nullifiers.squeeze_r == r
@@ -494,26 +499,26 @@ def test_nullifier_report_exports(two_mode):
     records = written(nullifier_records, rep)
     assert table.splitlines()[-1].startswith("r=1 max=")
     assert records.splitlines()[0].startswith("node=0 variance=")
-    assert len(rep.target_hash()) == 12
+    assert len(rep.target_hash) == 12
 
 
 def test_target_hash_digests_the_canonical_csr_target(crown8):
     # dense, int32-index and int64-index copies of one target digest alike;
     # the sign and the shape of the target change the digest
-    rotated, _ = cluster_state(crown8, 1.0)
+    rotated = cluster_state(crown8, 1.0).state
     dense = crown8.dense()
     int32 = sp.csr_array(dense)
     int64 = int32.copy()
     int64.indptr, int64.indices = (int32.indptr.astype(np.int64),
                                    int32.indices.astype(np.int64))
     assert (int32.indices.dtype, int64.indices.dtype) == (np.int32, np.int64)
-    hashes = {nullifier_variances(rotated, T).target_hash()
+    hashes = {nullifier_variances(rotated, T).target_hash
               for T in (dense, int32, int64)}
     assert len(hashes) == 1
-    assert nullifier_variances(rotated, -dense).target_hash() not in hashes
+    assert nullifier_variances(rotated, -dense).target_hash not in hashes
     padded = NullifierReport(sp.csr_array(np.pad(dense, (0, 1))),
                              np.zeros(9), 0.0)
-    assert padded.target_hash() not in hashes
+    assert padded.target_hash not in hashes
 
 
 FORMAT_VALUES = np.array([-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0,
@@ -535,7 +540,7 @@ def test_formats_match_per_value_fstrings():
         expected.extend(" ".join(f"{v:.12g}" for v in row) for row in mat)
     assert written(effective_graph_dump, eg) == "\n".join(expected) + "\n"
     rep = NullifierReport(sp.csr_array((2, 2)), values, 1.0, squeeze_r=0.5)
-    summary = f"max=1 target={rep.target_hash()}"
+    summary = f"max=1 target={rep.target_hash}"
     assert written(nullifier_table, rep) == "".join(
         f"{i} {v:.12g}\n" for i, v in enumerate(values)) + f"r=0.5 {summary}\n"
     assert written(nullifier_records, rep) == "".join(
@@ -626,6 +631,24 @@ def test_measure_validates_nodes(two_mode):
                           measure_q(st, [1]).factor.toarray())
 
 
+def test_node_sets_are_one_index_or_a_flat_list(crown8):
+    # a scalar is one node, with a scalar outcome; a nested list is refused
+    # by name, where numpy's broadcast ValueError or an IndexError escaped
+    rotated, _ = optimal_rotation(crown8.dense(), 1.0)
+    one, listed = measure_q(rotated, 3, outcomes=0.5), \
+        measure_q(rotated, [3], outcomes=[0.5])
+    assert np.array_equal(one.mean, listed.mean)
+    assert same_csr(one.factor, listed.factor)
+    assert same_csr(ideal_graph_delete(crown8, 3),
+                    ideal_graph_delete(crown8, [3]))
+    with pytest.raises(GaussianError, match=r"got shape \(2, 2\)"):
+        measure_q(rotated, [[0, 2], [4, 6]], outcomes=[[.1, .2], [.3, .4]])
+    with pytest.raises(GaussianError, match="outcomes must match"):
+        measure_q(rotated, [0, 2, 4, 6], outcomes=[[.1, .2], [.3, .4]])
+    with pytest.raises(GaussianError, match="outcomes must match"):
+        measure_q(rotated, 3, outcomes=[0.5, 0.5])
+
+
 def schur_conditioning(state, nodes, outcomes):
     """Covariance conditioning V_rr - V_ry V_yy^-1 V_yr on measured q rows y."""
     n = state.n
@@ -643,7 +666,7 @@ def test_measure_matches_covariance_schur_complement(r, crown8, lattice6):
     # the factor projection agrees with the covariance Schur complement
     rng = np.random.default_rng(int(100 * r))
     for A in (crown8, lattice6):
-        rotated, _ = cluster_state(A, r)
+        rotated = cluster_state(A, r).state
         for _ in range(3):
             k = int(rng.integers(1, A.n))
             nodes = sorted(int(v) for v in rng.choice(A.n, size=k, replace=False))
@@ -694,7 +717,7 @@ def mean_tolerance(state, nodes):
 def states_of(A, r):
     """The cluster state, whose measured q rows are orthogonal, and the
     evolved state before its quarter turn, whose q rows are coupled."""
-    return cluster_state(A, r)[0], evolve(EvolutionParams(A.dense()), r)
+    return cluster_state(A, r).state, evolve(EvolutionParams(A.dense()), r)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
@@ -732,7 +755,7 @@ def test_measure_in_two_steps_equals_one(case, r, crown8, lattice6):
 
 
 def test_crown_reduction_residual_decreases(crown8):
-    residuals = [rep.max_variance for _, _, rep in
+    residuals = [rep.max_variance for _, rep in
                  measure_and_delete(crown8, (1.0, 2.0, 3.0), [0, 2, 4, 6])]
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -827,7 +850,8 @@ def test_cut_effective_graph_is_the_closed_form(M, keep_layer, meridians, r):
     A = expand(build_torus_supergraph(M))
     cut = reduce_and_cut(A, M, keep_layer, meridians)
     remaining = ideal_graph_delete(A, cut.measured_nodes)
-    (reduced, T, _), = measure_and_delete(A, [r], cut.measured_nodes)
+    (reduced, rep), = measure_and_delete(A, [r], cut.measured_nodes)
+    T = rep.target_adjacency
     assert (abs(T) != abs(remaining)).nnz == 0   # the ideal cut, signed
     eg = effective_graph(reduced)
     assert 0 < eg.V_rounding <= 1e-14
@@ -846,7 +870,8 @@ def test_effective_graph_rejects_mixed_state():
 
 
 def test_reduced_effective_graph_converges(crown8):
-    errors = [abs(effective_graph(red).V - target).max() for red, target, _ in
+    errors = [abs(effective_graph(red).V - rep.target_adjacency).max()
+              for red, rep in
               measure_and_delete(crown8, (1.0, 2.0, 3.0), [0, 2, 4, 6])]
     assert errors[0] > errors[1] > errors[2]
 

@@ -1,5 +1,7 @@
 """Shorthand encoding, pump compilation, scaling."""
 
+import re
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -22,7 +24,7 @@ def test_scalar_hankel_round_trip():
     # shorthand [0, a, 0 / b / 0, a, 0] -> 4x4 with two constant skew-diagonals
     a, b = 3, -2
     entries = [np.array([[v]]) for v in (0, a, 0, b, 0, a, 0)]
-    short = HankelShorthand(entries=entries, block_side=1)
+    short = HankelShorthand(entries=entries)
     assert short.n_blocks == 4
     assert short.corner_index == 3
     M = matrix_of(short)
@@ -52,7 +54,7 @@ def test_random_hankel_round_trip(n, side):
     rng = np.random.default_rng(7)
     nb = n if side == 1 else n
     entries = [rng.integers(-3, 4, size=(side, side)) for _ in range(2 * nb - 1)]
-    short = HankelShorthand(entries=entries, block_side=side)
+    short = HankelShorthand(entries=entries)
     M = matrix_of(short)
     back = shorthand_of(M, block_side=side)
     for e1, e2 in zip(short.entries, back.entries):
@@ -61,16 +63,23 @@ def test_random_hankel_round_trip(n, side):
 
 def test_even_length_shorthand_rejected():
     with pytest.raises(NotHankelError):
-        HankelShorthand(entries=[np.zeros((1, 1))] * 4, block_side=1)
+        HankelShorthand(entries=[np.zeros((1, 1))] * 4)
 
 
 def test_shorthand_rejects_bad_entry_shape():
     entries = [np.zeros((1, 1))] * 3
     entries[1] = np.zeros((2, 2))
     with pytest.raises(NotHankelError):
-        HankelShorthand(entries=entries, block_side=1)
-    with pytest.raises(NotHankelError):
-        HankelShorthand(entries=np.zeros((3, 2, 2)), block_side=1)
+        HankelShorthand(entries=entries)
+    # non-square blocks, a 2-D array and an even block count are refused
+    for shape in ((3, 1, 2), (3, 2), (4, 2, 2)):
+        with pytest.raises(NotHankelError, match=re.escape(str(shape))):
+            HankelShorthand(entries=np.zeros(shape))
+
+
+def test_shorthand_block_side_is_read_from_the_entries():
+    for side in (1, 2, 3, 4):
+        assert HankelShorthand(np.zeros((3, side, side))).block_side == side
 
 
 def test_shorthand_of_reads_a_vector_as_one_row():
@@ -94,27 +103,27 @@ def test_shorthand_of_refuses_what_it_cannot_read(A, block_side, match):
         shorthand_of(A, block_side=block_side)
 
 
-@pytest.mark.parametrize("entries,block_side,match", [
-    ([[[1.9]]], 1, r"entry \(0, 0, 0\) is 1.9, not an integer"),
-    ([[[0]], [[2.5]], [[0]]], 1, r"entry \(1, 0, 0\) is 2.5, not an integer"),
+@pytest.mark.parametrize("entries,match", [
+    ([[[1.9]]], r"entry \(0, 0, 0\) is 1.9, not an integer"),
+    ([[[0]], [[2.5]], [[0]]], r"entry \(1, 0, 0\) is 2.5, not an integer"),
     (np.array([[[0, 0], [0, 4]], [[0, 0], [np.nan, 1]], [[0, 0], [0, 0]]]),
-     2, r"entry \(1, 1, 0\) is nan, not an integer"),
+     r"entry \(1, 1, 0\) is nan, not an integer"),
 ])
-def test_shorthand_refuses_a_non_integer_entry(entries, block_side, match):
+def test_shorthand_refuses_a_non_integer_entry(entries, match):
     # entries used to be cast: [[[1.9]]] became [[[1]]]
     with pytest.raises(NotHankelError, match=match):
-        HankelShorthand(entries, block_side)
+        HankelShorthand(entries)
 
 
 def test_shorthand_keeps_integral_floats_exact():
-    short = HankelShorthand([[[4.0]], [[-2.0]], [[0.0]]], 1)
+    short = HankelShorthand([[[4.0]], [[-2.0]], [[0.0]]])
     assert short.entries.dtype == np.int64
     assert short.entries.ravel().tolist() == [4, -2, 0]
 
 
 def test_shorthand_refuses_a_bad_block_side():
-    with pytest.raises(NotHankelError, match="block_side must be a positive"):
-        HankelShorthand(np.zeros((3, 0, 0)), 0)
+    with pytest.raises(NotHankelError, match=r"square blocks.*\(3, 0, 0\)"):
+        HankelShorthand(np.zeros((3, 0, 0)))
 
 
 def test_shorthand_of_reads_a_sparse_array():
@@ -128,7 +137,7 @@ def test_shorthand_of_reads_a_sparse_array():
 def test_matrix_of_is_the_sparse_block_hankel_matrix(nb, s, data):
     entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
                                    elements=st.sampled_from([0, 0, 1, -3])))
-    short = HankelShorthand(entries=entries, block_side=s)
+    short = HankelShorthand(entries=entries)
     Q = matrix_of(short)
     # dense oracle: block (i, j) is entries[i + j]
     blocks = np.arange(nb)
@@ -144,7 +153,7 @@ def test_matrix_of_is_the_sparse_block_hankel_matrix(nb, s, data):
 def test_codec_round_trip_and_first_violation(nb, s, data):
     entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
                                    elements=st.integers(-3, 3)))
-    Q = matrix_of(HankelShorthand(entries=entries, block_side=s)).toarray()
+    Q = matrix_of(HankelShorthand(entries=entries)).toarray()
     assert np.array_equal(shorthand_of(Q, block_side=s).entries, entries)
     # one perturbed entry breaks its block's skew-diagonal, unless that
     # diagonal holds a single block
@@ -230,7 +239,7 @@ def test_non_pi_block_rejected():
     entries = [np.zeros((2, 2), dtype=np.int64) for _ in range(3)]
     entries[1] = np.array([[1, 1], [1, -1]])
     with pytest.raises(PumpCompileError):
-        compile_pump(HankelShorthand(entries=entries, block_side=2))
+        compile_pump(HankelShorthand(entries=entries))
 
 
 def test_mixed_magnitudes_rejected():
@@ -238,7 +247,7 @@ def test_mixed_magnitudes_rejected():
     entries[0] = np.array([[1, 1], [1, 1]])
     entries[4] = np.array([[2, 2], [2, 2]])
     with pytest.raises(PumpCompileError):
-        compile_pump(HankelShorthand(entries=entries, block_side=2))
+        compile_pump(HankelShorthand(entries=entries))
 
 
 def test_ring_is_block_hankel_under_renumbering(ring4, crown8):
@@ -350,7 +359,7 @@ def test_first_violation_matches_dense_scan(nb, s, data):
     # sparse entries, then whole blocks emptied or single values changed
     entries = data.draw(hnp.arrays(np.int64, (2 * nb - 1, s, s),
                                    elements=st.sampled_from([0, 0, 1, -2])))
-    Q = matrix_of(HankelShorthand(entries=entries, block_side=s)).toarray()
+    Q = matrix_of(HankelShorthand(entries=entries)).toarray()
     for _ in range(data.draw(st.integers(1, 3))):
         i, j = data.draw(st.integers(0, nb - 1)), data.draw(st.integers(0, nb - 1))
         if data.draw(st.booleans()):
@@ -367,7 +376,7 @@ def test_first_violation_is_first_in_block_row_major_order():
     # the first differing element, row by row, lies in block (1, 2); the
     # first offending block in row-major order is (1, 0)
     entries = np.ones((7, 2, 2), dtype=np.int64)
-    Q = matrix_of(HankelShorthand(entries, block_side=2)).toarray()
+    Q = matrix_of(HankelShorthand(entries)).toarray()
     Q[3, 0] += 1                        # block (1, 0), its second row
     Q[2, 4] += 1                        # block (1, 2), its first row
     with pytest.raises(NotHankelError) as err:

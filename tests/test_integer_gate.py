@@ -44,7 +44,7 @@ SEAMS = {
     "two_path_weight": (lambda v: lattice.two_path_weight(LATTICE6, v, 0), 1,
                         LatticeError, lambda w: w),
     "HankelShorthand": (
-        lambda v: hankel.HankelShorthand([[[0]], [[v]], [[0]]], 1), 4,
+        lambda v: hankel.HankelShorthand([[[0]], [[v]], [[0]]]), 4,
         NotHankelError, lambda h: h.entries.tolist()),
     "vacuum": (gaussian.vacuum, 2, GaussianError,
                lambda st: st.factor.toarray().tolist()),

@@ -521,7 +521,7 @@ def test_expand_equals_torus_shorthand_matrix(M):
     entries = np.zeros((2 * M * M - 1, 4, 4), dtype=np.int64)
     for d, label in torus_block_diagonals(M):
         entries[d] = BLOCK_LABELS[label].quarters
-    want = matrix_of(HankelShorthand(entries=entries, block_side=4))
+    want = matrix_of(HankelShorthand(entries=entries))
     A = expand(build_torus_supergraph(M))
     assert A.csr.has_canonical_format and A.csr.data.all()
     assert np.array_equal(A.quarters, want.toarray())

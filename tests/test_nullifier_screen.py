@@ -175,8 +175,8 @@ def test_reduced_states_match_the_full_bound(M):
     A = lattice.expand(lattice.build_torus_supergraph(M))
     for keep_layer, meridians in ((0, (M // 2, 1)), (3, (0, M - 1))):
         measured, _ = gaussian.lattice_cut_nodes(M, keep_layer, meridians)
-        for reduced, target, rep in measure_and_delete(A, (0.5, 1.7, 3.0),
-                                                       measured):
+        for reduced, rep in measure_and_delete(A, (0.5, 1.7, 3.0), measured):
+            target = rep.target_adjacency
             want = assert_matches_the_full_bound(reduced, target)
             assert want[1][0] == (rep.variances.tobytes(),
                                   bits(rep.max_variance),
@@ -196,10 +196,9 @@ def test_reduced_variance_is_its_own_rows_norm(M):
     A = lattice.expand(lattice.build_torus_supergraph(M))
     for keep_layer, meridians in ((0, (M // 2, 1)), (3, (0, M - 1))):
         measured, _ = gaussian.lattice_cut_nodes(M, keep_layer, meridians)
-        for reduced, target, rep in measure_and_delete(A, (0.5, 1.7),
-                                                       measured):
+        for reduced, rep in measure_and_delete(A, (0.5, 1.7), measured):
             n = reduced.n
-            T = gaussian._as_sparse_adjacency(target)
+            T = rep.target_adjacency
             residual = reduced.factor[n:] - T @ reduced.factor[:n]
             want = 0.5 * each_row_norms(residual) ** 2
             assert rep.variances.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Torus cut: layer measurement plus meridian opening."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def test_cut_rejects_bad_parameters():
         lattice_cut_nodes(6, 4, (0, 0))
     with pytest.raises(GaussianError):
         lattice_cut_nodes(6, 0, (6, 0))
+
+
+@pytest.mark.parametrize("meridians", [(1, 2, 3), [[0, 0]], (0,), 5, [],
+                                       [[0], [0, 1]]])
+def test_cut_refuses_anything_but_two_meridians_by_name(meridians):
+    # these raised numpy's or Python's raw ValueError or TypeError
+    with pytest.raises(GaussianError,
+                       match=re.escape(f"two integers x0,y0, got {meridians!r}")):
+        lattice_cut_nodes(6, 0, meridians)
 
 
 def test_ideal_cut_is_planar_patch(lattice6):
@@ -53,14 +64,30 @@ def test_gaussian_cut_residual_improves_with_r(lattice6):
     assert np.array_equal(report.measured_nodes, measured)
     assert np.array_equal(report.kept_nodes, kept)
     residuals = []
-    for reduced, target, rep in measure_and_delete(lattice6, (1.0, 2.0),
-                                                   report.measured_nodes):
-        assert reduced.n == target.shape[0] == 25
+    for reduced, rep in measure_and_delete(lattice6, (1.0, 2.0),
+                                           report.measured_nodes):
+        assert reduced.n == rep.target_adjacency.shape[0] == 25
         assert reduced.purity_defect() < 1e-9
         residuals.append(rep.max_variance)
     assert residuals[1] < residuals[0]
 
 
+@pytest.mark.parametrize("r", [0.5, 1.7])
+def test_reduced_report_target_is_the_deleted_signed_target(lattice6, r):
+    # the report's target is the one reduced target: the signed target with
+    # the measured nodes deleted, bit for bit
+    measured, _ = lattice_cut_nodes(6, 1, (3, 1))
+    (reduced, rep), = measure_and_delete(lattice6, [r], measured)
+    want = ideal_graph_delete(
+        cluster_state(lattice6, r).nullifiers.target_adjacency, measured)
+    T = rep.target_adjacency
+    assert T.shape == want.shape == (reduced.n, reduced.n)
+    for got, expected in ((T.indptr, want.indptr),
+                          (T.indices, want.indices), (T.data, want.data)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
 def test_measuring_everything_leaves_empty_state(lattice6):
-    rotated, _ = cluster_state(lattice6, 1.0)
+    rotated = cluster_state(lattice6, 1.0).state
     assert measure_q(rotated, np.arange(144)).n == 0

@@ -24,7 +24,7 @@ def renumbered(M=6):
 def reduced_effective_graph(M=6, r=1.0):
     A = torus(M)
     measured = np.flatnonzero(np.arange(A.n) % 4)     # three of four layers
-    reduced, _, _ = next(gaussian.measure_and_delete(A, [r], measured))
+    reduced, _ = next(gaussian.measure_and_delete(A, [r], measured))
     return gaussian.effective_graph(reduced)
 
 
@@ -37,9 +37,9 @@ OUTPUTS = {
     "layout_outer_support": lambda: verify.layout_outer_support(
         6, lattice.positions_from_run_lengths(6, *verify.claimed_run_lengths(6))),
     "matrix_of": lambda: hankel.matrix_of(renumbered().shorthand),
-    "factor": lambda: gaussian.cluster_state(torus(), 1.0)[0].factor,
+    "factor": lambda: gaussian.cluster_state(torus(), 1.0).state.factor,
     "signed_target": lambda: gaussian.cluster_state(
-        torus(), 1.0)[1].nullifiers.target_adjacency,
+        torus(), 1.0).nullifiers.target_adjacency,
     "ideal_graph_delete": lambda: gaussian.ideal_graph_delete(
         torus(), np.arange(0, 144, 4)),
     "effective_graph_V": lambda: reduced_effective_graph().V,
